@@ -44,11 +44,11 @@
 //     project's refresh cadence — it never waits on inference. Recorded
 //     answers are always acknowledged 201; a saturated shard surfaces as
 //     refresh:"deferred" in-body.
-//   - GET /v1/.../tasks routes any due assignment-engine refresh through
-//     the project's shard worker (same coalescing and backpressure as
-//     estimate refreshes) — never on the request goroutine under the
-//     platform lock. Under backpressure tasks are served from the stale
-//     assignment state instead of failing.
+//   - GET /v1/.../tasks scores information gain, outside every lock, on
+//     the assignment state each estimate refresh publishes (one model per
+//     project). At a refresh boundary it waits at most 2s for the project's
+//     estimate refresh; under backpressure it serves the previous state
+//     instead of failing.
 //   - GET /v1/.../estimates serves one pinned generation per response:
 //     by default the latest published snapshot (one atomic pointer load,
 //     immune to shard backlog), ?generation= for a retained past state,
@@ -93,11 +93,11 @@
 // writes always execute there — and every published snapshot generation
 // replicates to the other nodes, which serve the full read surface
 // (pinned estimates, ETag/304, watch) from local state. Requests arriving
-// at the wrong node are forwarded (default), redirected with 307, or
-// rejected with a typed 421 not_home envelope per -route; the Go SDK
-// follows not_home referrals automatically. Cluster mode requires
-// -wal-dir: membership changes hand projects off by shipping the WAL to
-// the new home. See ARCHITECTURE.md, "Cluster layer".
+// at the wrong node are forwarded (default) or rejected with a typed 421
+// not_home envelope per -route; the Go SDK follows not_home referrals
+// automatically. Cluster mode requires -wal-dir: membership changes hand
+// projects off by shipping the WAL to the new home. See ARCHITECTURE.md,
+// "Cluster layer".
 //
 // On SIGINT/SIGTERM the server stops accepting HTTP, exports -state if
 // set, drains the shard queues, and flushes + fsyncs every WAL regardless
@@ -139,7 +139,7 @@ func main() {
 		retainBytes = flag.Int64("retain-bytes", 0, "byte budget for retained snapshot generations per project: old generations evict early when the ring exceeds it (0 = count cap only; the latest generation always survives)")
 		nodeID      = flag.String("node-id", "", "this node's id in -peers; both flags together enable cluster mode")
 		peers       = flag.String("peers", "", "static cluster membership as id=url,id=url,... including this node; projects are consistent-hashed to their home node, writes route there, reads replicate everywhere")
-		routeMode   = flag.String("route", "forward", "what the edge does with a request for a project homed elsewhere: forward (transparent proxy), redirect (307 + Location), reject (421 not_home envelope the SDK follows)")
+		routeMode   = flag.String("route", "forward", "what the edge does with a request for a project homed elsewhere: forward (transparent proxy) or reject (421 not_home envelope the SDK follows)")
 	)
 	flag.Parse()
 
@@ -230,7 +230,7 @@ func main() {
 		root = node
 		fmt.Printf("cluster node %s of %d members (route=%s)\n", members.Self().ID, members.Size(), *routeMode)
 	}
-	srv := &http.Server{Addr: *addr, Handler: root}
+	srv := newHTTPServer(*addr, root)
 
 	done := make(chan os.Signal, 1)
 	signal.Notify(done, os.Interrupt, syscall.SIGTERM)
@@ -271,6 +271,19 @@ func main() {
 		fmt.Fprintf(os.Stderr, "tcrowd-server: closing platform: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// readHeaderTimeout cuts a client that never finishes its request headers
+// (it would hold a connection and a goroutine forever); idleTimeout closes
+// idle keep-alive connections. ReadTimeout and WriteTimeout stay unset:
+// they would cut /watch SSE streams and long-polls.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }
 
 func fatal(err error) {

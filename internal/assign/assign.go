@@ -22,13 +22,27 @@ import (
 // model, and a random stream for tie-breaking.
 type State struct {
 	Model *core.Model
-	Log   *tabular.AnswerLog
+	// Log holds at least the arriving worker's answers, all that policies
+	// consult (the whole log offline, the worker's own when serving).
+	Log *tabular.AnswerLog
 	// Est caches Model.Estimates() for the current refresh.
 	Est metrics.Estimates
 	// Err is the fitted attribute-correlation model; nil for policies that
 	// do not use structure.
 	Err *ErrorModel
 	RNG *rand.Rand
+}
+
+// NewState builds the selection state of a fitted model m with estimates
+// est, plus — with structure set — the error model fitted on est and fit,
+// the answers m was fitted on (not retained). Log and RNG are the caller's.
+func NewState(m *core.Model, fit *tabular.AnswerLog, est metrics.Estimates, structure bool) *State {
+	st := &State{Model: m, Est: est}
+	if structure {
+		st.Err = NewErrorModel(m)
+		st.Err.Rebuild(fit, est)
+	}
+	return st
 }
 
 // Policy selects which cells to hand to an arriving worker. All policies
@@ -38,14 +52,6 @@ type Policy interface {
 	Name() string
 	// Select returns up to k cells for worker u, best first.
 	Select(st *State, u tabular.WorkerID, k int) []tabular.Cell
-}
-
-// WorkerGate is an optional System extension: the platform installs a
-// predicate deciding whether a worker may receive tasks at all (the
-// reputation layer's quarantine hook). A gated-out worker gets no cells
-// from Select, whatever the policy would have scored for them.
-type WorkerGate interface {
-	SetWorkerGate(allow func(tabular.WorkerID) bool)
 }
 
 // System is a complete crowdsourcing pipeline for the end-to-end comparison

@@ -23,6 +23,9 @@ import (
 // there — so an error is a removable unit and the whole model can be
 // maintained from sufficient statistics.
 //
+// Answers come in as arguments and are never retained, so a fitted model
+// can be shared read-only while the log it was fitted on keeps growing.
+//
 // # Sufficient-statistics maintenance
 //
 // Every fitted distribution here is a closed-form function of low-order
@@ -179,7 +182,7 @@ func NewErrorModel(m *core.Model) *ErrorModel {
 // the model's answers and current estimates.
 func BuildErrorModel(m *core.Model) *ErrorModel {
 	em := NewErrorModel(m)
-	em.Rebuild(m.Estimates())
+	em.Rebuild(m.Log, m.Estimates())
 	return em
 }
 
@@ -233,14 +236,13 @@ func (em *ErrorModel) answerError(a tabular.Answer, guess tabular.Value, clamp b
 	return e
 }
 
-// Rebuild refits the whole model from scratch against est: per-(worker,
-// cell) errors, fresh winsorization bounds, accumulators and closed-form
-// fits. Every buffer is arena-reused, so a steady-state rebuild performs no
-// allocations. This is the polish-anchor path; between polishes use
-// UpdateCells.
+// Rebuild refits the whole model from scratch against est and log: per-
+// (worker, cell) errors, fresh winsorization bounds, accumulators and
+// closed-form fits. Every buffer is arena-reused, so a steady-state rebuild
+// allocates nothing. The polish-anchor path; between polishes, UpdateCells.
 //
 //tcrowd:noalloc
-func (em *ErrorModel) Rebuild(est metrics.Estimates) {
+func (em *ErrorModel) Rebuild(log *tabular.AnswerLog, est metrics.Estimates) {
 	// Reset the per-(worker, row) vectors and accumulators.
 	for i := range em.rowVec {
 		em.rowVec[i] = -1
@@ -255,7 +257,7 @@ func (em *ErrorModel) Rebuild(est metrics.Estimates) {
 	}
 
 	// Pass 1: raw (unclamped) last-answer-wins errors into the vectors.
-	for _, a := range em.m.Log.All() {
+	for _, a := range log.All() {
 		i, j := a.Cell.Row, a.Cell.Col
 		guess := est[i][j]
 		if guess.IsNone() {
@@ -319,14 +321,13 @@ func (em *ErrorModel) Rebuild(est metrics.Estimates) {
 }
 
 // UpdateCells re-derives the errors of the given cells (core cell keys,
-// row*nCols + col) against est and folds the deltas into the accumulators —
-// the O(batch) maintenance path of a streaming refresh whose polish was
+// row*nCols + col) against est and log and folds the deltas into the
+// accumulators — the O(batch) path of a streaming refresh whose polish was
 // deferred (cells come from core.RefreshStats.Cells). Winsorization bounds
 // stay frozen at their last Rebuild values.
 //
 //tcrowd:noalloc
-func (em *ErrorModel) UpdateCells(est metrics.Estimates, cells []int) {
-	log := em.m.Log
+func (em *ErrorModel) UpdateCells(log *tabular.AnswerLog, est metrics.Estimates, cells []int) {
 	for _, key := range cells {
 		i, j := key/em.nCols, key%em.nCols
 		guess := est[i][j]
@@ -561,24 +562,24 @@ func (pm *pairModel) condContNormal(ek float64) stats.Normal {
 	return swapped.ConditionalY(ek)
 }
 
-// RowErrors computes worker u's observed errors E^u_i on row i against the
-// current estimates: the inputs to Eq. 7. Columns without an estimate or
-// without an answer by u are absent.
-func (em *ErrorModel) RowErrors(u tabular.WorkerID, row int, est metrics.Estimates) map[int]float64 {
+// RowErrors computes a worker's errors E^u_i on a row from their answers
+// there (log.RowAnswersByWorker) against the current estimates: the inputs
+// to Eq. 7. Columns without an estimate or an answer are absent.
+func (em *ErrorModel) RowErrors(answers []tabular.Answer, est metrics.Estimates) map[int]float64 {
 	out := map[int]float64{}
-	for _, a := range em.m.Log.RowAnswersByWorker(u, row) {
+	for _, a := range answers {
 		em.addError(out, a, est)
 	}
 	return out
 }
 
-// WorkerRowErrors computes the errors of every answer worker u has given,
-// grouped by row, in one pass over u's history. Policies scoring thousands
-// of candidate cells per arrival must use this instead of calling RowErrors
-// per cell (which would rescan the history every time).
-func (em *ErrorModel) WorkerRowErrors(u tabular.WorkerID, est metrics.Estimates) map[int]map[int]float64 {
+// WorkerRowErrors computes the errors of a worker's answers (log.ByWorker),
+// grouped by row, in one pass. Policies scoring thousands of candidate
+// cells per arrival must use this instead of calling RowErrors per cell
+// (which would rescan the history every time).
+func (em *ErrorModel) WorkerRowErrors(answers []tabular.Answer, est metrics.Estimates) map[int]map[int]float64 {
 	out := map[int]map[int]float64{}
-	for _, a := range em.m.Log.ByWorker(u) {
+	for _, a := range answers {
 		row := out[a.Cell.Row]
 		if row == nil {
 			row = map[int]float64{}

@@ -112,7 +112,7 @@ func TestRowErrors(t *testing.T) {
 	if u == "" {
 		t.Fatal("no answers in row 0")
 	}
-	errs := em.RowErrors(u, 0, est)
+	errs := em.RowErrors(log.RowAnswersByWorker(u, 0), est)
 	if len(errs) == 0 {
 		t.Fatal("no row errors for an answering worker")
 	}
@@ -126,7 +126,7 @@ func TestRowErrors(t *testing.T) {
 		}
 	}
 	// A stranger has no errors anywhere.
-	if got := em.RowErrors("stranger", 0, est); len(got) != 0 {
+	if got := em.RowErrors(log.RowAnswersByWorker("stranger", 0), est); len(got) != 0 {
 		t.Fatal("stranger with row errors")
 	}
 }
@@ -156,15 +156,15 @@ func TestErrorModelSteadyStateAllocs(t *testing.T) {
 	ds, m := restaurantModel(t)
 	em := NewErrorModel(m)
 	est := m.Estimates()
-	em.Rebuild(est) // size every arena
+	em.Rebuild(m.Log, est) // size every arena
 
-	if avg := testing.AllocsPerRun(20, func() { em.Rebuild(est) }); avg > 0 {
+	if avg := testing.AllocsPerRun(20, func() { em.Rebuild(m.Log, est) }); avg > 0 {
 		t.Fatalf("warm Rebuild allocates %.1f allocs/run, want 0", avg)
 	}
 
 	cells := []int{0, ds.Table.NumCols() + 1, 3*ds.Table.NumCols() + 2}
-	em.UpdateCells(est, cells)
-	if avg := testing.AllocsPerRun(20, func() { em.UpdateCells(est, cells) }); avg > 0 {
+	em.UpdateCells(m.Log, est, cells)
+	if avg := testing.AllocsPerRun(20, func() { em.UpdateCells(m.Log, est, cells) }); avg > 0 {
 		t.Fatalf("warm UpdateCells allocates %.1f allocs/run, want 0", avg)
 	}
 }

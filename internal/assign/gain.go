@@ -83,13 +83,13 @@ func catInfoGain(post []float64, q float64) float64 {
 
 // StructInfoGain computes the structure-aware information gain (Sec. 5.2):
 // like InfoGain, but the worker's expected error on cell c is conditioned
-// on the errors they already exhibited on other cells of row c.Row (Eq. 7).
-// With no usable row history or correlations it reduces to InfoGain.
-func StructInfoGain(m *core.Model, em *ErrorModel, est metrics.Estimates, u tabular.WorkerID, c tabular.Cell) float64 {
+// on the errors their answers in log show on other cells of row c.Row
+// (Eq. 7). With no usable row history or correlations it is InfoGain.
+func StructInfoGain(m *core.Model, em *ErrorModel, est metrics.Estimates, log *tabular.AnswerLog, u tabular.WorkerID, c tabular.Cell) float64 {
 	if em == nil {
 		return InfoGain(m, u, c)
 	}
-	rowErrs := em.RowErrors(u, c.Row, est)
+	rowErrs := em.RowErrors(log.RowAnswersByWorker(u, c.Row), est)
 	return structInfoGainWithErrors(m, em, u, c, rowErrs)
 }
 

@@ -180,13 +180,13 @@ func TestStructInfoGainFallsBackWithoutHistory(t *testing.T) {
 	u := tabular.WorkerID("fresh-worker")
 	for _, c := range []tabular.Cell{{Row: 0, Col: 0}, {Row: 3, Col: 4}} {
 		a := InfoGain(m, u, c)
-		b := StructInfoGain(m, em, est, u, c)
+		b := StructInfoGain(m, em, est, m.Log, u, c)
 		if math.Abs(a-b) > 1e-12 {
 			t.Fatalf("fallback mismatch at %v: %v vs %v", c, a, b)
 		}
 	}
 	// Nil error model is also a fallback.
-	if math.Abs(StructInfoGain(m, nil, est, m.WorkerIDs[0], tabular.Cell{Row: 0, Col: 0})-
+	if math.Abs(StructInfoGain(m, nil, est, m.Log, m.WorkerIDs[0], tabular.Cell{Row: 0, Col: 0})-
 		InfoGain(m, m.WorkerIDs[0], tabular.Cell{Row: 0, Col: 0})) > 1e-12 {
 		t.Fatal("nil error model fallback")
 	}

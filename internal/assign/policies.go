@@ -134,7 +134,7 @@ func (g StructureIG) Select(st *State, u tabular.WorkerID, k int) []tabular.Cell
 	}
 	// One pass over the worker's history, then O(1) row-error lookups per
 	// candidate cell.
-	byRow := st.Err.WorkerRowErrors(u, st.Est)
+	byRow := st.Err.WorkerRowErrors(st.Log.ByWorker(u), st.Est)
 	scores := scoreAll(cands, g.Parallelism, func(c tabular.Cell) float64 {
 		rowErrs := byRow[c.Row]
 		if len(rowErrs) == 0 {

@@ -24,13 +24,7 @@ type TCrowdSystem struct {
 
 	st       *State
 	tieBreak *rand.Rand
-	// gate, when set, decides whether a worker may receive tasks at all
-	// (see WorkerGate); a rejected worker gets nil from Select.
-	gate func(tabular.WorkerID) bool
 }
-
-// SetWorkerGate implements WorkerGate.
-func (t *TCrowdSystem) SetWorkerGate(allow func(tabular.WorkerID) bool) { t.gate = allow }
 
 // NewTCrowdSystem builds the default T-Crowd system.
 func NewTCrowdSystem(seed int64) *TCrowdSystem {
@@ -111,11 +105,9 @@ func (t *TCrowdSystem) Refresh(tbl *tabular.Table, log *tabular.AnswerLog) error
 
 // setState rebuilds the assignment state around a freshly (re)fitted model.
 func (t *TCrowdSystem) setState(m *core.Model, log *tabular.AnswerLog) {
-	st := &State{Model: m, Log: log, Est: m.Estimates(), RNG: t.tieBreak}
-	if _, isStruct := t.Policy.(StructureIG); isStruct {
-		st.Err = NewErrorModel(m)
-		st.Err.Rebuild(st.Est)
-	}
+	_, isStruct := t.Policy.(StructureIG)
+	st := NewState(m, log, m.Estimates(), isStruct)
+	st.Log, st.RNG = log, t.tieBreak
 	t.st = st
 }
 
@@ -149,19 +141,16 @@ func (t *TCrowdSystem) applyRefresh(m *core.Model, log *tabular.AnswerLog, rs co
 	switch {
 	case st.Err == nil:
 		st.Err = NewErrorModel(m)
-		st.Err.Rebuild(st.Est)
+		st.Err.Rebuild(log, st.Est)
 	case rs.Polished:
-		st.Err.Rebuild(st.Est)
+		st.Err.Rebuild(log, st.Est)
 	default:
-		st.Err.UpdateCells(st.Est, rs.Cells)
+		st.Err.UpdateCells(log, st.Est, rs.Cells)
 	}
 }
 
 // Select implements System.
 func (t *TCrowdSystem) Select(u tabular.WorkerID, k int, log *tabular.AnswerLog) []tabular.Cell {
-	if t.gate != nil && !t.gate(u) {
-		return nil
-	}
 	if t.st == nil || t.st.Model == nil {
 		return nil
 	}

@@ -2,9 +2,9 @@
 // member set (the -peers flag, identical on every node) places every
 // project on a home node via consistent hashing (internal/cluster/member,
 // reusing shard.Ring), and each node's edge either serves a request
-// locally or routes it to the home — forwarding transparently (default),
-// redirecting with 307, or rejecting with a typed 421 not_home envelope
-// the SDK follows automatically.
+// locally or routes it to the home — forwarding transparently (default)
+// or rejecting with a typed 421 not_home envelope the SDK follows
+// automatically.
 //
 // Writes always land on the home node. Reads scale out: every published
 // generation streams from the home to all peers (per-peer drop-to-latest
@@ -15,10 +15,14 @@
 // over the internal API and replay them through the ordinary crash
 // recovery path, so a follower promoted to home owns the full answer
 // history it mirrored.
+//
+//tcrowd:lockorder Node.removeMu < Node.mu
+//tcrowd:lockorder peerShipper.sendMu < peerShipper.mu
 package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -51,10 +55,6 @@ const (
 	// RouteForward proxies the request to the home node transparently:
 	// clients see one logical service whatever node they talk to.
 	RouteForward RouteMode = iota
-	// RouteRedirect answers 307 with the home node's URL in Location;
-	// clients re-issue the request there themselves (net/http does it
-	// automatically, preserving method and body).
-	RouteRedirect
 	// RouteReject answers 421 not_home with the home's base URL in the
 	// envelope; the tcrowd SDK follows it automatically.
 	RouteReject
@@ -65,18 +65,16 @@ func ParseRouteMode(s string) (RouteMode, error) {
 	switch s {
 	case "", "forward":
 		return RouteForward, nil
-	case "redirect":
-		return RouteRedirect, nil
 	case "reject":
 		return RouteReject, nil
 	}
-	return 0, fmt.Errorf("cluster: unknown route mode %q (want forward, redirect or reject)", s)
+	return 0, fmt.Errorf("cluster: unknown route mode %q (want forward or reject)", s)
 }
 
 // replicaReadable is the request suffix set a follower serves locally
 // from replicated generations; everything else routes to the home node.
-// tasks and workers are deliberately absent: assignment mutates engine
-// state and reputation lives with the answer stream, both home-only.
+// tasks and workers are deliberately absent: assignment and reputation
+// live with the home's answer log.
 var replicaReadable = map[string]bool{
 	"estimates": true,
 	"snapshot":  true,
@@ -121,6 +119,10 @@ type Node struct {
 	closing sync.Once
 	wg      sync.WaitGroup
 
+	// removeMu orders replica removals against catch-up pulls installing
+	// what they fetched.
+	removeMu sync.Mutex
+
 	mu sync.Mutex
 	// walTop tracks, per follower project, the highest WAL segment index
 	// mirrored locally — the next catch-up pull's from watermark.
@@ -129,6 +131,10 @@ type Node struct {
 	// pulling dedups concurrent catch-up pulls per project.
 	//tcrowd:guardedby mu
 	pulling map[string]bool
+	// epoch counts replica removals per project: a pull installs nothing
+	// once a removal bumped the epoch it was scheduled under.
+	//tcrowd:guardedby mu
+	epoch map[string]uint64
 }
 
 // New builds the node, installs the platform publish hook, and starts the
@@ -150,6 +156,7 @@ func New(opts Options) (*Node, error) {
 		stop:    make(chan struct{}),
 		walTop:  make(map[string]int),
 		pulling: make(map[string]bool),
+		epoch:   make(map[string]uint64),
 	}
 	if n.client == nil {
 		n.client = &http.Client{}
@@ -311,24 +318,15 @@ func (s *statusWriter) Write(b []byte) (int, error) {
 }
 
 // broadcastRemove tells every peer to drop its replica of a deleted
-// project. Best-effort: an unreachable peer reaps the orphan replica on
-// its next boot rebalance (the home 404s its catch-up pulls).
+// project, through each peer's shipper (see peerShipper.remove).
+// Best-effort: an unreachable peer reaps the orphan replica on its next
+// boot rebalance (the home 404s its catch-up pulls).
 func (n *Node) broadcastRemove(id string) {
-	for _, peer := range n.set.Peers() {
-		peer := peer
+	for _, s := range n.shippers {
 		n.wg.Add(1)
 		go func() {
 			defer n.wg.Done()
-			req, err := http.NewRequest(http.MethodDelete,
-				peer.Addr+"/v1/internal/projects/"+url.PathEscape(id), nil)
-			if err != nil {
-				return
-			}
-			req.Header.Set(homeHeader, n.set.Self().Addr)
-			resp, err := n.doInternal(req)
-			if err == nil {
-				resp.Body.Close()
-			}
+			s.remove(id)
 		}()
 	}
 }
@@ -340,7 +338,7 @@ const internalTimeout = 30 * time.Second
 
 // doInternal issues an internal request with the standard deadline.
 func (n *Node) doInternal(req *http.Request) (*http.Response, error) {
-	ctx, cancel := contextWithTimeout(req, internalTimeout)
+	ctx, cancel := context.WithTimeout(req.Context(), internalTimeout)
 	defer cancel()
 	return n.client.Do(req.WithContext(ctx))
 }
@@ -348,16 +346,11 @@ func (n *Node) doInternal(req *http.Request) (*http.Response, error) {
 // routeAway sends a non-home request where it belongs per the configured
 // mode. body, when non-nil, is the already-consumed request body.
 func (n *Node) routeAway(w http.ResponseWriter, r *http.Request, id string, home member.Member, body []byte) {
-	switch n.mode {
-	case RouteRedirect:
-		// 307 preserves method and body; Go clients re-issue automatically.
-		w.Header().Set("Location", home.Addr+r.URL.RequestURI())
-		w.WriteHeader(http.StatusTemporaryRedirect)
-	case RouteReject:
+	if n.mode == RouteReject {
 		platform.WriteError(w, &platform.NotHomeError{Project: id, Home: home.Addr})
-	default:
-		n.forward(w, r, id, home, body)
+		return
 	}
+	n.forward(w, r, id, home, body)
 }
 
 // forward proxies the request to the home node and copies the response

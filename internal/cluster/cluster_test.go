@@ -8,7 +8,9 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -22,10 +24,12 @@ import (
 
 // switchable lets a test swap the handler behind a live listener — the
 // handoff test re-creates a Node with a new member spec mid-test.
-type switchable struct{ h atomic.Value }
+type switchable struct{ h atomic.Pointer[http.Handler] }
+
+func (s *switchable) set(h http.Handler) { s.h.Store(&h) }
 
 func (s *switchable) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.h.Load().(http.Handler).ServeHTTP(w, r)
+	(*s.h.Load()).ServeHTTP(w, r)
 }
 
 type testNode struct {
@@ -83,7 +87,7 @@ func startCluster(t *testing.T, n int, mode RouteMode, durable bool) *testCluste
 			t.Fatal(err)
 		}
 		tn.sw = &switchable{}
-		tn.sw.h.Store(http.Handler(tn.node))
+		tn.sw.set(tn.node)
 		tn.srv = &http.Server{Handler: tn.sw}
 		go tn.srv.Serve(ln)
 		tc.nodes = append(tc.nodes, tn)
@@ -315,43 +319,6 @@ func TestClusterRejectModeAndSDKFollow(t *testing.T) {
 	}
 }
 
-// TestClusterRedirectMode pins the opt-in 307 behaviour: the Location
-// names the home node, and stock net/http clients re-issue the request
-// there themselves.
-func TestClusterRedirectMode(t *testing.T) {
-	tc := startCluster(t, 2, RouteRedirect, false)
-	set := tc.nodes[0].set
-	project := projectHomedOn(t, set, "n2")
-	ctx := context.Background()
-
-	noFollow := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
-	body, _ := json.Marshal(api.CreateProjectRequest{ID: project, Schema: clusterSchema(), Rows: 2})
-	req, _ := http.NewRequest(http.MethodPost, tc.nodes[0].addr+"/v1/projects", bytes.NewReader(body))
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := noFollow.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusTemporaryRedirect {
-		t.Fatalf("redirect mode answered %d", resp.StatusCode)
-	}
-	if loc := resp.Header.Get("Location"); loc != tc.nodes[1].addr+"/v1/projects" {
-		t.Fatalf("Location = %q", loc)
-	}
-
-	// A stock client (the SDK's default) follows the 307 with method and
-	// body preserved.
-	c := client.New(tc.nodes[0].addr)
-	if err := c.CreateProject(ctx, api.CreateProjectRequest{ID: project, Schema: clusterSchema(), Rows: 2}); err != nil {
-		t.Fatalf("SDK create through 307: %v", err)
-	}
-	if _, err := tc.nodes[1].p.Project(project); err != nil {
-		t.Fatalf("project did not land on home: %v", err)
-	}
-}
-
 // TestClusterDeleteFanout pins that deleting a project at its home drops
 // the replicas on every peer.
 func TestClusterDeleteFanout(t *testing.T) {
@@ -393,6 +360,137 @@ func TestClusterDeleteFanout(t *testing.T) {
 	}
 }
 
+// TestClusterRemoveWinsOverInFlightPull pins that a project delete cannot
+// be undone by replication already in flight: the follower's WAL catch-up
+// pull (scheduled by the generation apply) gets its response built by the
+// home BEFORE the delete but delivered only AFTER the follower dropped its
+// replica. The stale pull must not re-create the project.
+func TestClusterRemoveWinsOverInFlightPull(t *testing.T) {
+	tc := startCluster(t, 2, RouteForward, true)
+	home, follower := tc.nodes[0], tc.nodes[1]
+	project := projectHomedOn(t, home.set, "n1")
+
+	// Serve WAL ship requests at the home into a recorder, then hold the
+	// recorded response until released.
+	held := make(chan struct{}, 16)
+	release := make(chan struct{})
+	releaseOnce := sync.OnceFunc(func() { close(release) })
+	defer releaseOnce()
+	homeNode := home.node
+	home.sw.set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodGet || !strings.HasSuffix(r.URL.Path, "/wal") {
+			homeNode.ServeHTTP(w, r)
+			return
+		}
+		rec := httptest.NewRecorder()
+		homeNode.ServeHTTP(rec, r)
+		held <- struct{}{}
+		<-release
+		for k, v := range rec.Header() {
+			w.Header()[k] = v
+		}
+		w.WriteHeader(rec.Code)
+		w.Write(rec.Body.Bytes())
+	}))
+
+	ctx := context.Background()
+	c := client.New(home.addr)
+	if err := c.CreateProject(ctx, api.CreateProjectRequest{ID: project, Schema: clusterSchema(), Rows: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.SubmitAnswers(ctx, project, []api.Answer{api.LabelAnswer("w1", 0, "category", "game")}); err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := c.Estimates(ctx, project, client.EstimatesQuery{MinGeneration: api.GenerationFresh})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitGeneration(t, follower.addr, project, fresh.Generation)
+	select {
+	case <-held:
+	case <-time.After(15 * time.Second):
+		t.Fatal("the follower's catch-up pull never reached the home")
+	}
+
+	if err := c.DeleteProject(ctx, project); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		if _, err := follower.p.Project(project); err != nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("follower never dropped the deleted project")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// Deliver the stale pull response and wait for the pull to finish.
+	releaseOnce()
+	deadline = time.Now().Add(15 * time.Second)
+	for {
+		follower.node.mu.Lock()
+		pulling := follower.node.pulling[project]
+		follower.node.mu.Unlock()
+		if !pulling {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("catch-up pull never finished")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if _, err := follower.p.Project(project); err == nil {
+		t.Fatal("a pull in flight across the delete re-created the replica")
+	}
+}
+
+// TestShipperRemoveDropsQueuedGeneration pins the home side of a delete:
+// a replica removal waits out the send in flight and drops the generation
+// still queued for the project, so nothing published before the delete
+// reaches the peer after it.
+func TestShipperRemoveDropsQueuedGeneration(t *testing.T) {
+	var mu sync.Mutex
+	var got []string
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		mu.Lock()
+		got = append(got, r.Method+" "+r.URL.Path)
+		mu.Unlock()
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer peer.Close()
+	s := newPeerShipper("http://self", peer.URL, peer.Client())
+	s.enqueue(&platform.ReplicatedGeneration{Project: "p", Generation: 3})
+	s.enqueue(&platform.ReplicatedGeneration{Project: "q", Generation: 1})
+
+	s.sendMu.Lock() // a send in flight
+	removed := make(chan struct{})
+	go func() {
+		s.remove("p")
+		close(removed)
+	}()
+	select {
+	case <-removed:
+		t.Fatal("removal overtook the send in flight")
+	case <-time.After(50 * time.Millisecond):
+	}
+	s.sendMu.Unlock()
+	<-removed
+
+	if g := s.take(); g == nil || g.Project != "q" {
+		t.Fatalf("other project's generation lost: %+v", g)
+	}
+	if g := s.take(); g != nil {
+		t.Fatalf("generation queued before the delete survived: %+v", g)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != 1 || got[0] != "DELETE /v1/internal/projects/p" {
+		t.Fatalf("peer saw %v, want one replica removal", got)
+	}
+}
+
 // TestClusterHandoffOnMembershipChange grows a 1-node "cluster" into the
 // full 3-node spec and proves the moved project is handed off: the WAL
 // and latest generation transfer to the new home, the old home demotes to
@@ -414,7 +512,7 @@ func TestClusterHandoffOnMembershipChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n1.sw.h.Store(http.Handler(solo))
+	n1.sw.set(solo)
 
 	c := client.New(n1.addr)
 	if err := c.CreateProject(ctx, api.CreateProjectRequest{ID: project, Schema: clusterSchema(), Rows: 3}); err != nil {
@@ -438,7 +536,7 @@ func TestClusterHandoffOnMembershipChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n1.sw.h.Store(http.Handler(grown))
+	n1.sw.set(grown)
 	defer grown.Close()
 	if err := grown.Rebalance(); err != nil {
 		t.Fatalf("rebalance: %v", err)

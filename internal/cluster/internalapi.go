@@ -82,10 +82,10 @@ func (n *Node) applyGeneration(w http.ResponseWriter, r *http.Request) {
 		platform.WriteError(w, err)
 		return
 	}
-	w.WriteHeader(http.StatusNoContent)
 	if n.p.HasWAL() {
-		n.schedulePull(id, home)
+		n.schedulePull(id, home) // before answering: no removal can precede it
 	}
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // latestGeneration handles GET .../generations/latest.
@@ -152,9 +152,16 @@ func (n *Node) adoptWAL(w http.ResponseWriter, r *http.Request) {
 
 // removeReplica handles DELETE .../{id}: drop a follower replica after
 // the home deleted the project. Idempotent — an already-absent project is
-// success.
+// success. The epoch bump makes it win over every pull scheduled before.
 func (n *Node) removeReplica(w http.ResponseWriter, r *http.Request) {
-	err := n.p.RemoveReplica(r.PathValue("id"))
+	id := r.PathValue("id")
+	n.removeMu.Lock()
+	n.mu.Lock()
+	n.epoch[id]++
+	delete(n.walTop, id)
+	n.mu.Unlock()
+	err := n.p.RemoveReplica(id)
+	n.removeMu.Unlock()
 	if err != nil && !errors.Is(err, platform.ErrNoProject) {
 		platform.WriteError(w, err)
 		return

@@ -17,12 +17,6 @@ import (
 	"tcrowd/internal/wal"
 )
 
-// contextWithTimeout derives the standard internal-request deadline from
-// an outgoing request's context.
-func contextWithTimeout(req *http.Request, d time.Duration) (context.Context, context.CancelFunc) {
-	return context.WithTimeout(req.Context(), d)
-}
-
 // shipRetryDelay paces resends after a failed generation ship. Newer
 // generations supersede queued ones, so a retry always sends the freshest
 // state — the delay is just a breather, not a queue drain.
@@ -55,7 +49,9 @@ type peerShipper struct {
 	peer   string // peer base URL
 	client *http.Client
 
-	mu sync.Mutex
+	// sendMu spans taking a generation and sending it (see remove).
+	sendMu sync.Mutex
+	mu     sync.Mutex
 	// queue holds the latest unshipped generation per project.
 	//tcrowd:guardedby mu
 	queue map[string]*platform.ReplicatedGeneration
@@ -124,12 +120,19 @@ func (s *peerShipper) run(stop <-chan struct{}) {
 		case <-s.wake:
 		}
 		for {
+			s.sendMu.Lock()
 			g := s.take()
+			var err error
+			if g != nil {
+				if err = s.send(g); err != nil {
+					s.requeue(g)
+				}
+			}
+			s.sendMu.Unlock()
 			if g == nil {
 				break
 			}
-			if err := s.send(g); err != nil {
-				s.requeue(g)
+			if err != nil {
 				select {
 				case <-stop:
 					return
@@ -140,9 +143,23 @@ func (s *peerShipper) run(stop <-chan struct{}) {
 	}
 }
 
-// send POSTs one generation to the peer's internal apply endpoint. A 4xx
-// is permanent for this payload (config mismatch, validation) and drops
-// it; network errors and 5xx retry.
+// remove asks the peer to drop its replica of a deleted project. Holding
+// sendMu orders it after the in-flight send, and it drops the generation
+// still queued for the project, so nothing published before the delete
+// can reach the peer after it. Best-effort, like a ship to a down peer.
+func (s *peerShipper) remove(project string) {
+	s.sendMu.Lock()
+	defer s.sendMu.Unlock()
+	s.mu.Lock()
+	delete(s.queue, project)
+	s.mu.Unlock()
+	req, err := http.NewRequest(http.MethodDelete, s.peer+"/v1/internal/projects/"+url.PathEscape(project), nil)
+	if err == nil {
+		_ = s.do(req)
+	}
+}
+
+// send POSTs one generation to the peer's internal apply endpoint.
 func (s *peerShipper) send(g *platform.ReplicatedGeneration) error {
 	body, err := json.Marshal(g)
 	if err != nil {
@@ -155,8 +172,15 @@ func (s *peerShipper) send(g *platform.ReplicatedGeneration) error {
 		return nil
 	}
 	req.Header.Set("Content-Type", "application/json")
+	return s.do(req)
+}
+
+// do issues one internal request to the peer. A 4xx is permanent for the
+// payload (config mismatch, validation) and drops it; network errors and
+// 5xx retry.
+func (s *peerShipper) do(req *http.Request) error {
 	req.Header.Set(homeHeader, s.self)
-	ctx, cancel := contextWithTimeout(req, internalTimeout)
+	ctx, cancel := context.WithTimeout(req.Context(), internalTimeout)
 	defer cancel()
 	resp, err := s.client.Do(req.WithContext(ctx))
 	if err != nil {
@@ -199,11 +223,12 @@ func (n *Node) schedulePull(projectID, home string) {
 		return
 	}
 	n.pulling[projectID] = true
+	epoch := n.epoch[projectID]
 	n.mu.Unlock()
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		n.pullWAL(projectID, home)
+		n.pullWAL(projectID, home, epoch)
 		n.mu.Lock()
 		n.pulling[projectID] = false
 		n.mu.Unlock()
@@ -212,8 +237,9 @@ func (n *Node) schedulePull(projectID, home string) {
 
 // pullWAL fetches the home's WAL tail from this node's watermark and lays
 // it down as the local mirror. Best-effort: on any failure the next
-// generation apply schedules another pull.
-func (n *Node) pullWAL(projectID, home string) {
+// generation apply schedules another pull. A replica removal since the
+// pull was scheduled wins: the fetch is dropped.
+func (n *Node) pullWAL(projectID, home string, epoch uint64) {
 	n.mu.Lock()
 	from := n.walTop[projectID]
 	n.mu.Unlock()
@@ -236,6 +262,14 @@ func (n *Node) pullWAL(projectID, home string) {
 	}
 	var env walShipEnvelope
 	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		return
+	}
+	n.removeMu.Lock()
+	defer n.removeMu.Unlock()
+	n.mu.Lock()
+	removed := n.epoch[projectID] != epoch
+	n.mu.Unlock()
+	if removed {
 		return
 	}
 	top, err := n.p.ReplicateWAL(projectID, env.Segments, home)

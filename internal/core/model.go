@@ -1,7 +1,9 @@
 package core
 
 import (
+	"maps"
 	"math"
+	"slices"
 
 	"tcrowd/internal/metrics"
 	"tcrowd/internal/stats"
@@ -58,6 +60,51 @@ func argMax(p []float64) int {
 		}
 	}
 	return best
+}
+
+// Freeze returns a read-only copy of what estimate extraction and
+// assignment scoring read: posteriors, difficulties, worker variances and
+// standardisation constants. It costs O(cells + workers) and never copies
+// the answer store (the copy has no Log: never refresh or ingest into it),
+// so other goroutines can score a published fit while m keeps streaming.
+func (m *Model) Freeze() *Model {
+	f := &Model{
+		Table:     m.Table,
+		Opts:      m.Opts,
+		Alpha:     slices.Clone(m.Alpha),
+		Beta:      slices.Clone(m.Beta),
+		Phi:       slices.Clone(m.Phi),
+		workerIdx: maps.Clone(m.workerIdx),
+		ColMean:   slices.Clone(m.ColMean),
+		ColStd:    slices.Clone(m.ColStd),
+		CatPost:   cloneGrid(m.CatPost),
+		ContMu:    cloneGrid(m.ContMu),
+		ContVar:   cloneGrid(m.ContVar),
+		Answered:  cloneGrid(m.Answered),
+		// Cached up front so readers never compute (and write) it.
+		medianPhi: m.MedianPhi(),
+	}
+	// cloneGrid copied the posterior slice headers; give the copy its own
+	// posteriors, in one arena.
+	arena := slices.Concat(slices.Concat(m.CatPost...)...)
+	for _, row := range f.CatPost {
+		for j, post := range row {
+			if post != nil {
+				row[j], arena = arena[:len(post):len(post)], arena[len(post):]
+			}
+		}
+	}
+	return f
+}
+
+// cloneGrid copies a grid's rows into one flat backing array.
+func cloneGrid[T any](g [][]T) [][]T {
+	out := make([][]T, len(g))
+	flat := slices.Concat(g...)
+	for i, row := range g {
+		out[i], flat = flat[:len(row):len(row)], flat[len(row):]
+	}
+	return out
 }
 
 // PhiFor returns the inferred variance of worker u, falling back to the

@@ -208,3 +208,72 @@ func TestQualityMonotoneInVariance(t *testing.T) {
 	}
 	_ = stats.Eps
 }
+
+// TestFreezeIsDetachedCopy pins Model.Freeze: the copy answers every
+// scoring accessor exactly like the model it was taken from, carries no
+// answer store, and stays bit-identical while the source model keeps
+// streaming new answers.
+func TestFreezeIsDetachedCopy(t *testing.T) {
+	m, tbl := tinyFixture(t)
+	f := m.Freeze()
+	if f.Log != nil {
+		t.Fatal("frozen copy retains the answer log")
+	}
+	cells := tbl.Cells()
+	workers := []tabular.WorkerID{"u1", "u2", "u3", "stranger"}
+	type probe struct {
+		est  tabular.Value
+		h    float64
+		post []float64
+		s    map[tabular.WorkerID]float64
+	}
+	snap := func(x *Model) []probe {
+		out := make([]probe, len(cells))
+		for i, c := range cells {
+			p := probe{est: x.EstimateCell(c.Row, c.Col), h: x.Entropy(c), s: map[tabular.WorkerID]float64{}}
+			p.post, _ = x.PosteriorCat(c)
+			for _, u := range workers {
+				p.s[u] = x.CellVarianceFor(u, c)
+			}
+			out[i] = p
+		}
+		return out
+	}
+	equal := func(a, b []probe) bool {
+		for i := range a {
+			if !a[i].est.Equal(b[i].est) || a[i].h != b[i].h || len(a[i].post) != len(b[i].post) {
+				return false
+			}
+			for z := range a[i].post {
+				if a[i].post[z] != b[i].post[z] {
+					return false
+				}
+			}
+			for u, s := range a[i].s {
+				if b[i].s[u] != s {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	frozen := snap(f)
+	if !equal(snap(m), frozen) {
+		t.Fatal("frozen copy disagrees with its source model")
+	}
+
+	// Stream a batch that moves the model: new worker, new cells.
+	m.Log.Add(tabular.Answer{Worker: "u4", Cell: tabular.Cell{Row: 2, Col: 0}, Value: tabular.LabelValue(2)})
+	m.Log.Add(tabular.Answer{Worker: "u4", Cell: tabular.Cell{Row: 1, Col: 0}, Value: tabular.LabelValue(2)})
+	m.Log.Add(tabular.Answer{Worker: "u4", Cell: tabular.Cell{Row: 2, Col: 1}, Value: tabular.NumberValue(90)})
+	if n, err := m.IngestFrom(m.Log); err != nil || n != 3 {
+		t.Fatalf("ingest: n=%d err=%v", n, err)
+	}
+	m.RefreshIncremental(50)
+	if equal(snap(m), frozen) {
+		t.Fatal("streamed batch did not move the source model; the test proves nothing")
+	}
+	if !equal(snap(f), frozen) {
+		t.Fatal("frozen copy changed when the source model streamed")
+	}
+}

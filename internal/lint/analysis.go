@@ -205,7 +205,7 @@ func sortDiags(diags []Diagnostic) {
 
 // ---- shared helpers ----
 
-// exprString renders an expression compactly ("p.mu", "proj.assignMu").
+// exprString renders an expression compactly ("p.mu", "proj.inferMu").
 // It handles the selector/ident/paren/star shapes lock expressions take;
 // anything else renders as a placeholder that will simply never match.
 func exprString(e ast.Expr) string {

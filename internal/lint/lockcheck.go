@@ -26,9 +26,9 @@ import (
 //
 // Package-level lock-order directives live in the package comment:
 //
-//	//tcrowd:lockorder Project.assignMu < Platform.mu
+//	//tcrowd:lockorder Project.inferMu < Platform.mu
 //
-// meaning assignMu is acquired before mu: taking Project.assignMu while
+// meaning inferMu is acquired before mu: taking Project.inferMu while
 // Platform.mu is held is a violation.
 //
 // The analysis is intra-procedural and deliberately conservative in what
@@ -37,7 +37,7 @@ import (
 // locks taken inside a branch do not survive the branch, and the
 // "if x.TryLock() { ... }" / "if !x.TryLock() { return }" idioms are
 // recognized. A held mutex satisfies a contract when either the guarding
-// expression matches textually ("proj.assignMu" locked, "proj.assignAt"
+// expression matches textually ("proj.inferMu" locked, "proj.shadowAt"
 // touched) or the mutex's owning type matches the annotation — the type
 // match keeps aliased receivers (p vs proj) from raising false alarms at
 // the cost of not distinguishing two instances of one type.
@@ -66,7 +66,7 @@ func (g guardSpec) guardName() string {
 }
 
 // heldKey identifies one held mutex: the rendered base expression it was
-// locked through ("proj" for proj.assignMu.Lock), the mutex field name,
+// locked through ("proj" for proj.inferMu.Lock), the mutex field name,
 // and the owning type's bare name.
 type heldKey struct {
 	base string

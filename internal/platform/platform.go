@@ -32,13 +32,13 @@
 //
 // # Lock order
 //
-// When both are needed, a project's assignMu is acquired before the
-// platform mutex (refreshAssign and RequestTasks hold assignMu while
-// growShadow/Select briefly take p.mu to copy the delta); the reverse
-// order would deadlock against them. The directive below makes
+// When both are needed, a project's inferMu is acquired before the
+// platform mutex (refreshProject and replicated applies hold inferMu while
+// briefly taking p.mu to copy the log delta or update counters); the
+// reverse order would deadlock against them. The directive below makes
 // tcrowd-lint enforce it.
 //
-//tcrowd:lockorder Project.assignMu < Platform.mu
+//tcrowd:lockorder Project.inferMu < Platform.mu
 package platform
 
 import (
@@ -93,11 +93,13 @@ type Project struct {
 	Table *tabular.Table
 	Log   *tabular.AnswerLog
 
-	// sys is the assignment engine; nil means fewest-answers-first with
-	// random tie-breaking (the CrowdDB/Deco-style default).
-	sys assign.System
+	// tcrowd enables structure-aware T-Crowd task assignment over the
+	// project's estimate model; otherwise tasks are served
+	// fewest-answers-first with random tie-breaking (the CrowdDB/Deco-style
+	// default). Immutable after creation.
+	tcrowd bool
 	// refreshEvery controls how many submissions may elapse between
-	// inference refreshes of sys.
+	// inference refreshes.
 	refreshEvery int
 	// sinceRefresh counts submissions since the last enqueued refresh.
 	//tcrowd:guardedby Platform.mu
@@ -125,44 +127,34 @@ type Project struct {
 	// creation and immutable afterwards, so the HTTP layer resolves
 	// labels in O(1) without the platform lock.
 	labelIdx []map[string]int
-	// assignMu serialises the assignment engine: its refresh runs on the
-	// project's shard worker (off the request goroutine and off the
-	// platform lock), while Select runs on request goroutines.
-	assignMu sync.Mutex
-	// shadow is the serving-side answer log shared by the inference model
-	// and the assignment engine: refresh jobs grow it in place from the
-	// main log's delta, preserving the pointer identity both engines'
-	// streaming-ingest tiers key on (each keeps its own consumed cursor
-	// into it). Growth happens only on the project's home shard worker
-	// (which serialises the two refresh kinds) and under assignMu
-	// (concurrent RequestTasks iterate the log while holding it).
-	//tcrowd:guardedby assignMu
+	// shadow is the serving-side answer log the inference model fits on:
+	// refreshes grow it in place from the main log's delta, preserving the
+	// pointer identity the model's streaming-ingest tier keys on.
+	//tcrowd:guardedby inferMu
 	shadow *tabular.AnswerLog
 	// shadowAt is the main-log length absorbed into shadow.
-	//tcrowd:guardedby assignMu
+	//tcrowd:guardedby inferMu
 	shadowAt int
-	// assignAt is the main-log length the assignment engine has refreshed
-	// against (<= shadowAt when an inference refresh grew the shadow
-	// more recently). Guarded by assignMu.
-	assignAt int
 	// inferMu serialises truth inference per project: the cached model is
 	// refreshed incrementally in place, so exactly one RunInference may
 	// touch it at a time (the platform lock stays free meanwhile, so
 	// submissions never wait on EM).
 	inferMu sync.Mutex
 	// lastModel caches the latest truth-inference fit; after the first
-	// cold fit, refreshes stream the answer delta into it
-	// (core.Ingest + RefreshIncremental) instead of re-decoding the log.
-	// logAtModel is the log length the model has absorbed.
+	// cold fit, refreshes stream the shadow's new suffix into it
+	// (IngestFrom + RefreshIncremental) instead of re-decoding the log.
 	//tcrowd:guardedby inferMu
 	lastModel *core.Model
-	//tcrowd:guardedby inferMu
-	logAtModel int
 	// snapshot is the copy-on-publish estimate snapshot: every completed
 	// refresh builds a fresh immutable InferenceResult and swaps the
 	// pointer, so readers (Snapshot, the merged /estimates endpoint)
 	// never block on EM and never observe a half-updated result.
 	snapshot atomic.Pointer[InferenceResult]
+	// tasks is a T-Crowd project's assignment state, rebuilt from the
+	// estimate model at every publish and swapped in whole like snapshot
+	// (only the latest: each holds an error model). Nil until the first
+	// publish and for fewest-answers-first projects.
+	tasks atomic.Pointer[taskState]
 	// genMu guards the retained-generation ring and the last publish
 	// event. Publishes are already serialised (shard worker + inferMu);
 	// the mutex exists for the concurrent readers (SnapshotAt,
@@ -325,13 +317,13 @@ type ProjectConfig struct {
 	Rows int
 	// Entities optionally names the rows (len must equal Rows if set).
 	Entities []string
-	// UseTCrowdAssignment enables the structure-aware T-Crowd assignment
-	// engine; otherwise tasks are served fewest-answers-first.
+	// UseTCrowdAssignment enables structure-aware T-Crowd task assignment
+	// over the project's estimate model; otherwise tasks are served
+	// fewest-answers-first.
 	UseTCrowdAssignment bool
-	// RefreshEvery bounds submissions between inference refreshes: both
-	// the assignment engine's refresh (on the next task request) and the
-	// asynchronous estimate-snapshot refresh Submit enqueues (default 25;
-	// use 1 for a refresh per answer).
+	// RefreshEvery bounds submissions between the asynchronous inference
+	// refreshes Submit enqueues, which also rebuild the assignment state
+	// (default 25; use 1 for a refresh per answer).
 	RefreshEvery int
 	// FsyncPolicy overrides the platform-wide WAL fsync policy for this
 	// project: "always", "interval" or "never" (empty = platform
@@ -436,6 +428,7 @@ func (p *Platform) createProjectLocked(id string, schema tabular.Schema, cfg Pro
 		ID:           id,
 		Table:        tbl,
 		Log:          tabular.NewAnswerLog(),
+		tcrowd:       cfg.UseTCrowdAssignment,
 		refreshEvery: cfg.RefreshEvery,
 		fsyncPolicy:  cfg.FsyncPolicy,
 		polishFrac:   cfg.PolishFrac,
@@ -452,15 +445,6 @@ func (p *Platform) createProjectLocked(id string, schema tabular.Schema, cfg Pro
 	}
 	if cfg.Reputation {
 		proj.rep = reputation.NewEngine(reputation.Config{})
-	}
-	if cfg.UseTCrowdAssignment {
-		sys := assign.NewTCrowdSystem(p.seed)
-		if proj.rep != nil {
-			// Quarantined and banned workers never receive tasks from the
-			// structure-aware selector (the fallback path checks too).
-			sys.SetWorkerGate(proj.rep.Assignable)
-		}
-		proj.sys = sys
 	}
 	p.projects[id] = proj
 	return proj, nil
@@ -528,36 +512,27 @@ type Task struct {
 	Labels []string `json:"labels,omitempty"`
 }
 
-// assignJobSuffix distinguishes assignment-refresh jobs from estimate-
-// refresh jobs in the shard scheduler's coalescing map. The route key
-// stays the bare project ID, so both kinds run on the project's home
-// shard; the job key differs, so they never coalesce into each other.
-const assignJobSuffix = "\x00assign"
-
-// assignRefreshWait bounds how long a task request waits for its
-// assignment refresh to complete on the shard worker. An idle shard
-// finishes well within it (strong freshness is the common case); on a
-// busy shard — queued work from co-sharded projects, a long cold fit —
-// the request stops waiting and serves from the engine's previous state
-// while the refresh completes in the background. Without the bound a
-// request could stall behind minutes of queued refreshes that
-// backpressure (which only trips on a FULL queue) never sheds.
+// assignRefreshWait bounds how long a task request waits for the estimate
+// refresh that brings the assignment state up to date. An idle shard
+// finishes well within it; a busy one (co-sharded projects' queued work, a
+// long cold fit) would otherwise stall the request behind a backlog that
+// backpressure, tripping only on a FULL queue, never sheds.
 const assignRefreshWait = 2 * time.Second
 
+// taskState is a published assignment state and the log length it covers.
+type taskState struct {
+	st          *assign.State
+	answersSeen int
+}
+
 // RequestTasks assigns up to k cells to worker u (the external-HIT hook):
-// via the project's T-Crowd engine when enabled, otherwise
-// fewest-answers-first with random tie-breaking.
-//
-// When the project's assignment engine is due a refresh (its RefreshEvery
-// cadence, or the very first request), the refresh runs on the project's
-// shard worker — never on the request goroutine under the platform lock —
-// with the same coalescing semantics as estimate refreshes, so a slow
-// assign refresh cannot stall concurrent submissions or other projects'
-// task requests. The request waits for its refresh at most
-// assignRefreshWait; past that — and under shard backpressure (saturated
-// queue, shutdown), where the refresh is shed outright — tasks are served
-// from the engine's previous state: assignment quality degrades
-// gracefully instead of the request hanging or failing.
+// by structure-aware information gain over the assignment state the last
+// estimate refresh published when T-Crowd assignment is enabled,
+// otherwise — and whenever that selects nothing — fewest-answers-first
+// with random tie-breaking. At a refresh-cadence boundary (and on the
+// first request) it waits at most assignRefreshWait for a state covering
+// the log; under backpressure or past the wait it serves the previous
+// state instead of hanging or failing. Scoring runs outside every lock.
 func (p *Platform) RequestTasks(projectID string, u tabular.WorkerID, k int) ([]Task, error) {
 	p.mu.Lock()
 	proj, ok := p.projects[projectID]
@@ -580,23 +555,19 @@ func (p *Platform) RequestTasks(projectID string, u tabular.WorkerID, k int) ([]
 		// answers already held.
 		return []Task{}, nil
 	}
-	needRefresh := proj.sys != nil && proj.sinceRefresh == 0 // covers the very first request
 	logLen := proj.Log.Len()
+	needRefresh := proj.tcrowd && proj.sinceRefresh == 0 && logLen > 0
 	p.mu.Unlock()
 
-	// Skip the shard round trip when the engine has already absorbed the
-	// whole log: idle projects polled for tasks would otherwise enqueue a
-	// no-op refresh per poll (and wait behind whatever the shard queue
-	// holds), consuming queue depth for nothing.
-	if needRefresh && proj.assignUpToDate(logLen) {
-		needRefresh = false
-	}
-	if needRefresh {
-		done, err := p.sched.SubmitNotifyKeyed(projectID, projectID+assignJobSuffix,
-			func() error { return p.refreshAssign(proj) })
+	// A state that covers the log skips the shard round trip (idle projects
+	// polled for tasks would otherwise queue a no-op per poll). Otherwise
+	// coalesce into the project's estimate refresh — the job key Submit's
+	// refreshes use — and wait for it; a shed job or an expired wait serves
+	// the previous state, and a queued job still freshens later requests.
+	if ts := proj.tasks.Load(); needRefresh && (ts == nil || ts.answersSeen < logLen) {
+		done, err := p.sched.SubmitNotifyKeyed(projectID, projectID, func() error { return p.refreshProject(proj) })
 		switch {
 		case errors.Is(err, shard.ErrShardSaturated), errors.Is(err, shard.ErrClosed):
-			// Refresh shed: serve from the previous assignment state.
 		case err != nil:
 			return nil, err
 		default:
@@ -608,31 +579,28 @@ func (p *Platform) RequestTasks(projectID string, u tabular.WorkerID, k int) ([]
 					return nil, err
 				}
 			case <-t.C:
-				// Refresh still queued or running: serve stale; the job
-				// completes in the background and freshens later requests.
 			}
 		}
 	}
 
-	// Lock order: assignMu before mu, matching refreshAssign. TryLock
-	// keeps the request bounded: when this project's own refresh is still
-	// mid-flight (it holds assignMu while EM runs), don't block behind it
-	// — degrade to fewest-answers-first for this request.
-	useSys := proj.sys != nil && proj.assignMu.TryLock()
-	if useSys {
-		defer proj.assignMu.Unlock()
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	if k <= 0 {
 		k = proj.Table.NumCols()
 	}
 	var cells []tabular.Cell
-	if useSys {
-		cells = proj.sys.Select(u, k, proj.Log)
+	if ts := proj.tasks.Load(); ts != nil {
+		// The state is shared and holds no log: bind a copy of it to this
+		// worker's own answers.
+		st := *ts.st
+		st.Log = tabular.NewAnswerLog()
+		p.mu.Lock()
+		st.Log.AddAll(proj.Log.ByWorker(u))
+		p.mu.Unlock()
+		cells = assign.StructureIG{}.Select(&st, u, k)
 	}
 	if len(cells) == 0 {
+		p.mu.Lock()
 		cells = proj.fewestAnswersFirst(u, k)
+		p.mu.Unlock()
 	}
 	out := make([]Task, len(cells))
 	for i, c := range cells {
@@ -1150,29 +1118,13 @@ func (p *Platform) Watch(projectID string) (*Watcher, error) {
 	return proj.hub.subscribe(), nil
 }
 
-// assignUpToDate reports whether the assignment engine has refreshed at
-// least once and absorbed the first logLen answers. TryLock: when a
-// refresh is mid-flight the state is in motion — report stale and let the
-// caller's enqueue coalesce into the queued work.
-func (proj *Project) assignUpToDate(logLen int) bool {
-	if !proj.assignMu.TryLock() {
-		return false
-	}
-	defer proj.assignMu.Unlock()
-	return proj.shadow != nil && proj.assignAt == logLen
-}
-
 // growShadow appends the main log's unabsorbed delta to the project's
-// shared shadow log and returns the table. Callers must hold the
-// project's assignMu (the machine-readable contract below — the prose
-// alone was ambiguous, since assignMu lives on proj, not the receiver)
-// and run on the project's home shard worker; the platform lock is taken
-// only to copy the delta.
+// shadow log. It runs on the project's home shard worker under inferMu;
+// the platform lock is taken only to copy the delta.
 //
-//tcrowd:locked Project.assignMu
-func (p *Platform) growShadow(proj *Project) *tabular.Table {
+//tcrowd:locked Project.inferMu
+func (p *Platform) growShadow(proj *Project) {
 	p.mu.Lock()
-	tbl := proj.Table
 	total := proj.Log.Len()
 	var batch []tabular.Answer
 	if total > proj.shadowAt {
@@ -1185,28 +1137,11 @@ func (p *Platform) growShadow(proj *Project) *tabular.Table {
 	}
 	proj.shadow.AddAll(batch)
 	proj.shadowAt = total
-	return tbl
-}
-
-// refreshAssign brings the project's assignment engine up to date with the
-// answer log. It runs on the project's shard worker (submitted by
-// RequestTasks under the assign job key) — never on a request goroutine,
-// and never under the platform lock, which it takes only to copy the
-// submission delta. The engine refreshes against the project's shared
-// shadow log grown in place from that delta, so the streaming-ingest tier
-// (which keys on source-log pointer identity) stays hot: refresh cost is
-// O(batch since last refresh), not O(log).
-func (p *Platform) refreshAssign(proj *Project) error {
-	proj.assignMu.Lock()
-	defer proj.assignMu.Unlock()
-
-	tbl := p.growShadow(proj)
-	proj.assignAt = proj.shadowAt
-	return proj.sys.Refresh(tbl, proj.shadow)
 }
 
 // refreshProject brings the project's cached model up to date with its
-// answer log and publishes a fresh estimate snapshot. It runs on the
+// answer log, publishes a fresh estimate snapshot and, for a T-Crowd
+// project, the assignment state built from the same model. It runs on the
 // project's shard worker; inferMu additionally serialises it against any
 // direct callers so the in-place model mutation is never concurrent.
 func (p *Platform) refreshProject(proj *Project) error {
@@ -1222,24 +1157,11 @@ func (p *Platform) refreshProject(proj *Project) error {
 	proj.inferMu.Lock()
 	defer proj.inferMu.Unlock()
 
-	// Grow the shared shadow log (under assignMu: concurrent RequestTasks
-	// iterate it). The reads below run lock-free: both refresh kinds are
-	// serialised on the project's home shard worker, so nothing else grows
-	// the shadow while this job runs, and project logs are append-only
-	// with reloads building fresh projects — the cached fit is always for
-	// a prefix of the shadow.
-	proj.assignMu.Lock()
-	tbl := p.growShadow(proj)
-	proj.assignMu.Unlock()
-	//lint:allow lockcheck lock-free read per the comment above: refreshes are serialised on the project's home shard worker, so nothing grows the shadow concurrently
-	shadow, total := proj.shadow, proj.shadowAt
-
-	p.mu.Lock()
-	m := proj.lastModel
-	p.mu.Unlock()
-
-	switch {
-	case m == nil:
+	// Project logs are append-only, with reloads building fresh projects,
+	// so the cached fit is always for a prefix of the shadow.
+	p.growShadow(proj)
+	shadow, m := proj.shadow, proj.lastModel
+	if m == nil {
 		// Cold start directly on the shadow log: EM may run long, and
 		// Submit must not block behind it — the shadow is exactly the
 		// decoupling the old snapshot clone provided, minus the copy, and
@@ -1249,15 +1171,13 @@ func (p *Platform) refreshProject(proj *Project) error {
 		if proj.rep != nil {
 			opts.WorkerWeights = proj.rep.Weights()
 		}
-		fit, err := core.Infer(tbl, shadow, opts)
+		fit, err := core.Infer(proj.Table, shadow, opts)
 		if err != nil {
 			return err
 		}
 		m = fit
-		p.mu.Lock()
-		proj.lastModel, proj.logAtModel = m, total
-		p.mu.Unlock()
-	case total > proj.logAtModel:
+		proj.lastModel = m
+	} else {
 		// Streaming refresh: absorb the shadow's new suffix in place. A
 		// polished refresh keeps the full iteration budget — seeding at
 		// the previous optimum shortens the path to convergence, it must
@@ -1270,6 +1190,11 @@ func (p *Platform) refreshProject(proj *Project) error {
 		if err != nil {
 			return err
 		}
+		if n == 0 && proj.snapshot.Load() != nil {
+			// Nothing new since the last publish: keep the current snapshot
+			// (skipping the Estimates rebuild keeps idle refreshes O(1)).
+			return nil
+		}
 		if n > 0 {
 			if proj.rep != nil {
 				// Refresh the per-worker trust weights before EM touches
@@ -1279,15 +1204,6 @@ func (p *Platform) refreshProject(proj *Project) error {
 			}
 			m.RefreshIncremental(proj.nextPolishBudget())
 		}
-		p.mu.Lock()
-		proj.logAtModel = total
-		p.mu.Unlock()
-	default:
-		// Nothing new since the last publish: keep the current snapshot
-		// (skipping the Estimates rebuild keeps idle refreshes O(1)).
-		if proj.snapshot.Load() != nil {
-			return nil
-		}
 	}
 
 	res := &InferenceResult{
@@ -1295,7 +1211,7 @@ func (p *Platform) refreshProject(proj *Project) error {
 		WorkerQuality: make(map[tabular.WorkerID]float64, len(m.WorkerIDs)),
 		Iterations:    m.Iterations,
 		Converged:     m.Converged,
-		AnswersSeen:   proj.logAtModel,
+		AnswersSeen:   proj.shadowAt,
 	}
 	for _, u := range m.WorkerIDs {
 		res.WorkerQuality[u] = m.WorkerQuality(u)
@@ -1310,6 +1226,15 @@ func (p *Platform) refreshProject(proj *Project) error {
 		}
 	}
 	p.publishSnapshot(proj, res)
+	if proj.tcrowd {
+		// Task selection scores this same fit, reputation weights and all.
+		// The state keeps no reference to m or to the shadow, whose error
+		// model is fitted now, while nothing grows it.
+		proj.tasks.Store(&taskState{
+			st:          assign.NewState(m.Freeze(), shadow, res.Estimates, true),
+			answersSeen: res.AnswersSeen,
+		})
+	}
 	return nil
 }
 
@@ -1550,7 +1475,7 @@ func (p *Platform) Save(w io.Writer) error {
 			Schema:       proj.Table.Schema,
 			Entities:     proj.Table.Entities,
 			Answers:      json.RawMessage(buf.Bytes()),
-			TCrowd:       proj.sys != nil,
+			TCrowd:       proj.tcrowd,
 			RefreshEvery: proj.refreshEvery,
 			FsyncPolicy:  proj.fsyncPolicy,
 			PolishFrac:   proj.polishFrac,
@@ -1660,14 +1585,10 @@ func (p *Platform) importAnswers(proj *Project, log *tabular.AnswerLog) error {
 			return fmt.Errorf("%w: %v", ErrDurability, err)
 		}
 	}
-	// The swap is safe for the shared shadow log because imports target
-	// freshly created (answerless) projects: the shadow has absorbed
-	// nothing, so the new log still extends its empty prefix. The model
-	// cursors are reset for the same reason — defensively, since a cached
-	// fit cannot exist yet.
+	// The swap is safe because imports target freshly created (answerless)
+	// projects: the shadow has absorbed nothing, so the new log still
+	// extends its empty prefix, and no cached fit exists yet.
 	proj.Log = log
-	//lint:allow lockcheck imports target freshly created projects that have never refreshed, so no inference holds inferMu yet; the reset is defensive (see the comment above)
-	proj.lastModel, proj.logAtModel = nil, 0
 	if rotated {
 		p.scheduleCompaction(proj.ID, proj)
 	}

@@ -59,8 +59,8 @@ func TestRunInferenceStreamsDelta(t *testing.T) {
 	if proj.lastModel != m1 {
 		t.Fatal("incremental inference rebuilt the model")
 	}
-	if proj.logAtModel != proj.Log.Len() {
-		t.Fatalf("model absorbed %d answers, log has %d", proj.logAtModel, proj.Log.Len())
+	if res2.AnswersSeen != proj.Log.Len() {
+		t.Fatalf("model absorbed %d answers, log has %d", res2.AnswersSeen, proj.Log.Len())
 	}
 	if _, ok := res2.WorkerQuality["dee"]; !ok {
 		t.Fatal("streamed worker missing from quality report")

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -454,25 +455,67 @@ func TestTasksNotBlockedByWedgedShard(t *testing.T) {
 }
 
 // TestAssignRefreshRunsOnShardWorker pins the routing: a T-Crowd task
-// request that crosses the refresh cadence enqueues exactly one assign
-// job on the project's home shard (observable in the shard metrics).
+// request at a refresh-cadence boundary, whose assignment state does not
+// cover the log yet, waits on the project's estimate refresh job — it
+// coalesces into the refresh the submissions queued on the home shard
+// instead of enqueuing a job of its own — and selects from the state that
+// refresh published.
 func TestAssignRefreshRunsOnShardWorker(t *testing.T) {
-	p := New(66)
+	p := NewWithOptions(66, Options{Workers: 1})
 	defer p.Close()
 	if _, err := p.CreateProject("a", demoSchema(), ProjectConfig{Rows: 3, UseTCrowdAssignment: true, RefreshEvery: 1}); err != nil {
 		t.Fatal(err)
 	}
-	sh := p.sched.ShardFor("a")
-	before := p.ShardMetrics()[sh]
-	if _, err := p.RequestTasks("a", "w1", 2); err != nil {
+	// Hold the only shard worker so the submissions' refresh stays queued.
+	gate := make(chan struct{})
+	release := sync.OnceFunc(func() { close(gate) })
+	defer release()
+	if err := p.sched.Submit("blocker", func() error { <-gate; return nil }); err != nil {
 		t.Fatal(err)
 	}
-	after := p.ShardMetrics()[sh]
-	if after.Enqueued+after.Coalesced == before.Enqueued+before.Coalesced {
-		t.Fatal("assign refresh did not route through the shard scheduler")
+	waitFor(t, func() bool { return p.ShardMetrics()[0].Depth == 0 })
+	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
+		if err := p.Submit("a", w, 0, "category", tabular.LabelValue(1)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if after.Completed == before.Completed {
-		t.Fatal("assign refresh did not complete on the shard worker")
+	before := p.ShardMetrics()[0]
+
+	type result struct {
+		tasks []Task
+		err   error
+	}
+	got := make(chan result, 1)
+	go func() {
+		tasks, err := p.RequestTasks("a", "w9", 2)
+		got <- result{tasks, err}
+	}()
+	waitFor(t, func() bool { return p.ShardMetrics()[0].Coalesced > before.Coalesced })
+	if m := p.ShardMetrics()[0]; m.Enqueued != before.Enqueued {
+		t.Fatalf("task request enqueued %d job(s) of its own instead of waiting on the estimate refresh",
+			m.Enqueued-before.Enqueued)
+	}
+	release()
+	var r result
+	select {
+	case r = <-got:
+	case <-time.After(assignRefreshWait + 5*time.Second):
+		t.Fatal("task request never returned")
+	}
+	if r.err != nil || len(r.tasks) == 0 {
+		t.Fatalf("tasks = %v, %v", r.tasks, r.err)
+	}
+	proj, err := p.Project("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ts := proj.tasks.Load(); ts == nil || ts.answersSeen != 3 {
+		t.Fatalf("assignment state after the wait: %+v, want one covering 3 answers", ts)
+	}
+	// The blocker and the one estimate refresh: no job ran for assignment.
+	if after := p.ShardMetrics()[0]; after.Completed != before.Completed+2 || after.Enqueued != before.Enqueued {
+		t.Fatalf("shard ran %d job(s) (%d enqueued) after the request; want the blocker and one estimate refresh",
+			after.Completed-before.Completed, after.Enqueued-before.Enqueued)
 	}
 }
 
@@ -557,12 +600,12 @@ func TestTasksBoundedWaitBehindBusyShard(t *testing.T) {
 
 // TestProjectIDRejectsControlCharacters pins the coalescing-key guard: a
 // crafted ID containing a control character (which could collide with
-// another project's shard job key, built as id+"\x00assign") is rejected
-// at creation.
+// another project's shard job key, built as id+compactJobSuffix) is
+// rejected at creation.
 func TestProjectIDRejectsControlCharacters(t *testing.T) {
 	p := New(68)
 	defer p.Close()
-	for _, id := range []string{"p\x00assign", "a\nb", "tab\tid", "del\x7f"} {
+	for _, id := range []string{"p" + compactJobSuffix, "a\nb", "tab\tid", "del\x7f"} {
 		if _, err := p.CreateProject(id, demoSchema(), ProjectConfig{Rows: 1}); err == nil {
 			t.Fatalf("project id %q accepted", id)
 		}

@@ -48,8 +48,8 @@ const (
 const walTombstoneSuffix = "#deleted"
 
 // compactJobSuffix namespaces compaction jobs in the shard scheduler's
-// coalescing map, like assignJobSuffix for assignment refreshes: routed
-// to the project's home shard, never coalesced into refresh jobs.
+// coalescing map: routed to the project's home shard, never coalesced
+// into refresh jobs (whose key is the bare project ID).
 const compactJobSuffix = "\x00compact"
 
 // WALOptions configures the platform's durable write-ahead log. A nil
@@ -153,7 +153,7 @@ func walCreateInfo(proj *Project) walCreateJSON {
 		ID:           proj.ID,
 		Schema:       proj.Table.Schema,
 		Entities:     proj.Table.Entities,
-		TCrowd:       proj.sys != nil,
+		TCrowd:       proj.tcrowd,
 		RefreshEvery: proj.refreshEvery,
 		FsyncPolicy:  proj.fsyncPolicy,
 		PolishFrac:   proj.polishFrac,

@@ -185,26 +185,11 @@ func (s *Scheduler) SubmitWait(key string, fn func() error) error {
 	return <-done
 }
 
-// SubmitWaitKeyed is SubmitWait with the routing identity split from the
-// coalescing identity: the job runs on routeKey's shard (so different job
-// kinds for one entity share that entity's worker and its isolation/
-// backpressure budget) but coalesces only with queued jobs carrying the
-// same jobKey (so kinds never collapse into each other). The platform uses
-// this to run estimate refreshes and assignment refreshes for one project
-// on the project's home shard under distinct coalescing keys.
-func (s *Scheduler) SubmitWaitKeyed(routeKey, jobKey string, fn func() error) error {
-	done, err := s.SubmitNotifyKeyed(routeKey, jobKey, fn)
-	if err != nil {
-		return err
-	}
-	return <-done
-}
-
-// SubmitNotifyKeyed enqueues like SubmitWaitKeyed but returns the
-// completion channel instead of blocking on it, letting the caller bound
-// its wait (e.g. select with a timeout) while the job still runs to
-// completion either way. The channel receives the job's error (nil on
-// success) exactly once.
+// SubmitNotifyKeyed enqueues fn on routeKey's shard (so job kinds for one
+// entity share its worker and backpressure budget), coalescing only with
+// queued jobs of the same jobKey (jobKey == routeKey joins Submit's jobs).
+// The returned channel receives the job's error (nil on success) exactly
+// once, so the caller can bound its wait while the job runs regardless.
 func (s *Scheduler) SubmitNotifyKeyed(routeKey, jobKey string, fn func() error) (<-chan error, error) {
 	done := make(chan error, 1)
 	if err := s.submit(routeKey, jobKey, fn, done); err != nil {

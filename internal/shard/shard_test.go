@@ -358,13 +358,20 @@ func waitUntil(t *testing.T, cond func() bool) {
 	}
 }
 
-// TestSubmitWaitKeyedRoutesByRouteKeyCoalescesByJobKey pins the split
+// TestSubmitNotifyKeyedRoutesByRouteKeyCoalescesByJobKey pins the split
 // identity: keyed jobs run on the ROUTE key's shard (regardless of the
 // job key), coalesce with queued jobs sharing their job key, and never
 // coalesce across distinct job keys for the same route.
-func TestSubmitWaitKeyedRoutesByRouteKeyCoalescesByJobKey(t *testing.T) {
+func TestSubmitNotifyKeyedRoutesByRouteKeyCoalescesByJobKey(t *testing.T) {
 	s := New(Options{Workers: 2, QueueDepth: 16})
 	defer s.Close()
+	submitWait := func(routeKey, jobKey string, fn func() error) error {
+		done, err := s.SubmitNotifyKeyed(routeKey, jobKey, fn)
+		if err != nil {
+			return err
+		}
+		return <-done
+	}
 
 	// Routing: the job lands on routeKey's shard even when jobKey would
 	// hash elsewhere.
@@ -376,7 +383,7 @@ func TestSubmitWaitKeyedRoutesByRouteKeyCoalescesByJobKey(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- s.SubmitWaitKeyed(route, other /* jobKey hashing to the other shard */, func() error { return nil })
+		done <- submitWait(route, other /* jobKey hashing to the other shard */, func() error { return nil })
 	}()
 	// The keyed job must be behind the blocker on route's shard: the
 	// other shard stays idle, so nothing completes until the gate opens.
@@ -409,7 +416,7 @@ func TestSubmitWaitKeyedRoutesByRouteKeyCoalescesByJobKey(t *testing.T) {
 	for _, jobKey := range []string{"kind-a", "kind-a", "kind-b"} {
 		jk := jobKey
 		go func() {
-			results <- s.SubmitWaitKeyed(route, jk, func() error { ran.Add(1); return nil })
+			results <- submitWait(route, jk, func() error { ran.Add(1); return nil })
 		}()
 	}
 	deadline := time.Now().Add(5 * time.Second)
