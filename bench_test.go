@@ -179,9 +179,8 @@ func BenchmarkAblation_StructureAware(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	em := assign.BuildErrorModel(m)
-	est := m.Estimates()
-	st := &assign.State{Model: m, Log: log, Est: est, Err: em, RNG: stats.NewRNG(21)}
+	st := assign.NewState(m, log, m.Estimates(), true)
+	st.Log, st.RNG = log, stats.NewRNG(21)
 	u := m.WorkerIDs[0]
 	b.Run("inherent", func(b *testing.B) {
 		p := assign.InherentIG{Parallelism: 1}
@@ -190,7 +189,7 @@ func BenchmarkAblation_StructureAware(b *testing.B) {
 		}
 	})
 	b.Run("structure-aware", func(b *testing.B) {
-		p := assign.StructureIG{Parallelism: 1}
+		p := assign.StructureIG{}
 		for i := 0; i < b.N; i++ {
 			p.Select(st, u, 8)
 		}

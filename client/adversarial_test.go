@@ -157,16 +157,26 @@ func runAdversarial(t *testing.T, ds *simulate.Dataset, stream []wireBatch, defe
 		t.Fatal(err)
 	}
 	rejected := make(map[string]bool)
+	recorded, gen := 0, 0
 	for _, b := range stream {
 		if rejected[b.worker] {
 			continue // a real client stops hammering after a 403
 		}
-		if _, err := c.SubmitAnswers(ctx, id, b.answers); err != nil {
+		resp, err := c.SubmitAnswers(ctx, id, b.answers)
+		if err != nil {
 			w := ds.WorkerByID(tabular.WorkerID(b.worker))
 			if !IsWorkerBanned(err) || w == nil || w.Persona == simulate.Honest {
 				t.Fatalf("defense=%v: worker %s rejected: %v", defense, b.worker, err)
 			}
 			rejected[b.worker] = true
+			continue
+		}
+		recorded += resp.Recorded
+		if resp.Refresh == api.RefreshEnqueued {
+			// Let the refresh publish before the next batch lands, so each
+			// refresh fits exactly the log prefix that triggered it and the
+			// EM path does not depend on scheduling.
+			gen = awaitAnswersSeen(t, c, id, gen, recorded)
 		}
 	}
 
@@ -199,6 +209,25 @@ func runAdversarial(t *testing.T, ds *simulate.Dataset, stream []wireBatch, defe
 		t.Fatalf("defense=%v: no categorical estimates", defense)
 	}
 	return c, id, float64(matched) / float64(total), rejected
+}
+
+// awaitAnswersSeen watches project id past generation gen until a publish
+// reflects at least n answers, and returns that publish's generation.
+func awaitAnswersSeen(t *testing.T, c *Client, id string, gen, n int) int {
+	t.Helper()
+	for {
+		ev, err := c.Watch(context.Background(), id, gen, 10*time.Second)
+		if err != nil {
+			t.Fatalf("watch %s after %d: %v", id, gen, err)
+		}
+		if ev == nil {
+			t.Fatalf("watch %s: no publish covering %d answers after generation %d", id, n, gen)
+		}
+		gen = ev.Generation
+		if ev.AnswersSeen >= n {
+			return gen
+		}
+	}
 }
 
 // TestAdversarialSpamDefenseEndToEnd is the headline acceptance test:

@@ -109,6 +109,7 @@ func hotBenches() []struct {
 		{"server/estimates-paged-10k", benchServerEstimatesPaged},
 		{"server/watch-fanout-32", benchServerWatchFanout(32)},
 		{"infogain-scoring", benchInfoGain},
+		{"assign/select-structure-100x6", benchSelectStructure},
 		{"sim/accuracy-spam-10pct", benchAccuracySpam(0.1, 0, 0.4)},
 		{"sim/accuracy-spam-30pct", benchAccuracySpam(0.3, 0, 0.4)},
 	}
@@ -774,6 +775,34 @@ func benchInfoGain(b *testing.B) {
 		for _, c := range cells {
 			assign.InfoGain(m, u, c)
 		}
+	}
+}
+
+// benchSelectStructure measures one served task selection: structure-
+// aware Select on a published 100x6 state, given the arriving worker's own
+// answers (what GET /tasks scores). Each op serves the next worker of the
+// log in turn, so the series covers newcomers and long histories alike.
+func benchSelectStructure(b *testing.B) {
+	ds := simulate.Generate(stats.NewRNG(23), simulate.TableConfig{
+		Rows: 100, Cols: 6, CatRatio: 0.5,
+		Population: simulate.PopulationConfig{N: 30},
+	})
+	log := simulate.NewCrowd(ds, 24).FixedAssignment(3)
+	m, err := core.Infer(ds.Table, log, core.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	st := assign.NewState(m, log, m.Estimates(), true)
+	workers := append(log.Workers(), "newcomer")
+	answers := make([][]tabular.Answer, len(workers))
+	for i, u := range workers {
+		answers[i] = log.ByWorker(u)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		w := i % len(workers)
+		assign.StructureIG{}.SelectAnswers(st, workers[w], answers[w], 6)
 	}
 }
 

@@ -12,16 +12,16 @@ import (
 // Perf-regression gate: `tcrowd-bench -compare BASELINE.json CANDIDATE.json`
 // compares two -bench-json result files and fails (non-zero exit) when a
 // gated series regressed. Gated series are selected by name prefix
-// (default infer/, refresh/, ingest/, shard/, server/ and wal/ — the
-// serving and durability hot paths whose budgets the repo commits to); a
-// series regresses when its
-// ns/op grows by more than the allowed fraction (default 25%, absorbing
-// CI-runner timing noise) or its allocs/op grows past the slack.
+// (default infer/, refresh/, ingest/, assign/, shard/, server/ and wal/ —
+// the serving and durability hot paths whose budgets the repo commits
+// to); a series regresses when its ns/op grows by more than the allowed
+// fraction (default 25%, absorbing CI-runner timing noise) or its
+// allocs/op grows past the slack.
 //
 // ns/op headroom is per-series-class, because run-to-run timing
 // variance is. The deterministic kernel series (infer/, ingest/,
-// refresh/) repeat within a few percent on one machine, so they take
-// -max-ns-regress at face value — the self-calibrating CI gate runs
+// refresh/, assign/) repeat within a few percent on one machine, so they
+// take -max-ns-regress at face value — the self-calibrating CI gate runs
 // them at a tight 8%. The concurrency-bearing series (server/, shard/)
 // and the fsync-bearing wal/ series race goroutine scheduling and real
 // disk barriers, so their effective headroom is never tightened below
@@ -33,9 +33,10 @@ import (
 // signal that is ours — still gates.
 //
 // Alloc slack is per-series-class. Kernel series (infer/, ingest/,
-// refresh/) are near-deterministic: the allowed growth is one alloc plus
-// 0.1%, absorbing two benign wobbles — the EM iteration count a refresh
-// needs can shift by one between runs (observed as ±3 allocs on ~8.7k),
+// refresh/, assign/) are near-deterministic: the allowed growth is one
+// alloc plus 0.1%, absorbing two benign wobbles — the EM iteration count
+// a refresh needs can shift by one between runs (observed as ±3 allocs on
+// ~8.7k),
 // and testing.Benchmark's small-N division lets a single stray runtime
 // alloc move the per-op count by one (observed as 58 -> 59 on the infer
 // series). Concurrency-bearing series get a wider slack (four allocs plus

@@ -5,6 +5,13 @@
 // selection (Sec. 5.3), the heuristic policies of Fig. 5, the competitor
 // systems of Fig. 2 (CDAS, AskIt!, CRH, CATD with random assignment), and
 // a budgeted online simulator that replays the AMT protocol.
+//
+// A State is one fitted model ready for selection. NewState also caches
+// the worker-independent terms of every cell's gain (posterior, p ln p,
+// entropy, continuous variance), so StructureIG scores an arrival with
+// only the worker's variance and row errors left to compute; InfoGain and
+// StructInfoGain stay as its per-cell reference. A State is read-only
+// while it serves: one published State answers concurrent selections.
 package assign
 
 import (
@@ -31,13 +38,19 @@ type State struct {
 	// do not use structure.
 	Err *ErrorModel
 	RNG *rand.Rand
+
+	// terms caches Model's worker-independent gain terms (NewState); a
+	// State built by hand has none and StructureIG derives them per call.
+	terms *cellTerms
 }
 
 // NewState builds the selection state of a fitted model m with estimates
 // est, plus — with structure set — the error model fitted on est and fit,
 // the answers m was fitted on (not retained). Log and RNG are the caller's.
+// The state caches m's gain terms: a caller that then changes m in place
+// must refresh them (see TCrowdSystem.applyRefresh).
 func NewState(m *core.Model, fit *tabular.AnswerLog, est metrics.Estimates, structure bool) *State {
-	st := &State{Model: m, Est: est}
+	st := &State{Model: m, Est: est, terms: newCellTerms(m)}
 	if structure {
 		st.Err = NewErrorModel(m)
 		st.Err.Rebuild(fit, est)
@@ -104,18 +117,25 @@ const (
 	maxEffectiveVariance = 1e8
 )
 
-// topK returns the k cells with the highest scores (greedy, Sec. 5.3),
-// breaking ties by row-major order for determinism.
+// scored is a candidate cell and its score.
+type scored struct {
+	c tabular.Cell
+	s float64
+}
+
+// topK returns the k cells with the highest scores (greedy, Sec. 5.3).
 func topK(cells []tabular.Cell, scores []float64, k int) []tabular.Cell {
-	type pair struct {
-		c tabular.Cell
-		s float64
-	}
-	ps := make([]pair, len(cells))
+	ps := make([]scored, len(cells))
 	for i := range cells {
-		ps[i] = pair{cells[i], scores[i]}
+		ps[i] = scored{cells[i], scores[i]}
 	}
-	// Partial selection sort: k is small (a HIT's worth of tasks).
+	return topKScored(ps, k)
+}
+
+// topKScored is topK over candidates in row-major order, reordering ps in
+// place: a partial selection sort (k is a HIT's worth of tasks) in which
+// the first of equal scores, in the current order, wins.
+func topKScored(ps []scored, k int) []tabular.Cell {
 	if k > len(ps) {
 		k = len(ps)
 	}

@@ -568,54 +568,87 @@ func (pm *pairModel) condContNormal(ek float64) stats.Normal {
 func (em *ErrorModel) RowErrors(answers []tabular.Answer, est metrics.Estimates) map[int]float64 {
 	out := map[int]float64{}
 	for _, a := range answers {
-		em.addError(out, a, est)
-	}
-	return out
-}
-
-// WorkerRowErrors computes the errors of a worker's answers (log.ByWorker),
-// grouped by row, in one pass. Policies scoring thousands of candidate
-// cells per arrival must use this instead of calling RowErrors per cell
-// (which would rescan the history every time).
-func (em *ErrorModel) WorkerRowErrors(answers []tabular.Answer, est metrics.Estimates) map[int]map[int]float64 {
-	out := map[int]map[int]float64{}
-	for _, a := range answers {
-		row := out[a.Cell.Row]
-		if row == nil {
-			row = map[int]float64{}
-			out[a.Cell.Row] = row
+		if guess := est[a.Cell.Row][a.Cell.Col]; !guess.IsNone() {
+			out[a.Cell.Col] = em.answerError(a, guess, true)
 		}
-		em.addError(row, a, est)
 	}
 	return out
 }
 
-// addError records one answer's error against the estimates into dst.
-func (em *ErrorModel) addError(dst map[int]float64, a tabular.Answer, est metrics.Estimates) {
-	guess := est[a.Cell.Row][a.Cell.Col]
-	if guess.IsNone() {
-		return
+// rowErrorVectors is RowErrors for all of a worker's answers
+// (log.ByWorker) at once, in the dense layout the conditionals read: row
+// i's errors are vecs[at[i]:][:nCols], indexed by column with NaN where
+// no error is known, and at[i] < 0 for a row without any known error.
+// Allocates twice, however many rows the worker touched.
+func (em *ErrorModel) rowErrorVectors(answers []tabular.Answer, est metrics.Estimates) (at []int32, vecs []float64) {
+	at = make([]int32, em.rows)
+	for i := range at {
+		at[i] = -1
 	}
-	dst[a.Cell.Col] = em.answerError(a, guess, true)
+	n := int32(0)
+	for _, a := range answers {
+		if at[a.Cell.Row] < 0 && !est[a.Cell.Row][a.Cell.Col].IsNone() {
+			at[a.Cell.Row] = n
+			n += int32(em.nCols)
+		}
+	}
+	vecs = make([]float64, n)
+	for i := range vecs {
+		vecs[i] = math.NaN()
+	}
+	for _, a := range answers {
+		if guess := est[a.Cell.Row][a.Cell.Col]; !guess.IsNone() {
+			vecs[at[a.Cell.Row]+int32(a.Cell.Col)] = em.answerError(a, guess, true)
+		}
+	}
+	return at, vecs
+}
+
+// denseRowErrors lays a RowErrors map out by column (NaN = absent).
+func (em *ErrorModel) denseRowErrors(rowErrs map[int]float64) []float64 {
+	errs := make([]float64, em.nCols)
+	for k := range errs {
+		errs[k] = math.NaN()
+	}
+	for k, e := range rowErrs {
+		errs[k] = e
+	}
+	return errs
+}
+
+// condWeight returns |W_jk|, the weight of the conditioner e_k = errs[k]
+// in column j's Eq. 7 combination, or ok = false when e_k is unknown or
+// the pair is unusable (too few co-observations, no correlation, or
+// k = j, whose pair is never fitted).
+func (em *ErrorModel) condWeight(j, k int, errs []float64) (w float64, ok bool) {
+	idx := j*em.nCols + k
+	if math.IsNaN(errs[k]) || !em.pairOK[idx] {
+		return 0, false
+	}
+	w = math.Abs(em.w[idx])
+	return w, w > 1e-9
 }
 
 // CondWrongProb predicts P(worker's answer on categorical column j is
 // wrong | row errors E) by the W-weighted linear combination of pairwise
 // conditionals (Eq. 7). With no usable pair it returns the marginal; with
 // no marginal signal it returns 1 - q for quality fallback by the caller
-// (signalled by ok = false).
+// (signalled by ok = false). Sums run in column order, so identical calls
+// return identical bits.
 func (em *ErrorModel) CondWrongProb(j int, rowErrs map[int]float64) (p float64, ok bool) {
+	return em.condWrongProb(j, em.denseRowErrors(rowErrs))
+}
+
+// condWrongProb is CondWrongProb on column-indexed row errors (NaN =
+// unknown); the column-j entry itself is never used.
+func (em *ErrorModel) condWrongProb(j int, errs []float64) (p float64, ok bool) {
 	num, den := 0.0, 0.0
-	for k, ek := range rowErrs {
-		idx := j*em.nCols + k
-		if !em.pairOK[idx] {
+	for k, ek := range errs {
+		w, usable := em.condWeight(j, k, errs)
+		if !usable {
 			continue
 		}
-		w := math.Abs(em.w[idx])
-		if w <= 1e-9 {
-			continue
-		}
-		num += w * em.pairFit[idx].condCatWrong(ek)
+		num += w * em.pairFit[j*em.nCols+k].condCatWrong(ek)
 		den += w
 	}
 	if den > 0 {
@@ -633,34 +666,38 @@ func (em *ErrorModel) CondWrongProb(j int, rowErrs map[int]float64) (p float64, 
 // CondErrorNormal predicts the continuous error distribution of column j
 // given the row errors, as the W-weighted mixture of pairwise conditionals
 // moment-matched to a single normal. ok is false when no pair is usable.
+// Sums run in column order, so identical calls return identical bits.
 func (em *ErrorModel) CondErrorNormal(j int, rowErrs map[int]float64) (stats.Normal, bool) {
-	var comps []stats.Normal
-	var weights []float64
-	for k, ek := range rowErrs {
-		idx := j*em.nCols + k
-		if !em.pairOK[idx] {
-			continue
+	return em.condErrorNormal(j, em.denseRowErrors(rowErrs))
+}
+
+// condErrorNormal is CondErrorNormal on column-indexed row errors (NaN =
+// unknown). It re-derives each component per moment pass rather than
+// buffering them, so it allocates nothing.
+func (em *ErrorModel) condErrorNormal(j int, errs []float64) (stats.Normal, bool) {
+	wsum := 0.0
+	for k := range errs {
+		if w, ok := em.condWeight(j, k, errs); ok {
+			wsum += w
 		}
-		w := math.Abs(em.w[idx])
-		if w <= 1e-9 {
-			continue
-		}
-		comps = append(comps, em.pairFit[idx].condContNormal(ek))
-		weights = append(weights, w)
 	}
-	if len(comps) == 0 {
+	if wsum == 0 {
 		return stats.Normal{}, false
 	}
 	// Moment matching: mixture mean and variance.
-	wsum := stats.Sum(weights)
 	mu := 0.0
-	for i, c := range comps {
-		mu += weights[i] / wsum * c.Mu
+	for k, ek := range errs {
+		if w, ok := em.condWeight(j, k, errs); ok {
+			mu += w / wsum * em.pairFit[j*em.nCols+k].condContNormal(ek).Mu
+		}
 	}
 	v := 0.0
-	for i, c := range comps {
-		d := c.Mu - mu
-		v += weights[i] / wsum * (c.Var + d*d)
+	for k, ek := range errs {
+		if w, ok := em.condWeight(j, k, errs); ok {
+			c := em.pairFit[j*em.nCols+k].condContNormal(ek)
+			d := c.Mu - mu
+			v += w / wsum * (c.Var + d*d)
+		}
 	}
 	if v <= 0 {
 		v = 1e-6

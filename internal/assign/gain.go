@@ -29,9 +29,14 @@ func infoGainWithVariance(m *core.Model, c tabular.Cell, s float64) float64 {
 		return catInfoGain(post, q)
 	}
 	_, v0, _ := m.PosteriorCont(c)
+	return contInfoGain(v0, s)
+}
+
+// contInfoGain is Eq. 6 for a continuous cell of posterior variance v0:
+// H_d(v0) - H_d(v1) = 0.5 ln(v0/v1), independent of the answer value
+// because Gaussian posterior variance is data-independent.
+func contInfoGain(v0, s float64) float64 {
 	v1 := core.ContVarWithAnswer(v0, s)
-	// H_d(v0) - H_d(v1) = 0.5 ln(v0/v1); independent of the answer value
-	// because Gaussian posterior variance is data-independent.
 	return 0.5 * math.Log(v0/v1)
 }
 
@@ -85,28 +90,13 @@ func catInfoGain(post []float64, q float64) float64 {
 // like InfoGain, but the worker's expected error on cell c is conditioned
 // on the errors their answers in log show on other cells of row c.Row
 // (Eq. 7). With no usable row history or correlations it is InfoGain.
+// It is the per-cell reference for StructureIG's cached scoring.
 func StructInfoGain(m *core.Model, em *ErrorModel, est metrics.Estimates, log *tabular.AnswerLog, u tabular.WorkerID, c tabular.Cell) float64 {
 	if em == nil {
 		return InfoGain(m, u, c)
 	}
 	rowErrs := em.RowErrors(log.RowAnswersByWorker(u, c.Row), est)
-	return structInfoGainWithErrors(m, em, u, c, rowErrs)
-}
-
-// structInfoGainWithErrors scores one cell given the worker's already
-// computed errors on the target row (see ErrorModel.WorkerRowErrors).
-func structInfoGainWithErrors(m *core.Model, em *ErrorModel, u tabular.WorkerID, c tabular.Cell, rowErrsIn map[int]float64) float64 {
-	rowErrs := rowErrsIn
-	if _, selfObserved := rowErrs[c.Col]; selfObserved {
-		// Never condition on the target itself; copy-on-write since the
-		// caller reuses the map across cells of the row.
-		rowErrs = make(map[int]float64, len(rowErrsIn))
-		for k, v := range rowErrsIn {
-			if k != c.Col {
-				rowErrs[k] = v
-			}
-		}
-	}
+	delete(rowErrs, c.Col) // never condition on the target itself
 	if len(rowErrs) == 0 {
 		return InfoGain(m, u, c)
 	}
@@ -115,25 +105,29 @@ func structInfoGainWithErrors(m *core.Model, em *ErrorModel, u tabular.WorkerID,
 		if !ok {
 			return InfoGain(m, u, c)
 		}
-		// Blend the structural prediction with the worker's inherent
-		// quality: the conditional describes the crowd's behaviour on this
-		// column pair, the quality describes this worker.
-		qInherent := m.CellQuality(u, c)
-		qStruct := 1 - pWrong
-		q := 0.5 * (qInherent + qStruct)
-		return catInfoGain(post, q)
+		return catInfoGain(post, structQuality(m.CellQuality(u, c), pWrong))
 	}
 	cond, ok := em.CondErrorNormal(c.Col, rowErrs)
 	if !ok {
 		return InfoGain(m, u, c)
 	}
-	// The effective answer variance is the expected squared error
-	// E[e^2] = var + mean^2 of the conditional error distribution, blended
-	// with the inherent variance in log space.
+	return infoGainWithVariance(m, c, structVariance(cond, m.CellVarianceFor(u, c)))
+}
+
+// structQuality blends the structural prediction 1 - pWrong with the
+// worker's inherent quality: the conditional describes the crowd's
+// behaviour on this column pair, the quality describes this worker.
+func structQuality(qInherent, pWrong float64) float64 {
+	qStruct := 1 - pWrong
+	return 0.5 * (qInherent + qStruct)
+}
+
+// structVariance is the effective answer variance of a continuous cell:
+// the expected squared error E[e^2] = var + mean^2 of the conditional
+// error distribution, blended with the inherent variance in log space.
+func structVariance(cond stats.Normal, sInherent float64) float64 {
 	sStruct := stats.Clamp(cond.Var+cond.Mu*cond.Mu, minEffectiveVariance, maxEffectiveVariance)
-	sInherent := m.CellVarianceFor(u, c)
-	s := math.Exp(0.5 * (math.Log(sStruct) + math.Log(sInherent)))
-	return infoGainWithVariance(m, c, s)
+	return math.Exp(0.5 * (math.Log(sStruct) + math.Log(sInherent)))
 }
 
 // BatchInfoGain scores a whole batch D as the sum of per-cell gains

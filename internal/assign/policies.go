@@ -113,36 +113,78 @@ func (g InherentIG) Select(st *State, u tabular.WorkerID, k int) []tabular.Cell 
 // StructureIG implements Sec. 5.2: information gain with the worker's
 // expected error conditioned on their observed errors in the same row
 // (Eq. 7), using the attribute-correlation model. T-Crowd's default.
-type StructureIG struct {
-	Parallelism int
-}
+type StructureIG struct{}
 
 // Name implements Policy.
 func (StructureIG) Name() string { return "Structure-Aware IG" }
 
 // Select implements Policy.
 func (g StructureIG) Select(st *State, u tabular.WorkerID, k int) []tabular.Cell {
-	cands := candidateCells(st.Model.Table, st.Log, u)
-	if len(cands) == 0 {
+	return g.SelectAnswers(st, u, st.Log.ByWorker(u), k)
+}
+
+// SelectAnswers is Select given worker u's answers (log.ByWorker order)
+// instead of st.Log, so a served request needs only a copy of its own
+// answers. It reads st without writing it. Each score equals
+// StructInfoGain's (InfoGain's without an error model) bit for bit, but
+// is computed from the state's cached cell terms with the worker's
+// variance resolved once and their row errors laid out by column.
+func (StructureIG) SelectAnswers(st *State, u tabular.WorkerID, answers []tabular.Answer, k int) []tabular.Cell {
+	m := st.Model
+	rows, cols := m.Table.NumRows(), m.Table.NumCols()
+	terms := st.terms
+	if terms == nil {
+		terms = newCellTerms(m)
+	}
+	answered := make([]uint64, (rows*cols+63)/64)
+	for _, a := range answers {
+		key := a.Cell.Row*cols + a.Cell.Col
+		answered[key/64] |= 1 << (key % 64)
+	}
+	var rowAt []int32
+	var errVecs []float64
+	if st.Err != nil {
+		rowAt, errVecs = st.Err.rowErrorVectors(answers, st.Est)
+	}
+	phi, eps := m.PhiFor(u), m.Opts.Eps
+	ps := make([]scored, 0, rows*cols)
+	for i := 0; i < rows; i++ {
+		// errs is the worker's row-i error vector when it has a known error.
+		var errs []float64
+		if rowAt != nil && rowAt[i] >= 0 {
+			errs = errVecs[rowAt[i]:][:cols]
+		}
+		for j := 0; j < cols; j++ {
+			key := i*cols + j
+			if answered[key/64]&(1<<(key%64)) != 0 {
+				continue
+			}
+			ct := terms.cell[key]
+			s := m.CellVariance(i, j, phi)
+			var score float64
+			if ct.off >= 0 {
+				q := math.Erf(eps / math.Sqrt(2*s))
+				if errs != nil {
+					if pWrong, ok := st.Err.condWrongProb(j, errs); ok {
+						q = structQuality(q, pWrong)
+					}
+				}
+				score = terms.catGain(ct, q)
+			} else {
+				if errs != nil {
+					if cond, ok := st.Err.condErrorNormal(j, errs); ok {
+						s = structVariance(cond, s)
+					}
+				}
+				score = contInfoGain(ct.v0, s)
+			}
+			ps = append(ps, scored{tabular.Cell{Row: i, Col: j}, score})
+		}
+	}
+	if len(ps) == 0 {
 		return nil
 	}
-	if st.Err == nil {
-		scores := scoreAll(cands, g.Parallelism, func(c tabular.Cell) float64 {
-			return InfoGain(st.Model, u, c)
-		})
-		return topK(cands, scores, k)
-	}
-	// One pass over the worker's history, then O(1) row-error lookups per
-	// candidate cell.
-	byRow := st.Err.WorkerRowErrors(st.Log.ByWorker(u), st.Est)
-	scores := scoreAll(cands, g.Parallelism, func(c tabular.Cell) float64 {
-		rowErrs := byRow[c.Row]
-		if len(rowErrs) == 0 {
-			return InfoGain(st.Model, u, c)
-		}
-		return structInfoGainWithErrors(st.Model, st.Err, u, c, rowErrs)
-	})
-	return topK(cands, scores, k)
+	return topKScored(ps, k)
 }
 
 // Policies returns the Fig. 5 heuristic line-up, all running on T-Crowd

@@ -113,12 +113,13 @@ func (t *TCrowdSystem) setState(m *core.Model, log *tabular.AnswerLog) {
 
 // applyRefresh folds one streaming refresh into the existing assignment
 // state in place — the zero-allocation steady-state path. A deferred-polish
-// refresh changed only the batch's cells, so exactly those estimates are
-// re-extracted and the error model's accumulators adjusted (UpdateCells); a
-// polished refresh moved the global parameters, so the estimate grid is
-// refilled and the error model rebuilt — both into the arenas the state
-// already owns. Falls back to a fresh setState when no compatible state
-// exists (first streaming refresh after a rebuild with a foreign grid, or a
+// refresh changed only the batch's cells, so exactly those estimates and
+// cached gain terms are re-extracted and the error model's accumulators
+// adjusted (UpdateCells); a polished refresh moved every posterior and the
+// global parameters, so the estimate grid and the gain terms are refilled
+// and the error model rebuilt — all into the arenas the state already
+// owns. Falls back to a fresh setState when no compatible state exists
+// (first streaming refresh after a rebuild with a foreign grid, or a
 // policy change mid-stream).
 func (t *TCrowdSystem) applyRefresh(m *core.Model, log *tabular.AnswerLog, rs core.RefreshStats) {
 	st := t.st
@@ -129,10 +130,12 @@ func (t *TCrowdSystem) applyRefresh(m *core.Model, log *tabular.AnswerLog, rs co
 	st.Log = log
 	if rs.Polished {
 		m.EstimatesInto(st.Est)
+		st.terms.refreshAll(m)
 	} else {
 		nCols := m.Table.NumCols()
 		for _, key := range rs.Cells {
 			st.Est[key/nCols][key%nCols] = m.EstimateCell(key/nCols, key%nCols)
+			st.terms.refresh(m, key)
 		}
 	}
 	if _, isStruct := t.Policy.(StructureIG); !isStruct {

@@ -140,7 +140,13 @@ func (m *Model) WorkerQuality(u tabular.WorkerID) float64 {
 // CellVarianceFor returns the effective variance s = alpha_i beta_j phi_u
 // that worker u's answer on cell c would carry.
 func (m *Model) CellVarianceFor(u tabular.WorkerID, c tabular.Cell) float64 {
-	return stats.Clamp(m.Alpha[c.Row]*m.Beta[c.Col]*m.PhiFor(u), minS, maxS)
+	return m.CellVariance(c.Row, c.Col, m.PhiFor(u))
+}
+
+// CellVariance is CellVarianceFor for a worker variance phi (PhiFor)
+// resolved once by a caller scoring many cells for one worker.
+func (m *Model) CellVariance(i, j int, phi float64) float64 {
+	return stats.Clamp(m.Alpha[i]*m.Beta[j]*phi, minS, maxS)
 }
 
 // CellQuality returns q^u_ij = erf(eps / sqrt(2 alpha_i beta_j phi_u))

@@ -3,6 +3,7 @@ package platform
 import (
 	"fmt"
 	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -248,5 +249,32 @@ func TestConcurrentTasksAgainstPublishes(t *testing.T) {
 	}
 	if ts := proj.tasks.Load(); ts == nil || ts.answersSeen != proj.Log.Len() {
 		t.Fatal("final assignment state does not cover the log")
+	}
+}
+
+// TestFewestAnswersFirstMatchesSort pins the partial selection that runs
+// outside the platform lock to the full sort it replaced: the same cells
+// in the same order for every k, ties on the answer count included.
+func TestFewestAnswersFirstMatchesSort(t *testing.T) {
+	rng := stats.NewRNG(5)
+	cands := make([]countedCell, 60)
+	for i := range cands {
+		cands[i] = countedCell{c: tabular.Cell{Row: i / 6, Col: i % 6}, n: rng.Intn(4), r: rng.Float64()}
+	}
+	sorted := slices.Clone(cands)
+	sort.Slice(sorted, func(a, b int) bool {
+		if sorted[a].n != sorted[b].n {
+			return sorted[a].n < sorted[b].n
+		}
+		return sorted[a].r < sorted[b].r
+	})
+	for k := 0; k <= len(cands)+1; k++ {
+		want := make([]tabular.Cell, 0, k)
+		for _, c := range sorted[:min(k, len(sorted))] {
+			want = append(want, c.c)
+		}
+		if got := fewestAnswersFirst(slices.Clone(cands), k); !slices.Equal(got, want) {
+			t.Fatalf("k=%d: selected %v, sorted %v", k, got, want)
+		}
 	}
 }

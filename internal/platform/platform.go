@@ -532,7 +532,9 @@ type taskState struct {
 // with random tie-breaking. At a refresh-cadence boundary (and on the
 // first request) it waits at most assignRefreshWait for a state covering
 // the log; under backpressure or past the wait it serves the previous
-// state instead of hanging or failing. Scoring runs outside every lock.
+// state instead of hanging or failing. Scoring runs outside every lock:
+// p.mu is held only to copy the worker's answers or, for the fallback, to
+// snapshot the cells' answer counts and tie-break draws.
 func (p *Platform) RequestTasks(projectID string, u tabular.WorkerID, k int) ([]Task, error) {
 	p.mu.Lock()
 	proj, ok := p.projects[projectID]
@@ -588,19 +590,18 @@ func (p *Platform) RequestTasks(projectID string, u tabular.WorkerID, k int) ([]
 	}
 	var cells []tabular.Cell
 	if ts := proj.tasks.Load(); ts != nil {
-		// The state is shared and holds no log: bind a copy of it to this
-		// worker's own answers.
-		st := *ts.st
-		st.Log = tabular.NewAnswerLog()
+		// The state is shared and read-only: score it against a copy of
+		// this worker's own answers, the only thing taken under the lock.
 		p.mu.Lock()
-		st.Log.AddAll(proj.Log.ByWorker(u))
+		mine := proj.Log.ByWorker(u)
 		p.mu.Unlock()
-		cells = assign.StructureIG{}.Select(&st, u, k)
+		cells = assign.StructureIG{}.SelectAnswers(ts.st, u, mine, k)
 	}
 	if len(cells) == 0 {
 		p.mu.Lock()
-		cells = proj.fewestAnswersFirst(u, k)
+		cands := proj.unansweredByCount(u)
 		p.mu.Unlock()
+		cells = fewestAnswersFirst(cands, k)
 	}
 	out := make([]Task, len(cells))
 	for i, c := range cells {
@@ -616,40 +617,59 @@ func (p *Platform) RequestTasks(projectID string, u tabular.WorkerID, k int) ([]
 	return out, nil
 }
 
-// fewestAnswersFirst returns up to k cells unanswered by u, preferring
-// cells with the fewest collected answers.
-func (proj *Project) fewestAnswersFirst(u tabular.WorkerID, k int) []tabular.Cell {
-	type cand struct {
-		c tabular.Cell
-		n int
-		r float64
-	}
-	var cands []cand
-	answered := map[tabular.Cell]bool{}
+// countedCell is a cell worker u may answer, its answer count and a
+// random tie-break draw.
+type countedCell struct {
+	c tabular.Cell
+	n int
+	r float64
+}
+
+// unansweredByCount snapshots, in row-major order, the cells u has not
+// answered with their answer counts and one proj.rng draw each — the O(cells)
+// part of fewest-answers-first that needs the platform lock.
+//
+//tcrowd:locked Platform.mu
+func (proj *Project) unansweredByCount(u tabular.WorkerID) []countedCell {
+	rows, cols := proj.Table.NumRows(), proj.Table.NumCols()
+	answered := make([]bool, rows*cols)
 	for _, a := range proj.Log.ByWorker(u) {
-		answered[a.Cell] = true
+		answered[a.Cell.Row*cols+a.Cell.Col] = true
 	}
-	for i := 0; i < proj.Table.NumRows(); i++ {
-		for j := 0; j < proj.Table.NumCols(); j++ {
-			c := tabular.Cell{Row: i, Col: j}
-			if answered[c] {
+	cands := make([]countedCell, 0, rows*cols)
+	for i := 0; i < rows; i++ {
+		for j := 0; j < cols; j++ {
+			if answered[i*cols+j] {
 				continue
 			}
-			cands = append(cands, cand{c: c, n: proj.Log.CountByCell(c), r: proj.rng.Float64()})
+			c := tabular.Cell{Row: i, Col: j}
+			cands = append(cands, countedCell{c: c, n: proj.Log.CountByCell(c), r: proj.rng.Float64()})
 		}
 	}
-	sort.Slice(cands, func(a, b int) bool {
-		if cands[a].n != cands[b].n {
-			return cands[a].n < cands[b].n
+	return cands
+}
+
+// fewestAnswersFirst returns up to k of the snapshot's cells, fewest
+// collected answers first and random draws breaking ties, by partial
+// selection (k is a HIT's worth of tasks). It reorders cands.
+func fewestAnswersFirst(cands []countedCell, k int) []tabular.Cell {
+	less := func(a, b countedCell) bool {
+		if a.n != b.n {
+			return a.n < b.n
 		}
-		return cands[a].r < cands[b].r
-	})
-	if k > len(cands) {
-		k = len(cands)
+		return a.r < b.r
 	}
+	k = min(k, len(cands))
 	out := make([]tabular.Cell, k)
-	for i := 0; i < k; i++ {
-		out[i] = cands[i].c
+	for sel := 0; sel < k; sel++ {
+		best := sel
+		for i := sel + 1; i < len(cands); i++ {
+			if less(cands[i], cands[best]) {
+				best = i
+			}
+		}
+		cands[sel], cands[best] = cands[best], cands[sel]
+		out[sel] = cands[sel].c
 	}
 	return out
 }
