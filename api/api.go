@@ -265,10 +265,14 @@ const GenerationFresh = 1<<31 - 1
 // it, and with ?cursor=&limit= the estimates list is one page of the
 // row-major cell walk over that immutable snapshot — NextCursor re-encodes
 // the generation, so the whole paged walk is generation-coherent however
-// many writes land mid-walk. Worker-level fields repeat on every page.
+// many writes land mid-walk.
 type EstimatesResponse struct {
-	Estimates     []Estimate         `json:"estimates"`
-	WorkerQuality map[string]float64 `json:"worker_quality"`
+	Estimates []Estimate `json:"estimates"`
+	// WorkerQuality maps each worker to its unified quality. It rides only
+	// on the first page of a walk (a request without ?cursor=): it is the
+	// same for every page of the pinned generation, so cursor pages omit
+	// the key, and client.AllEstimates keeps the first page's map.
+	WorkerQuality map[string]float64 `json:"worker_quality,omitempty"`
 	Iterations    int                `json:"iterations"`
 	Converged     bool               `json:"converged"`
 	// Generation is the published model state this response serves

@@ -35,6 +35,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"tcrowd/api"
@@ -216,7 +217,37 @@ func (c *Client) doOnce(ctx context.Context, method, url string, hdr http.Header
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return decodeBody(resp, out)
+}
+
+// maxPooledBody caps the buffers returned to bodyPool: one huge read must
+// not pin its body in the pool for good.
+const maxPooledBody = 1 << 20
+
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeBody reads a 2xx body whole into a pooled buffer and unmarshals
+// it: one read sized by Content-Length, instead of a json.Decoder growing
+// its own buffer on every call.
+func decodeBody(resp *http.Response, out any) error {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	defer func() {
+		if buf.Cap() <= maxPooledBody {
+			bodyPool.Put(buf)
+		}
+	}()
+	if n := resp.ContentLength; n > 0 {
+		// MinRead spare keeps ReadFrom from regrowing at EOF.
+		buf.Grow(int(min(n, maxPooledBody)) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
+		return fmt.Errorf("tcrowd: reading response: %w", err)
+	}
+	if err := json.Unmarshal(buf.Bytes(), out); err != nil {
+		return fmt.Errorf("tcrowd: decoding response: %w", err)
+	}
+	return nil
 }
 
 // decodeErr builds the *APIError for a non-2xx response.
@@ -355,11 +386,19 @@ func (c *Client) Estimates(ctx context.Context, project string, q EstimatesQuery
 		hdr = http.Header{"If-None-Match": {`"` + strconv.Itoa(q.IfNotGeneration) + `"`}}
 	}
 	var out api.EstimatesResponse
+	if q.Limit > 0 {
+		out.Estimates = make([]api.Estimate, 0, min(q.Limit, maxPresize))
+	}
 	if err := c.do(ctx, http.MethodGet, path, hdr, nil, &out); err != nil {
 		return nil, err
 	}
 	return &out, nil
 }
+
+// maxPresize caps the estimates slice Estimates allocates up front for a
+// page, so a huge Limit cannot request unbounded memory before the
+// server has sent anything.
+const maxPresize = 1024
 
 // AllEstimates walks the estimates pagination to completion, fetching
 // pageSize estimates per request (0 = one unpaginated request), and

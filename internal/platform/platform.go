@@ -47,6 +47,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"sort"
 	"sync"
@@ -750,6 +751,12 @@ type AnswerMeta struct {
 	Client string
 }
 
+// maxAnswerMagnitude bounds a numeric answer (NaN fails too). A column's
+// running sum of squared deviations stays finite under it for any answer
+// count, where one answer near 1.3e154 made the variance +Inf and every
+// estimate in the column NaN.
+const maxAnswerMagnitude = 1e100
+
 // validateAnswer checks one answer against the project under p.mu; seen
 // holds (worker, cell) pairs earlier in the same batch.
 func validateAnswer(proj *Project, a tabular.Answer, seen map[tabular.Answer]bool) error {
@@ -762,6 +769,11 @@ func validateAnswer(proj *Project, a tabular.Answer, seen map[tabular.Answer]boo
 	}
 	if err := a.Value.CheckAgainst(proj.Table.Schema.Columns[j]); err != nil {
 		return err
+	}
+	// Deliberately not part of Value.CheckAgainst, which WAL replay also
+	// runs: recovery must still replay every answer it acknowledged.
+	if a.Value.Kind == tabular.Number && !(math.Abs(a.Value.X) <= maxAnswerMagnitude) {
+		return fmt.Errorf("platform: number %g outside ±%g", a.Value.X, maxAnswerMagnitude)
 	}
 	if a.Worker == "" {
 		return errors.New("platform: empty worker id")

@@ -86,7 +86,7 @@ func (p *Platform) SetPublishHook(h PublishHook) {
 // can create the project on first contact) plus the full immutable result
 // and the watch event the home fanned out. Applying the same payload on
 // any node yields byte-identical estimate pages — the result fields are
-// exactly what renderEstimates consumes.
+// exactly what the page writer (pageWriter.write) consumes.
 type ReplicatedGeneration struct {
 	Project  string         `json:"project"`
 	Schema   tabular.Schema `json:"schema"`

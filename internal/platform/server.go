@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"time"
@@ -91,10 +92,37 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // server emits.
 func WriteError(w http.ResponseWriter, err error) { writeErr(w, err) }
 
+// writeJSON encodes v in full before writing anything, so a value with no
+// JSON form (a NaN or infinite float) answers the typed 500 internal
+// envelope instead of a 200 header over an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		writeEncodeErr(w, err)
+		return
+	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+// writeEncodeErr answers a response that could not be encoded with 500
+// internal. Nothing of the failed response has been written yet.
+func writeEncodeErr(w http.ResponseWriter, err error) {
+	w.Header().Del("ETag")
+	body, _ := json.Marshal(api.ErrorEnvelope{Err: api.Error{
+		Code:    api.CodeInternal,
+		Message: "platform: encoding response: " + err.Error(),
+	}})
+	writeBody(w, http.StatusInternalServerError, append(body, '\n'))
+}
+
+// writeBody writes a complete JSON body with its Content-Length, so it
+// goes out in one piece rather than chunked.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body)
 }
 
 // writeErr renders any error as the typed envelope, resolving status, code
@@ -204,12 +232,13 @@ func (s *Server) deleteProject(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) tasks(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	worker := r.URL.Query().Get("worker")
+	q := r.URL.Query()
+	worker := q.Get("worker")
 	if worker == "" {
 		writeErr(w, errors.New("platform: worker query parameter required"))
 		return
 	}
-	count, err := queryInt(r, "count", 0)
+	count, err := queryInt(q, "count", 0)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -229,8 +258,8 @@ func (s *Server) tasks(w http.ResponseWriter, r *http.Request) {
 // queryInt parses an optional non-negative integer query parameter,
 // rejecting trailing garbage ("5x") and negatives with a typed
 // bad_request.
-func queryInt(r *http.Request, name string, def int) (int, error) {
-	raw := r.URL.Query().Get(name)
+func queryInt(q url.Values, name string, def int) (int, error) {
+	raw := q.Get(name)
 	if raw == "" {
 		return def, nil
 	}
@@ -370,78 +399,6 @@ func (s *Server) submitV1(w http.ResponseWriter, r *http.Request) {
 	writeErr(w, err)
 }
 
-// estimatesResp / estimateJSON are the wire shapes, defined in package api
-// and aliased here for the server-side tests.
-type (
-	estimatesResp = api.EstimatesResponse
-	estimateJSON  = api.Estimate
-)
-
-// renderEstimates converts one immutable published InferenceResult into
-// the wire shape of the merged /estimates (= /snapshot) endpoint. start
-// and limit select one page of the row-major cell walk over that pinned
-// snapshot: start is the cell ordinal to begin at, limit caps the
-// estimates returned (0 = all), and NextCursor — re-encoding the pinned
-// generation — is set when cells remain, so million-row tables stream
-// page by page and every page reflects the same model state.
-func renderEstimates(proj *Project, res *InferenceResult, answersNow, start, limit int) estimatesResp {
-	resp := estimatesResp{
-		WorkerQuality: make(map[string]float64, len(res.WorkerQuality)),
-		Iterations:    res.Iterations,
-		Converged:     res.Converged,
-		Generation:    res.Generation,
-		AnswersSeen:   res.AnswersSeen,
-		Fresh:         res.AnswersSeen == answersNow,
-	}
-	for u, q := range res.WorkerQuality {
-		resp.WorkerQuality[string(u)] = q
-	}
-	cols := proj.Table.Schema.Columns
-	m := len(cols)
-	total := proj.Table.NumRows() * m
-	for ord := start; ord < total; ord++ {
-		if limit > 0 && len(resp.Estimates) >= limit {
-			resp.NextCursor = encodeCursor(res.Generation, ord)
-			break
-		}
-		i, j := ord/m, ord%m
-		v := res.Estimates[i][j]
-		if v.IsNone() {
-			continue
-		}
-		ej := estimateJSON{Entity: proj.Table.Entities[i], Column: cols[j].Name}
-		if v.Kind == tabular.Label {
-			lbl := cols[j].Labels[v.L]
-			ej.Label = &lbl
-		} else {
-			x := v.X
-			ej.Number = &x
-		}
-		resp.Estimates = append(resp.Estimates, ej)
-	}
-	return resp
-}
-
-// encodeCursor builds the opaque-but-readable pagination cursor: the
-// pinned generation and the next cell ordinal.
-func encodeCursor(generation, ord int) string {
-	return strconv.Itoa(generation) + ":" + strconv.Itoa(ord)
-}
-
-// decodeCursor parses a ?cursor= value.
-func decodeCursor(raw string) (generation, ord int, err error) {
-	g, o, ok := strings.Cut(raw, ":")
-	if ok {
-		if generation, err = strconv.Atoi(g); err == nil {
-			ord, err = strconv.Atoi(o)
-		}
-	}
-	if !ok || err != nil || generation <= 0 || ord < 0 {
-		return 0, 0, fmt.Errorf("platform: bad cursor %q (want \"<generation>:<ordinal>\")", raw)
-	}
-	return generation, ord, nil
-}
-
 // etagFor quotes a generation as the strong ETag every pinned read
 // carries.
 func etagFor(generation int) string { return `"` + strconv.Itoa(generation) + `"` }
@@ -488,17 +445,18 @@ func (s *Server) estimates(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, err)
 		return
 	}
-	limit, err := queryInt(r, "limit", 0)
+	q := r.URL.Query()
+	limit, err := queryInt(q, "limit", 0)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	generation, err := queryInt(r, "generation", 0)
+	generation, err := queryInt(q, "generation", 0)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	minGen, err := queryInt(r, "min_generation", 0)
+	minGen, err := queryInt(q, "min_generation", 0)
 	if err != nil {
 		writeErr(w, err)
 		return
@@ -508,10 +466,11 @@ func (s *Server) estimates(w http.ResponseWriter, r *http.Request) {
 		res   *InferenceResult
 		start int
 	)
+	cursor := q.Get("cursor")
 	switch {
-	case r.URL.Query().Get("cursor") != "":
+	case cursor != "":
 		var gen int
-		if gen, start, err = decodeCursor(r.URL.Query().Get("cursor")); err != nil {
+		if gen, start, err = decodeCursor(cursor); err != nil {
 			break
 		}
 		if generation != 0 && generation != gen {
@@ -542,7 +501,13 @@ func (s *Server) estimates(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	st, _ := s.p.Stats(id)
-	writeJSON(w, http.StatusOK, renderEstimates(proj, res, st.Answers, start, limit))
+	pw := getPageWriter()
+	defer putPageWriter(pw)
+	if err := pw.write(proj, res, res.AnswersSeen == st.Answers, start, limit, cursor == ""); err != nil {
+		writeEncodeErr(w, err)
+		return
+	}
+	writeBody(w, http.StatusOK, pw.buf)
 }
 
 // Long-poll bounds: the default and maximum ?timeout= of a watch
@@ -570,12 +535,13 @@ const (
 // coalescing for slow consumers.
 func (s *Server) watch(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	after, err := queryInt(r, "after", 0)
+	q := r.URL.Query()
+	after, err := queryInt(q, "after", 0)
 	if err != nil {
 		writeErr(w, err)
 		return
 	}
-	timeoutSec, err := queryInt(r, "timeout", int(watchDefaultTimeout/time.Second))
+	timeoutSec, err := queryInt(q, "timeout", int(watchDefaultTimeout/time.Second))
 	if err != nil {
 		writeErr(w, err)
 		return

@@ -1,9 +1,13 @@
 package platform
 
 import (
+	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -12,6 +16,7 @@ import (
 	"time"
 
 	"tcrowd/api"
+	"tcrowd/client"
 	"tcrowd/internal/shard"
 	"tcrowd/internal/tabular"
 )
@@ -295,17 +300,27 @@ func TestV1EstimatesPagination(t *testing.T) {
 	if _, err := p.RunInference("a"); err != nil { // publish a full-log generation
 		t.Fatal(err)
 	}
+	var raw []byte // the last body get read
 	get := func(q string) estimatesResp {
 		t.Helper()
 		resp, err := http.Get(srv.URL + "/v1/projects/a/estimates" + q)
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("estimates%s status %d", q, resp.StatusCode)
 		}
+		if raw, err = io.ReadAll(resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.ContentLength != int64(len(raw)) {
+			t.Fatalf("estimates%s Content-Length %d, body %d bytes", q, resp.ContentLength, len(raw))
+		}
 		var est estimatesResp
-		decodeBody(t, resp, &est)
+		if err := json.Unmarshal(raw, &est); err != nil {
+			t.Fatal(err)
+		}
 		return est
 	}
 	full := get("")
@@ -322,8 +337,12 @@ func TestV1EstimatesPagination(t *testing.T) {
 		}
 		page := get(q)
 		walked = append(walked, page.Estimates...)
-		if len(page.WorkerQuality) != 3 {
-			t.Fatalf("page missing worker quality: %+v", page.WorkerQuality)
+		// Worker-level fields ride on the first page of a walk only.
+		if cursor == "" && len(page.WorkerQuality) != 3 {
+			t.Fatalf("first page missing worker quality: %+v", page.WorkerQuality)
+		}
+		if cursor != "" && bytes.Contains(raw, []byte(`"worker_quality"`)) {
+			t.Fatalf("cursor page carries worker_quality: %s", raw)
 		}
 		if page.Generation != full.Generation {
 			t.Fatalf("page generation %d, walk pinned to %d", page.Generation, full.Generation)
@@ -345,12 +364,21 @@ func TestV1EstimatesPagination(t *testing.T) {
 			t.Fatalf("walk diverged at %d: %+v vs %+v", i, walked[i], full.Estimates[i])
 		}
 	}
+	// The SDK's walk keeps the first page's worker map.
+	all, err := client.New(srv.URL).AllEstimates(context.Background(), "a", 3, client.EstimatesQuery{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all.Estimates) != len(full.Estimates) || !maps.Equal(all.WorkerQuality, full.WorkerQuality) {
+		t.Fatalf("AllEstimates: %d estimates, workers %v; full read %d, %v",
+			len(all.Estimates), all.WorkerQuality, len(full.Estimates), full.WorkerQuality)
+	}
 	// Cursor past the end: empty page, no next.
 	if tail := get(fmt.Sprintf("?cursor=%d:9999", full.Generation)); len(tail.Estimates) != 0 || tail.NextCursor != "" {
 		t.Fatalf("past-the-end page: %+v", tail)
 	}
 	// Malformed cursors and conflicting pins are typed bad requests.
-	for _, bad := range []string{"?cursor=9999", "?cursor=x:1", "?cursor=1:x", "?cursor=-1:0",
+	for _, bad := range []string{"?cursor=9999", "?cursor=x:1", "?cursor=1:x", "?cursor=-1:0", "?cursor=%2B1:0", "?cursor=1:01",
 		fmt.Sprintf("?cursor=%d:0&generation=%d", full.Generation, full.Generation+1)} {
 		resp, err := http.Get(srv.URL + "/v1/projects/a/estimates" + bad)
 		if err != nil {
