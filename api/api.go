@@ -152,11 +152,6 @@ type CreateProjectRequest struct {
 	// the server default. Rejected with 400 on any other value; ignored
 	// when the server runs without durability.
 	FsyncPolicy string `json:"fsync_policy,omitempty"`
-	// PolishFrac is the polish-cadence knob: the fraction of streaming
-	// inference refreshes that re-converge the model with a full EM
-	// polish (the rest run the cheap dirty-cell pass only). 0 (or 1)
-	// polishes every refresh; values outside [0,1] are rejected with 400.
-	PolishFrac float64 `json:"polish_frac,omitempty"`
 	// Reputation enables the online worker-reputation engine: per-worker
 	// trust scores from agreement/work-time/model-quality signals, with
 	// graduated responses (down-weighting, assignment quarantine, and an

@@ -280,7 +280,7 @@ func (c *Client) CreateProject(ctx context.Context, req api.CreateProjectRequest
 
 // DeleteProject permanently removes a project and its durable answer
 // log. The delete is crash-safe on the server but irreversible: answers
-// are paid human work, so export anything that matters first.
+// are paid human work, so read anything that matters first.
 func (c *Client) DeleteProject(ctx context.Context, project string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/projects/"+url.PathEscape(project), nil, nil, nil)
 }

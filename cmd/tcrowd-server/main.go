@@ -4,10 +4,9 @@
 //
 // Usage:
 //
-//	tcrowd-server -addr :8080
+//	tcrowd-server -addr :8080                        # in-memory: starts empty
 //	tcrowd-server -wal-dir ./wal                     # durable: ack = fsynced
 //	tcrowd-server -wal-dir ./wal -fsync interval     # bounded-loss durability
-//	tcrowd-server -addr :8080 -state platform.json   # import/export snapshot
 //	tcrowd-server -workers 8 -queue-depth 128        # explicit shard sizing
 //	tcrowd-server -retain-generations 16             # deeper pinned-read window
 //	tcrowd-server -node-id n1 -peers n1=http://a:8080,n2=http://b:8080 -wal-dir ./wal
@@ -80,9 +79,8 @@
 // -wal-segment-bytes and rotation schedules a checkpoint compaction on
 // the project's shard, bounding both disk use and replay time.
 //
-// -state is demoted to an import/export snapshot: imported at start only
-// into an empty platform, exported atomically (temp file + fsync +
-// rename) on shutdown. The WAL is the source of truth.
+// The WAL is the only saved state. Without -wal-dir the server is
+// in-memory: it starts empty and its projects end with the process.
 //
 // # Cluster mode
 //
@@ -99,11 +97,11 @@
 // projects off by shipping the WAL to the new home. See ARCHITECTURE.md,
 // "Cluster layer".
 //
-// On SIGINT/SIGTERM the server stops accepting HTTP, exports -state if
-// set, drains the shard queues, and flushes + fsyncs every WAL regardless
-// of policy. At startup, every recovered or imported project with answers
-// gets a coalescing warmup refresh enqueued, so the read path serves
-// immediately after restart instead of 404ing until the first write.
+// On SIGINT/SIGTERM the server stops accepting HTTP, drains the shard
+// queues, and flushes + fsyncs every WAL regardless of policy. At
+// startup, every recovered project with answers gets a coalescing warmup
+// refresh enqueued, so the read path serves immediately after restart
+// instead of 404ing until the first write.
 package main
 
 import (
@@ -125,7 +123,6 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:8080", "listen address")
-		state       = flag.String("state", "", "optional JSON export file (imported at start when the platform is empty, exported atomically on SIGINT/SIGTERM); durability lives in -wal-dir")
 		seed        = flag.Int64("seed", 1, "assignment tie-breaking seed")
 		workers     = flag.Int("workers", 0, "inference shard workers (0 = GOMAXPROCS-derived)")
 		depth       = flag.Int("queue-depth", 0, "per-shard refresh queue bound (0 = default 64)")
@@ -180,31 +177,7 @@ func main() {
 		for _, id := range rep.TornProjects {
 			fmt.Printf("  project %s: torn log tail truncated at last durable record\n", id)
 		}
-	}
-	if *state != "" {
-		if f, err := os.Open(*state); err == nil {
-			// -state is the import/export format now; the WAL is the source
-			// of truth. Import only into an empty platform so a stale export
-			// can never duplicate or shadow recovered projects.
-			if p != nil && len(p.ProjectIDs()) > 0 {
-				fmt.Printf("skipping %s import: %d projects already recovered from WAL\n", *state, len(p.ProjectIDs()))
-				f.Close()
-			} else {
-				if p == nil {
-					p = platform.NewWithOptions(*seed, opts)
-				}
-				n, err := p.ImportProjects(f)
-				f.Close()
-				if err != nil {
-					fatal(fmt.Errorf("importing %s: %w", *state, err))
-				}
-				fmt.Printf("imported %d projects from %s\n", n, *state)
-			}
-		} else if !os.IsNotExist(err) {
-			fatal(err)
-		}
-	}
-	if p == nil {
+	} else {
 		p = platform.NewWithOptions(*seed, opts)
 	}
 
@@ -253,19 +226,9 @@ func main() {
 	}
 
 	// HTTP is stopped: detach the cluster layer first (its shippers hold
-	// the publish hook), then export state while the WAL is still open
-	// (Close wedges late appends), then drain queued refreshes and fsync
-	// the logs. The export is atomic — temp file, fsync, rename — so a
-	// crash mid-save can never destroy the previous export.
+	// the publish hook), then drain queued refreshes and fsync the logs.
 	if node != nil {
 		node.Close()
-	}
-	if *state != "" {
-		if err := p.SaveToFile(*state); err != nil {
-			fmt.Fprintf(os.Stderr, "tcrowd-server: saving state: %v\n", err)
-		} else {
-			fmt.Printf("state saved to %s\n", *state)
-		}
 	}
 	if err := p.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "tcrowd-server: closing platform: %v\n", err)

@@ -25,8 +25,6 @@ var internalRouteTable = []struct {
 }{
 	{http.MethodPost, "/v1/internal/projects/{id}/generations", (*Node).applyGeneration,
 		"home -> follower: install one published generation (creates the follower project on first contact)"},
-	{http.MethodGet, "/v1/internal/projects/{id}/generations/latest", (*Node).latestGeneration,
-		"follower -> home: fetch the newest published generation for cold catch-up"},
 	{http.MethodGet, "/v1/internal/projects/{id}/wal", (*Node).shipWAL,
 		"follower -> home: fetch WAL segments with index >= ?from= (plus the latest generation) to refresh the durable mirror"},
 	{http.MethodPost, "/v1/internal/projects/{id}/wal", (*Node).adoptWAL,
@@ -86,21 +84,6 @@ func (n *Node) applyGeneration(w http.ResponseWriter, r *http.Request) {
 		n.schedulePull(id, home) // before answering: no removal can precede it
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// latestGeneration handles GET .../generations/latest.
-func (n *Node) latestGeneration(w http.ResponseWriter, r *http.Request) {
-	g, ok, err := n.p.LatestReplicated(r.PathValue("id"))
-	if err != nil {
-		platform.WriteError(w, err)
-		return
-	}
-	if !ok {
-		platform.WriteError(w, platform.ErrNoSnapshot)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(&g)
 }
 
 // shipWAL handles GET .../wal?from=N: the home answers with its segment

@@ -15,6 +15,7 @@ import (
 
 	"tcrowd/api"
 	"tcrowd/internal/tabular"
+	"tcrowd/internal/wal"
 )
 
 // startWriter hammers the project with unique single-answer submissions
@@ -525,12 +526,13 @@ func TestWatchClosesOnPlatformClose(t *testing.T) {
 	}
 }
 
-// TestLoadWarmupServesSnapshot pins the restart story: after a -state
-// reload, every project with answers gets a warmup refresh enqueued at
-// load, so the generation-pinned read path serves WITHOUT any post-restart
-// write (it used to 404 until the first submission).
+// TestLoadWarmupServesSnapshot pins the restart story: when Recover loads
+// a platform from its WAL, every project with answers gets a warmup
+// refresh enqueued, so the generation-pinned read path serves WITHOUT any
+// post-restart write (it used to 404 until the first submission).
 func TestLoadWarmupServesSnapshot(t *testing.T) {
-	p := New(78)
+	fs := wal.NewMemFS()
+	p := NewWithOptions(78, walTestOpts(fs, wal.SyncAlways))
 	if _, err := p.CreateProject("a", demoSchema(), ProjectConfig{Rows: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -543,13 +545,11 @@ func TestLoadWarmupServesSnapshot(t *testing.T) {
 	if _, err := p.CreateProject("empty", demoSchema(), ProjectConfig{Rows: 2}); err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
+	if err := p.Close(); err != nil {
 		t.Fatal(err)
 	}
-	p.Close()
 
-	reloaded, err := Load(&buf, 78)
+	reloaded, _, err := Recover(78, walTestOpts(fs, wal.SyncAlways))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,11 +42,8 @@
 package platform
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sort"
@@ -114,15 +111,7 @@ type Project struct {
 	// Observations fold in under p.mu on the submission path; the engine
 	// has its own lock for the read paths (task gating, /workers).
 	rep *reputation.Engine
-	// polishFrac is the polish-cadence knob: the fraction of streaming
-	// refreshes that run a full EM polish (0 or 1 = every refresh).
-	// Immutable after creation; polishAcc is the running cadence
-	// accumulator, touched only by refreshProject (serialised on the
-	// project's home shard under inferMu).
-	polishFrac float64
-	//tcrowd:guardedby inferMu
-	polishAcc float64
-	rng       *rand.Rand
+	rng *rand.Rand
 	// labelIdx[j] maps a categorical column's label strings to their
 	// indices (nil for continuous columns). Built once at project
 	// creation and immutable afterwards, so the HTTP layer resolves
@@ -332,13 +321,6 @@ type ProjectConfig struct {
 	// import scratch project skips fsyncs entirely, on the same
 	// platform. Ignored when durability is disabled.
 	FsyncPolicy string
-	// PolishFrac is the polish-cadence knob: the fraction of streaming
-	// inference refreshes that re-converge the model with a full EM
-	// polish; the rest run only the cheap dirty-cell pass (deferred
-	// polish). 0 and 1 both mean "polish every refresh"; values outside
-	// [0, 1] are rejected. Recorded in the WAL create record like
-	// FsyncPolicy, so recovery keeps the cadence.
-	PolishFrac float64
 	// Reputation enables the online worker-reputation engine: streaming
 	// trust scores per worker with graduated responses — E-step
 	// down-weighting, assignment quarantine, and a sticky auto-ban that
@@ -415,9 +397,6 @@ func (p *Platform) createProjectLocked(id string, schema tabular.Schema, cfg Pro
 			return nil, fmt.Errorf("platform: project %q: %w", id, err)
 		}
 	}
-	if cfg.PolishFrac < 0 || cfg.PolishFrac > 1 {
-		return nil, fmt.Errorf("platform: project %q: polish_frac %v outside [0, 1]", id, cfg.PolishFrac)
-	}
 	if _, dup := p.projects[id]; dup {
 		return nil, ErrDuplicateID
 	}
@@ -432,7 +411,6 @@ func (p *Platform) createProjectLocked(id string, schema tabular.Schema, cfg Pro
 		tcrowd:       cfg.UseTCrowdAssignment,
 		refreshEvery: cfg.RefreshEvery,
 		fsyncPolicy:  cfg.FsyncPolicy,
-		polishFrac:   cfg.PolishFrac,
 		rng:          stats.NewRNG(p.seed + int64(len(p.projects))),
 		labelIdx:     buildLabelIndex(schema),
 		hub:          newWatchHub(),
@@ -1171,6 +1149,10 @@ func (p *Platform) growShadow(proj *Project) {
 	proj.shadowAt = total
 }
 
+// emMaxIter is the EM iteration budget of a cold fit and of every
+// streaming refresh's polish.
+const emMaxIter = 50
+
 // refreshProject brings the project's cached model up to date with its
 // answer log, publishes a fresh estimate snapshot and, for a T-Crowd
 // project, the assignment state built from the same model. It runs on the
@@ -1189,7 +1171,7 @@ func (p *Platform) refreshProject(proj *Project) error {
 	proj.inferMu.Lock()
 	defer proj.inferMu.Unlock()
 
-	// Project logs are append-only, with reloads building fresh projects,
+	// Project logs are append-only, with recovery building fresh projects,
 	// so the cached fit is always for a prefix of the shadow.
 	p.growShadow(proj)
 	shadow, m := proj.shadow, proj.lastModel
@@ -1199,7 +1181,7 @@ func (p *Platform) refreshProject(proj *Project) error {
 		// decoupling the old snapshot clone provided, minus the copy, and
 		// the fitted model keys on its pointer identity so every later
 		// refresh streams.
-		opts := core.Options{MaxIter: 50}
+		opts := core.Options{MaxIter: emMaxIter}
 		if proj.rep != nil {
 			opts.WorkerWeights = proj.rep.Weights()
 		}
@@ -1215,9 +1197,7 @@ func (p *Platform) refreshProject(proj *Project) error {
 		// the previous optimum shortens the path to convergence, it must
 		// not lower the convergence guarantee of requester-facing
 		// estimates; runs that start near the optimum still stop after a
-		// couple of iterations via the tolerance. The polish-cadence knob
-		// (polishFrac) can thin polishes out to a fraction of refreshes,
-		// the rest running only the dirty-cell pass.
+		// couple of iterations via the tolerance.
 		n, err := m.IngestFrom(shadow)
 		if err != nil {
 			return err
@@ -1234,7 +1214,7 @@ func (p *Platform) refreshProject(proj *Project) error {
 				// scaled down (or out) of the sufficient statistics.
 				m.SetWorkerWeights(proj.rep.Weights())
 			}
-			m.RefreshIncremental(proj.nextPolishBudget())
+			m.RefreshIncremental(emMaxIter)
 		}
 	}
 
@@ -1268,24 +1248,6 @@ func (p *Platform) refreshProject(proj *Project) error {
 		})
 	}
 	return nil
-}
-
-// nextPolishBudget resolves the polish-cadence knob for one streaming
-// refresh: the full iteration budget when a polish is due, 0 (dirty-cell
-// E-step plus deferred polish) otherwise. Runs only on the project's home
-// shard worker under inferMu, so the accumulator needs no lock.
-//
-//tcrowd:locked Project.inferMu
-func (proj *Project) nextPolishBudget() int {
-	if proj.polishFrac <= 0 || proj.polishFrac >= 1 {
-		return 50
-	}
-	proj.polishAcc += proj.polishFrac
-	if proj.polishAcc >= 1 {
-		proj.polishAcc--
-		return 50
-	}
-	return 0
 }
 
 // WorkerReputationInfo is one worker's reputation snapshot plus the
@@ -1464,165 +1426,4 @@ func (p *Platform) Stats(projectID string) (Stats, error) {
 		Workers:        workers,
 		AnswersPerTask: float64(answers) / float64(proj.Table.NumCells()),
 	}, nil
-}
-
-// persisted wire format.
-type projectJSON struct {
-	ID       string          `json:"id"`
-	Schema   tabular.Schema  `json:"schema"`
-	Entities []string        `json:"entities"`
-	Answers  json.RawMessage `json:"answers"`
-	TCrowd   bool            `json:"tcrowd_assignment"`
-	// RefreshEvery persists the project's refresh cadence (0 in state
-	// files predating the field decodes to the default).
-	RefreshEvery int `json:"refresh_every,omitempty"`
-	// FsyncPolicy persists the project's durability override (empty in
-	// state files predating the field decodes to the platform default).
-	FsyncPolicy string `json:"fsync_policy,omitempty"`
-	// PolishFrac persists the polish-cadence knob (0 = every refresh).
-	PolishFrac float64 `json:"polish_frac,omitempty"`
-	// Reputation persists whether the project runs the reputation engine.
-	// Only the flag is exported: trust state rebuilds from live traffic
-	// after an import (the WAL, not the export, is the durability story).
-	Reputation bool `json:"reputation,omitempty"`
-}
-
-type platformJSON struct {
-	Projects []projectJSON `json:"projects"`
-}
-
-// Save serialises every project (schema, entities, answer log) as JSON.
-func (p *Platform) Save(w io.Writer) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	var out platformJSON
-	for _, id := range p.projectIDsLocked() {
-		proj := p.projects[id]
-		var buf bytes.Buffer
-		if err := tabular.EncodeAnswers(&buf, proj.Table.Schema, proj.Log); err != nil {
-			return err
-		}
-		out.Projects = append(out.Projects, projectJSON{
-			ID:           proj.ID,
-			Schema:       proj.Table.Schema,
-			Entities:     proj.Table.Entities,
-			Answers:      json.RawMessage(buf.Bytes()),
-			TCrowd:       proj.tcrowd,
-			RefreshEvery: proj.refreshEvery,
-			FsyncPolicy:  proj.fsyncPolicy,
-			PolishFrac:   proj.polishFrac,
-			Reputation:   proj.rep != nil,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
-// projectIDsLocked lists project IDs in sorted order.
-//
-//tcrowd:locked Platform.mu
-func (p *Platform) projectIDsLocked() []string {
-	out := make([]string, 0, len(p.projects))
-	for id := range p.projects {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Load restores a platform previously written by Save, with default
-// serving options.
-func Load(r io.Reader, seed int64) (*Platform, error) {
-	return LoadWithOptions(r, seed, Options{})
-}
-
-// LoadWithOptions restores a platform previously written by Save with an
-// explicitly sized shard scheduler. It is ImportProjects into a fresh
-// platform; see there for the warmup and durability semantics.
-func LoadWithOptions(r io.Reader, seed int64, opts Options) (*Platform, error) {
-	p := NewWithOptions(seed, opts)
-	if _, err := p.ImportProjects(r); err != nil {
-		p.Close() // release the scheduler workers of the abandoned platform
-		return nil, err
-	}
-	return p, nil
-}
-
-// ImportProjects restores every project from a Save-format export into
-// the platform, returning how many were imported. An export naming an
-// existing project fails with ErrDuplicateID (projects before it in the
-// export stay imported). With durability enabled each imported project is
-// fully logged — a create record plus one batch record holding its
-// answers — so imports survive crashes like any other write.
-//
-// Cached models and snapshots are not persisted, so each imported project
-// with answers gets a warmup refresh enqueued on its home shard: the cold
-// fit runs in the background and the generation-pinned read path serves
-// as soon as it publishes, instead of 404ing until the first post-import
-// write. Warmup jobs coalesce like any refresh (one queue entry per
-// project) and are best-effort — one shed by a saturated shard is retried
-// by the project's first submission.
-func (p *Platform) ImportProjects(r io.Reader) (int, error) {
-	var in platformJSON
-	if err := json.NewDecoder(r).Decode(&in); err != nil {
-		return 0, err
-	}
-	var warm []*Project
-	n := 0
-	for _, pj := range in.Projects {
-		proj, err := p.CreateProject(pj.ID, pj.Schema, ProjectConfig{
-			Rows:                len(pj.Entities),
-			Entities:            pj.Entities,
-			UseTCrowdAssignment: pj.TCrowd,
-			RefreshEvery:        pj.RefreshEvery,
-			FsyncPolicy:         pj.FsyncPolicy,
-			PolishFrac:          pj.PolishFrac,
-			Reputation:          pj.Reputation,
-		})
-		if err != nil {
-			return n, err
-		}
-		log, err := tabular.DecodeAnswers(bytes.NewReader(pj.Answers), pj.Schema)
-		if err != nil {
-			return n, err
-		}
-		if log.Len() > 0 {
-			if err := p.importAnswers(proj, log); err != nil {
-				return n, err
-			}
-			warm = append(warm, proj)
-		}
-		n++
-	}
-	for _, proj := range warm {
-		_ = p.sched.Submit(proj.ID, func() error { return p.refreshProject(proj) })
-	}
-	return n, nil
-}
-
-// importAnswers installs an imported answer log on a freshly created
-// project, logging it as one batch record first when durability is on.
-func (p *Platform) importAnswers(proj *Project, log *tabular.AnswerLog) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	rotated := false
-	if proj.wal != nil {
-		blob, err := tabular.MarshalAnswers(proj.Table.Schema, log.All())
-		if err != nil {
-			return err
-		}
-		rotated, err = proj.wal.Append(wal.Record{Type: walRecBatch, Data: blob})
-		if err != nil {
-			return fmt.Errorf("%w: %v", ErrDurability, err)
-		}
-	}
-	// The swap is safe because imports target freshly created (answerless)
-	// projects: the shadow has absorbed nothing, so the new log still
-	// extends its empty prefix, and no cached fit exists yet.
-	proj.Log = log
-	if rotated {
-		p.scheduleCompaction(proj.ID, proj)
-	}
-	return nil
 }

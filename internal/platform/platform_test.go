@@ -1,7 +1,6 @@
 package platform
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 
@@ -199,45 +198,6 @@ func TestTCrowdAssignmentEngine(t *testing.T) {
 	tasks, err = p.RequestTasks("a", "w2", 3)
 	if err != nil || len(tasks) == 0 {
 		t.Fatalf("warm start: %v %v", tasks, err)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	p := New(7)
-	if _, err := p.CreateProject("a", demoSchema(), ProjectConfig{Rows: 2, RefreshEvery: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Submit("a", "w1", 0, "category", tabular.LabelValue(2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Submit("a", "w2", 1, "price", tabular.NumberValue(7.5)); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := Load(&buf, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proj, err := back.Project("a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if proj.Log.Len() != 2 {
-		t.Fatalf("lost answers: %d", proj.Log.Len())
-	}
-	a := proj.Log.At(0)
-	if a.Worker != "w1" || !a.Value.Equal(tabular.LabelValue(2)) {
-		t.Fatalf("answer mangled: %+v", a)
-	}
-	if proj.refreshEvery != 3 {
-		t.Fatalf("refresh cadence lost across save/load: %d", proj.refreshEvery)
-	}
-	// Corrupt input.
-	if _, err := Load(bytes.NewBufferString("not json"), 1); err == nil {
-		t.Fatal("garbage accepted")
 	}
 }
 

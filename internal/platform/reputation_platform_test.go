@@ -207,48 +207,6 @@ func TestQuarantineStarvesAssignment(t *testing.T) {
 	}
 }
 
-// TestPolishFracValidation pins the knob's domain checks and cadence: out
-// of [0,1] rejects at create, and a 0.25 setting polishes exactly every
-// fourth streaming refresh.
-func TestPolishFracValidation(t *testing.T) {
-	p := NewWithOptions(1, Options{Workers: 1})
-	defer p.Close()
-	for _, bad := range []float64{-0.1, 1.5} {
-		if _, err := p.CreateProject("bad", demoSchema(), ProjectConfig{Rows: 2, PolishFrac: bad}); err == nil {
-			t.Fatalf("polish_frac %v accepted", bad)
-		}
-	}
-	if _, err := p.CreateProject("ok", demoSchema(), ProjectConfig{Rows: 2, PolishFrac: 0.25}); err != nil {
-		t.Fatal(err)
-	}
-	proj, err := p.Project("ok")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var polished int
-	for i := 0; i < 8; i++ {
-		if proj.nextPolishBudget() > 0 {
-			polished++
-		}
-	}
-	if polished != 2 {
-		t.Fatalf("polish_frac 0.25: %d/8 refreshes polished, want 2", polished)
-	}
-	// 0 and 1 both mean "always polish" (the pre-knob behaviour).
-	for _, frac := range []float64{0, 1} {
-		id := fmt.Sprintf("always-%v", frac)
-		if _, err := p.CreateProject(id, demoSchema(), ProjectConfig{Rows: 2, PolishFrac: frac}); err != nil {
-			t.Fatal(err)
-		}
-		pr, _ := p.Project(id)
-		for i := 0; i < 3; i++ {
-			if pr.nextPolishBudget() <= 0 {
-				t.Fatalf("polish_frac %v refresh %d skipped polish", frac, i)
-			}
-		}
-	}
-}
-
 // TestWorkerReputationsDisabled: a project without the defense reports
 // (nil, false, nil) rather than inventing empty state.
 func TestWorkerReputationsDisabled(t *testing.T) {

@@ -22,7 +22,6 @@ func banPlatform(t *testing.T, fs wal.FS, rows int) (*Platform, int) {
 		Rows:         rows + 1,
 		RefreshEvery: 1 << 30,
 		Reputation:   true,
-		PolishFrac:   0.25,
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -133,14 +132,6 @@ func TestWALBanSurvivesCleanRestart(t *testing.T) {
 	}
 	if tasks, err := p2.RequestTasks("guard", "s2", 1); err != nil || len(tasks) != 0 {
 		t.Fatalf("quarantined tasks after recovery = %v, %v; want empty, nil", tasks, err)
-	}
-	// polish_frac rode the create record.
-	proj, err := p2.Project("guard")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if proj.polishFrac != 0.25 {
-		t.Fatalf("polish_frac lost in recovery: %v", proj.polishFrac)
 	}
 }
 

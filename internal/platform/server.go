@@ -181,10 +181,6 @@ type createProjectReq struct {
 	// FsyncPolicy overrides the server-wide WAL fsync policy for this
 	// project ("always", "interval", "never"; empty = server default).
 	FsyncPolicy string `json:"fsync_policy"`
-	// PolishFrac is the fraction of streaming refreshes that run a full
-	// EM polish instead of the O(batch) incremental pass ([0,1]; 0 and 1
-	// both mean every refresh polishes — the pre-knob behaviour).
-	PolishFrac float64 `json:"polish_frac"`
 	// Reputation enables the streaming worker-reputation engine (spam
 	// defense: down-weighting, quarantine, auto-ban).
 	Reputation bool `json:"reputation"`
@@ -205,7 +201,6 @@ func (s *Server) createProject(w http.ResponseWriter, r *http.Request) {
 		UseTCrowdAssignment: req.TCrowd,
 		RefreshEvery:        req.RefreshEvery,
 		FsyncPolicy:         req.FsyncPolicy,
-		PolishFrac:          req.PolishFrac,
 		Reputation:          req.Reputation,
 	})
 	if err != nil {
@@ -220,8 +215,9 @@ func (s *Server) listProjects(w http.ResponseWriter, r *http.Request) {
 }
 
 // deleteProject removes a project and destroys its durable log (204 on
-// success). Deletion is permanent: the answers are paid human work, so
-// export them first if they matter (GET estimates / the -state export).
+// success). Deletion is permanent: the answers are paid human work and
+// the WAL is their only saved copy, so read what matters (GET estimates)
+// first.
 func (s *Server) deleteProject(w http.ResponseWriter, r *http.Request) {
 	if err := s.p.DeleteProject(r.PathValue("id")); err != nil {
 		writeErr(w, err)

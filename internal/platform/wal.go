@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/url"
-	"os"
 	"path/filepath"
 	"strings"
 	"time"
@@ -122,9 +121,6 @@ type walCreateJSON struct {
 	// recovery reopens the log under the same policy the project was
 	// created with.
 	FsyncPolicy string `json:"fsync_policy,omitempty"`
-	// PolishFrac records the polish-cadence knob so recovery keeps the
-	// refresh economics the project was created with.
-	PolishFrac float64 `json:"polish_frac,omitempty"`
 	// Reputation records whether the project runs the reputation engine
 	// (whose verdicts ride the log as walRecReputation records).
 	Reputation bool `json:"reputation,omitempty"`
@@ -156,7 +152,6 @@ func walCreateInfo(proj *Project) walCreateJSON {
 		TCrowd:       proj.tcrowd,
 		RefreshEvery: proj.refreshEvery,
 		FsyncPolicy:  proj.fsyncPolicy,
-		PolishFrac:   proj.polishFrac,
 		Reputation:   proj.rep != nil,
 	}
 }
@@ -396,7 +391,6 @@ func (p *Platform) recoverProject(dir string) (*Project, wal.Replay, error) {
 		UseTCrowdAssignment: info.TCrowd,
 		RefreshEvery:        info.RefreshEvery,
 		FsyncPolicy:         info.FsyncPolicy,
-		PolishFrac:          info.PolishFrac,
 		Reputation:          info.Reputation,
 	})
 	if err == nil {
@@ -470,45 +464,5 @@ func (p *Platform) DeleteProject(id string) error {
 	}
 	_ = fs.SyncDir(p.walOpts.Dir)
 	_ = fs.RemoveAll(tomb) // best-effort; recovery reaps leftovers
-	return nil
-}
-
-// SaveToFile atomically exports the platform's state (Save format) to
-// path: the JSON is staged in a temp file in the same directory, fsynced,
-// and renamed over the target — a crash mid-export can never destroy the
-// previous export.
-func (p *Platform) SaveToFile(path string) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tcrowd-state-*.tmp")
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if tmp != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-		}
-	}()
-	if err := p.Save(tmp); err != nil {
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		return err
-	}
-	name := tmp.Name()
-	if err := tmp.Close(); err != nil {
-		tmp = nil
-		os.Remove(name)
-		return err
-	}
-	tmp = nil
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return err
-	}
-	if d, derr := os.Open(dir); derr == nil {
-		_ = d.Sync()
-		d.Close()
-	}
 	return nil
 }

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -391,6 +390,97 @@ func TestRecoverRefusesMidLogCorruption(t *testing.T) {
 	}
 }
 
+// TestRecoverIgnoresPolishFrac: logs written while projects still
+// recorded polish_frac in their create record, and in the create info
+// every checkpoint embeds, must keep recovering now that the setting is
+// gone. One project's log starts with its create record, the other's
+// with a checkpoint; both get an answer batch after it.
+func TestRecoverIgnoresPolishFrac(t *testing.T) {
+	type createWithPolishFrac struct {
+		walCreateJSON
+		PolishFrac float64 `json:"polish_frac"`
+	}
+	type checkpointWithPolishFrac struct {
+		Create     createWithPolishFrac `json:"create"`
+		Generation int                  `json:"generation"`
+		Answers    json.RawMessage      `json:"answers"`
+	}
+	marshal := func(v any) []byte {
+		t.Helper()
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(b), `"polish_frac":0.25`) {
+			t.Fatalf("record lacks polish_frac: %s", b)
+		}
+		return b
+	}
+	batch := func(as ...tabular.Answer) []byte {
+		t.Helper()
+		b, err := tabular.MarshalAnswers(demoSchema(), as)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	fs := wal.NewMemFS()
+	opts := walTestOpts(fs, wal.SyncAlways)
+	want := map[string][]tabular.Answer{}
+	for _, id := range []string{"created", "compacted"} {
+		l, _, err := wal.Open(opts.WAL.projDir(id), opts.WAL.walOptions(""))
+		if err != nil {
+			t.Fatal(err)
+		}
+		create := createWithPolishFrac{
+			walCreateJSON: walCreateJSON{ID: id, Schema: demoSchema(), Entities: []string{"a", "b", "c"}},
+			PolishFrac:    0.25,
+		}
+		if _, err := l.Append(wal.Record{Type: walRecCreate, Data: marshal(create)}); err != nil {
+			t.Fatal(err)
+		}
+		first := []tabular.Answer{catAnswer("w1", 0), catAnswer("w1", 1)}
+		if _, err := l.Append(wal.Record{Type: walRecBatch, Data: batch(first...)}); err != nil {
+			t.Fatal(err)
+		}
+		if id == "compacted" {
+			ck := checkpointWithPolishFrac{Create: create, Generation: 1, Answers: batch(first...)}
+			if err := l.Compact(wal.Record{Data: marshal(ck)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		last := catAnswer("w2", 2)
+		if _, err := l.Append(wal.Record{Type: walRecBatch, Data: batch(last)}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		want[id] = append(first, last)
+	}
+
+	p, rep, err := Recover(5, opts)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer p.Close()
+	if rep.Projects != 2 || rep.Answers != 6 {
+		t.Fatalf("report %+v, want 2 projects / 6 answers", rep)
+	}
+	for id, as := range want {
+		proj, err := p.Project(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(proj.Log.All(), as) {
+			t.Fatalf("%s: replayed log = %v, want %v", id, proj.Log.All(), as)
+		}
+		if res, err := p.RunInference(id); err != nil || res.AnswersSeen != len(as) {
+			t.Fatalf("%s: inference after recovery: %+v, %v", id, res, err)
+		}
+	}
+}
+
 // TestDeleteProjectDurable: deletion survives restart (the directory is
 // tombstone-renamed then removed), and a tombstone left by a crash
 // mid-delete is finished — reaped, never resurrected — at the next boot.
@@ -530,99 +620,6 @@ func TestWatchEventChangedCells(t *testing.T) {
 	}
 }
 
-// TestSaveToFileAtomicExport pins the -state save fix: the export is
-// written via a same-directory temp file and rename, leaves no temp
-// droppings behind, and round-trips through ImportProjects.
-func TestSaveToFileAtomicExport(t *testing.T) {
-	dir := t.TempDir()
-	p := New(19)
-	defer p.Close()
-	if _, err := p.CreateProject("exp", demoSchema(), ProjectConfig{Rows: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.SubmitBatch("exp", []tabular.Answer{catAnswer("w1", 0), catAnswer("w1", 2)}); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "state.json")
-	if err := p.SaveToFile(path); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.SaveToFile(path); err != nil { // overwrite is atomic too
-		t.Fatal(err)
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 1 || entries[0].Name() != "state.json" {
-		t.Fatalf("export left droppings: %v", entries)
-	}
-
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	p2 := New(19)
-	defer p2.Close()
-	n, err := p2.ImportProjects(f)
-	if err != nil || n != 1 {
-		t.Fatalf("import: n=%d err=%v", n, err)
-	}
-	src, _ := p.Project("exp")
-	dst, _ := p2.Project("exp")
-	if !reflect.DeepEqual(dst.Log.All(), src.Log.All()) {
-		t.Fatal("exported answers did not round-trip")
-	}
-}
-
-// TestImportIntoDurablePlatform: ImportProjects into a WAL-backed
-// platform must write the imported answers through the log — a crash
-// right after import loses nothing.
-func TestImportIntoDurablePlatform(t *testing.T) {
-	src := New(23)
-	defer src.Close()
-	if _, err := src.CreateProject("mig", demoSchema(), ProjectConfig{Rows: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := src.SubmitBatch("mig", []tabular.Answer{catAnswer("w1", 0), catAnswer("w2", 1)}); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "state.json")
-	if err := src.SaveToFile(path); err != nil {
-		t.Fatal(err)
-	}
-
-	fs := wal.NewMemFS()
-	p := NewWithOptions(23, walTestOpts(fs, wal.SyncAlways))
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n, err := p.ImportProjects(f)
-	f.Close()
-	if err != nil || n != 1 {
-		t.Fatalf("import: n=%d err=%v", n, err)
-	}
-	fs.Crash(0)
-	_ = p.Close()
-
-	p2, rep, err := Recover(23, walTestOpts(fs.Recovered(), wal.SyncAlways))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p2.Close()
-	if rep.Projects != 1 || rep.Answers != 2 {
-		t.Fatalf("imported state lost in crash: report %+v", rep)
-	}
-	srcProj, _ := src.Project("mig")
-	recProj, _ := p2.Project("mig")
-	if !reflect.DeepEqual(recProj.Log.All(), srcProj.Log.All()) {
-		t.Fatal("recovered imported answers differ from source")
-	}
-}
-
 // TestPerProjectFsyncPolicy pins the per-project durability override: a
 // "hot" project created with fsync=always on a platform whose default is
 // fsync=never keeps every acknowledged batch across a hard crash, while
@@ -695,31 +692,5 @@ func TestPerProjectFsyncPolicy(t *testing.T) {
 	}
 	if hot3.Log.Len() != 3 {
 		t.Fatalf("post-recovery batch on fsync=always project not durable: %d answers", hot3.Log.Len())
-	}
-}
-
-// TestFsyncPolicySurvivesSaveImport pins the export round-trip: Save
-// carries the override and ImportProjects re-applies it.
-func TestFsyncPolicySurvivesSaveImport(t *testing.T) {
-	src := New(11)
-	if _, err := src.CreateProject("hot", demoSchema(), ProjectConfig{Rows: 2, FsyncPolicy: "interval"}); err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	if err := src.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	src.Close()
-	dst := New(11)
-	defer dst.Close()
-	if n, err := dst.ImportProjects(strings.NewReader(buf.String())); err != nil || n != 1 {
-		t.Fatalf("import: n=%d err=%v", n, err)
-	}
-	proj, err := dst.Project("hot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if proj.fsyncPolicy != "interval" {
-		t.Fatalf("imported override = %q, want interval", proj.fsyncPolicy)
 	}
 }

@@ -139,11 +139,11 @@ func TestJSONSchemaRoundTrip(t *testing.T) {
 func TestAnswersJSONRoundTrip(t *testing.T) {
 	s := testSchema()
 	l := logFixture()
-	var buf bytes.Buffer
-	if err := EncodeAnswers(&buf, s, l); err != nil {
+	b, err := MarshalAnswers(s, l.All())
+	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := DecodeAnswers(&buf, s)
+	back, err := DecodeAnswers(bytes.NewReader(b), s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,8 +175,7 @@ func TestAnswersJSONErrors(t *testing.T) {
 	// Encoding an empty value must fail.
 	l := NewAnswerLog()
 	l.Add(Answer{Worker: "u", Cell: Cell{0, 0}})
-	var buf bytes.Buffer
-	if err := EncodeAnswers(&buf, s, l); err == nil {
+	if _, err := MarshalAnswers(s, l.All()); err == nil {
 		t.Fatal("encoded a None value")
 	}
 }
@@ -238,11 +237,11 @@ func TestQuickAnswersJSONRoundTrip(t *testing.T) {
 				Value:  v,
 			})
 		}
-		var buf bytes.Buffer
-		if err := EncodeAnswers(&buf, s, l); err != nil {
+		b, err := MarshalAnswers(s, l.All())
+		if err != nil {
 			return false
 		}
-		back, err := DecodeAnswers(&buf, s)
+		back, err := DecodeAnswers(bytes.NewReader(b), s)
 		if err != nil || back.Len() != l.Len() {
 			return false
 		}

@@ -122,9 +122,9 @@ func answerFromJSON(s Schema, i int, aj answerJSON) (Answer, error) {
 	return Answer{Worker: WorkerID(aj.Worker), Cell: Cell{Row: aj.Row, Col: j}, Value: v}, nil
 }
 
-// MarshalAnswers renders an answer slice as a compact JSON array — the
-// same element format as EncodeAnswers without indentation. It is the
-// payload format of WAL batch records, where bytes cost fsync latency.
+// MarshalAnswers renders an answer slice as a compact JSON array, the
+// format DecodeAnswers and UnmarshalAnswers read. It is the payload
+// format of WAL batch records, where bytes cost fsync latency.
 func MarshalAnswers(s Schema, as []Answer) ([]byte, error) {
 	out := make([]answerJSON, 0, len(as))
 	for _, a := range as {
@@ -137,8 +137,8 @@ func MarshalAnswers(s Schema, as []Answer) ([]byte, error) {
 	return json.Marshal(out)
 }
 
-// UnmarshalAnswers parses an answer array written by MarshalAnswers (or
-// EncodeAnswers), validating every value against the schema.
+// UnmarshalAnswers parses an answer array written by MarshalAnswers,
+// validating every value against the schema.
 func UnmarshalAnswers(b []byte, s Schema) ([]Answer, error) {
 	var in []answerJSON
 	if err := json.Unmarshal(b, &in); err != nil {
@@ -153,22 +153,6 @@ func UnmarshalAnswers(b []byte, s Schema) ([]Answer, error) {
 		out = append(out, a)
 	}
 	return out, nil
-}
-
-// EncodeAnswers writes the log as a JSON array resolving label indices via
-// the schema.
-func EncodeAnswers(w io.Writer, s Schema, l *AnswerLog) error {
-	out := make([]answerJSON, 0, l.Len())
-	for _, a := range l.All() {
-		aj, err := answerToJSON(s, a)
-		if err != nil {
-			return err
-		}
-		out = append(out, aj)
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
 }
 
 // DecodeAnswers reads a JSON answer array into a fresh log, resolving label
