@@ -7,22 +7,20 @@
 // automatically.
 //
 // Writes always land on the home node. Reads scale out: every published
-// generation streams from the home to all peers (per-peer drop-to-latest
-// shippers off the platform's publish hook), and followers serve the
-// whole pinned-read surface — ?generation=/?cursor= re-reads,
-// ETag/If-None-Match 304s, watch long-poll and SSE — from replicated
-// generations. Cold catch-up and membership handoff ship WAL segments
-// over the internal API and replay them through the ordinary crash
-// recovery path, so a follower promoted to home owns the full answer
-// history it mirrored.
+// generation streams from the home to all peers on one ordered stream per
+// peer (a drop-to-latest shipper off the platform's publish hook, which
+// also carries replica removals), and followers serve the whole
+// pinned-read surface — ?generation=/?cursor= re-reads, ETag/If-None-Match
+// 304s, watch long-poll and SSE — from replicated generations. Each post
+// also carries the home's live WAL, which the follower keeps as an exact
+// mirror; handoff pushes it to a new home, which replays it through the
+// ordinary crash recovery path, so a project's history moves with it.
 //
-//tcrowd:lockorder Node.removeMu < Node.mu
 //tcrowd:lockorder peerShipper.sendMu < peerShipper.mu
 package cluster
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -118,23 +116,6 @@ type Node struct {
 	stop    chan struct{}
 	closing sync.Once
 	wg      sync.WaitGroup
-
-	// removeMu orders replica removals against catch-up pulls installing
-	// what they fetched.
-	removeMu sync.Mutex
-
-	mu sync.Mutex
-	// walTop tracks, per follower project, the highest WAL segment index
-	// mirrored locally — the next catch-up pull's from watermark.
-	//tcrowd:guardedby mu
-	walTop map[string]int
-	// pulling dedups concurrent catch-up pulls per project.
-	//tcrowd:guardedby mu
-	pulling map[string]bool
-	// epoch counts replica removals per project: a pull installs nothing
-	// once a removal bumped the epoch it was scheduled under.
-	//tcrowd:guardedby mu
-	epoch map[string]uint64
 }
 
 // New builds the node, installs the platform publish hook, and starts the
@@ -147,23 +128,20 @@ func New(opts Options) (*Node, error) {
 		return nil, errors.New("cluster: Options.Platform and Options.Local are required")
 	}
 	n := &Node{
-		set:     opts.Members,
-		p:       opts.Platform,
-		local:   opts.Local,
-		mode:    opts.Mode,
-		client:  opts.Client,
-		mux:     http.NewServeMux(),
-		stop:    make(chan struct{}),
-		walTop:  make(map[string]int),
-		pulling: make(map[string]bool),
-		epoch:   make(map[string]uint64),
+		set:    opts.Members,
+		p:      opts.Platform,
+		local:  opts.Local,
+		mode:   opts.Mode,
+		client: opts.Client,
+		mux:    http.NewServeMux(),
+		stop:   make(chan struct{}),
 	}
 	if n.client == nil {
 		n.client = &http.Client{}
 	}
 	n.registerInternalRoutes()
 	for _, peer := range n.set.Peers() {
-		s := newPeerShipper(n.set.Self().Addr, peer.Addr, n.client)
+		s := newPeerShipper(n.set.Self().Addr, peer.Addr, n.client, n.p)
 		n.shippers = append(n.shippers, s)
 		n.wg.Add(1)
 		go func() { defer n.wg.Done(); s.run(n.stop) }()
@@ -174,8 +152,8 @@ func New(opts Options) (*Node, error) {
 
 // Close detaches the publish hook and stops the shippers and any
 // in-flight rebalance loop. Queued generations not yet shipped are
-// dropped — followers catch up from the internal API on the next publish
-// or boot. Idempotent: shutdown paths (signal handler, defer, test
+// dropped — the project's next publish ships its latest state and whole
+// live WAL again. Idempotent: shutdown paths (signal handler, defer, test
 // cleanup) may race.
 func (n *Node) Close() {
 	n.closing.Do(func() {
@@ -319,8 +297,9 @@ func (s *statusWriter) Write(b []byte) (int, error) {
 
 // broadcastRemove tells every peer to drop its replica of a deleted
 // project, through each peer's shipper (see peerShipper.remove).
-// Best-effort: an unreachable peer reaps the orphan replica on its next
-// boot rebalance (the home 404s its catch-up pulls).
+// Best-effort: nothing resends a missed removal. A peer that was up keeps
+// its stale replica; one that was down recovers its WAL mirror as a home
+// project at restart, and its boot rebalance hands it back to the home.
 func (n *Node) broadcastRemove(id string) {
 	for _, s := range n.shippers {
 		n.wg.Add(1)
@@ -331,17 +310,10 @@ func (n *Node) broadcastRemove(id string) {
 	}
 }
 
-// internalTimeout bounds one internal replication request (generations
-// apply, WAL ship, replica removal). Generous: a WAL ship moves whole
-// segments.
+// internalTimeout bounds one internal replication request (generation
+// apply, handoff push, replica removal). Generous: generation posts and
+// handoff pushes carry whole WAL segments.
 const internalTimeout = 30 * time.Second
-
-// doInternal issues an internal request with the standard deadline.
-func (n *Node) doInternal(req *http.Request) (*http.Response, error) {
-	ctx, cancel := context.WithTimeout(req.Context(), internalTimeout)
-	defer cancel()
-	return n.client.Do(req.WithContext(ctx))
-}
 
 // routeAway sends a non-home request where it belongs per the configured
 // mode. body, when non-nil, is the already-consumed request body.

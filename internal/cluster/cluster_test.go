@@ -37,6 +37,7 @@ type testNode struct {
 	addr  string
 	set   *member.Set
 	p     *platform.Platform
+	opts  platform.Options
 	local *platform.Server
 	node  *Node
 	sw    *switchable
@@ -48,10 +49,14 @@ type testCluster struct {
 	nodes []*testNode
 }
 
+// nodeConfig adjusts node i's platform and cluster options before
+// startCluster boots it.
+type nodeConfig func(i int, popts *platform.Options, copts *Options)
+
 // startCluster boots n real nodes on loopback listeners: each one a full
-// platform (durable when walRoot is set) wrapped in a cluster Node, all
+// platform (durable when durable is set) wrapped in a cluster Node, all
 // sharing one -peers spec. Cleanup tears everything down.
-func startCluster(t *testing.T, n int, mode RouteMode, durable bool) *testCluster {
+func startCluster(t *testing.T, n int, mode RouteMode, durable bool, configs ...nodeConfig) *testCluster {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	parts := make([]string, n)
@@ -71,18 +76,25 @@ func startCluster(t *testing.T, n int, mode RouteMode, durable bool) *testCluste
 			t.Fatal(err)
 		}
 		tn := &testNode{id: id, addr: set.Self().Addr, set: set}
-		opts := platform.Options{Workers: 2}
+		tn.opts = platform.Options{Workers: 2}
 		if durable {
-			opts.WAL = &platform.WALOptions{Dir: t.TempDir(), Policy: wal.SyncAlways}
-			tn.p, _, err = platform.Recover(1, opts)
+			tn.opts.WAL = &platform.WALOptions{Dir: t.TempDir(), Policy: wal.SyncAlways}
+		}
+		copts := Options{Members: set, Mode: mode}
+		for _, c := range configs {
+			c(i, &tn.opts, &copts)
+		}
+		if durable {
+			tn.p, _, err = platform.Recover(1, tn.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 		} else {
-			tn.p = platform.NewWithOptions(1, opts)
+			tn.p = platform.NewWithOptions(1, tn.opts)
 		}
 		tn.local = platform.NewServer(tn.p)
-		tn.node, err = New(Options{Members: set, Platform: tn.p, Local: tn.local, Mode: mode})
+		copts.Platform, copts.Local = tn.p, tn.local
+		tn.node, err = New(copts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,14 +118,48 @@ func startCluster(t *testing.T, n int, mode RouteMode, durable bool) *testCluste
 // node.
 func projectHomedOn(t *testing.T, set *member.Set, nodeID string) string {
 	t.Helper()
-	for i := 0; i < 10_000; i++ {
-		id := fmt.Sprintf("proj-%d", i)
-		if set.HomeOf(id).ID == nodeID {
-			return id
+	return projectsHomedOn(t, set, nodeID, 1)[0]
+}
+
+// projectsHomedOn finds k distinct project ids the shared ring places on
+// the given node.
+func projectsHomedOn(t *testing.T, set *member.Set, nodeID string, k int) []string {
+	t.Helper()
+	var ids []string
+	for i := 0; i < 10_000 && len(ids) < k; i++ {
+		if id := fmt.Sprintf("proj-%d", i); set.HomeOf(id).ID == nodeID {
+			ids = append(ids, id)
 		}
 	}
-	t.Fatalf("no project id hashes to %s", nodeID)
-	return ""
+	if len(ids) < k {
+		t.Fatalf("only %d project ids hash to %s", len(ids), nodeID)
+	}
+	return ids
+}
+
+// waitShipped waits until every shipper of n has an empty queue and no
+// send in flight: each generation published before the call has been
+// applied by its peer (mirror write included, as the follower answers
+// after it) or dropped for good.
+func waitShipped(t *testing.T, n *Node) {
+	t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for _, s := range n.shippers {
+		for {
+			s.sendMu.Lock()
+			s.mu.Lock()
+			idle := len(s.queue) == 0
+			s.mu.Unlock()
+			s.sendMu.Unlock()
+			if idle {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("shipper to %s never drained", s.peer)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
 }
 
 // rawGet issues a plain GET against a specific node, returning status,
@@ -360,92 +406,6 @@ func TestClusterDeleteFanout(t *testing.T) {
 	}
 }
 
-// TestClusterRemoveWinsOverInFlightPull pins that a project delete cannot
-// be undone by replication already in flight: the follower's WAL catch-up
-// pull (scheduled by the generation apply) gets its response built by the
-// home BEFORE the delete but delivered only AFTER the follower dropped its
-// replica. The stale pull must not re-create the project.
-func TestClusterRemoveWinsOverInFlightPull(t *testing.T) {
-	tc := startCluster(t, 2, RouteForward, true)
-	home, follower := tc.nodes[0], tc.nodes[1]
-	project := projectHomedOn(t, home.set, "n1")
-
-	// Serve WAL ship requests at the home into a recorder, then hold the
-	// recorded response until released.
-	held := make(chan struct{}, 16)
-	release := make(chan struct{})
-	releaseOnce := sync.OnceFunc(func() { close(release) })
-	defer releaseOnce()
-	homeNode := home.node
-	home.sw.set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet || !strings.HasSuffix(r.URL.Path, "/wal") {
-			homeNode.ServeHTTP(w, r)
-			return
-		}
-		rec := httptest.NewRecorder()
-		homeNode.ServeHTTP(rec, r)
-		held <- struct{}{}
-		<-release
-		for k, v := range rec.Header() {
-			w.Header()[k] = v
-		}
-		w.WriteHeader(rec.Code)
-		w.Write(rec.Body.Bytes())
-	}))
-
-	ctx := context.Background()
-	c := client.New(home.addr)
-	if err := c.CreateProject(ctx, api.CreateProjectRequest{ID: project, Schema: clusterSchema(), Rows: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.SubmitAnswers(ctx, project, []api.Answer{api.LabelAnswer("w1", 0, "category", "game")}); err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := c.Estimates(ctx, project, client.EstimatesQuery{MinGeneration: api.GenerationFresh})
-	if err != nil {
-		t.Fatal(err)
-	}
-	waitGeneration(t, follower.addr, project, fresh.Generation)
-	select {
-	case <-held:
-	case <-time.After(15 * time.Second):
-		t.Fatal("the follower's catch-up pull never reached the home")
-	}
-
-	if err := c.DeleteProject(ctx, project); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		if _, err := follower.p.Project(project); err != nil {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("follower never dropped the deleted project")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Deliver the stale pull response and wait for the pull to finish.
-	releaseOnce()
-	deadline = time.Now().Add(15 * time.Second)
-	for {
-		follower.node.mu.Lock()
-		pulling := follower.node.pulling[project]
-		follower.node.mu.Unlock()
-		if !pulling {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("catch-up pull never finished")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	if _, err := follower.p.Project(project); err == nil {
-		t.Fatal("a pull in flight across the delete re-created the replica")
-	}
-}
-
 // TestShipperRemoveDropsQueuedGeneration pins the home side of a delete:
 // a replica removal waits out the send in flight and drops the generation
 // still queued for the project, so nothing published before the delete
@@ -460,7 +420,7 @@ func TestShipperRemoveDropsQueuedGeneration(t *testing.T) {
 		w.WriteHeader(http.StatusNoContent)
 	}))
 	defer peer.Close()
-	s := newPeerShipper("http://self", peer.URL, peer.Client())
+	s := newPeerShipper("http://self", peer.URL, peer.Client(), nil)
 	s.enqueue(&platform.ReplicatedGeneration{Project: "p", Generation: 3})
 	s.enqueue(&platform.ReplicatedGeneration{Project: "q", Generation: 1})
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strconv"
 
 	"tcrowd/internal/platform"
 )
@@ -24,9 +23,7 @@ var internalRouteTable = []struct {
 	doc     string
 }{
 	{http.MethodPost, "/v1/internal/projects/{id}/generations", (*Node).applyGeneration,
-		"home -> follower: install one published generation (creates the follower project on first contact)"},
-	{http.MethodGet, "/v1/internal/projects/{id}/wal", (*Node).shipWAL,
-		"follower -> home: fetch WAL segments with index >= ?from= (plus the latest generation) to refresh the durable mirror"},
+		"home -> follower: install one published generation, then mirror the live WAL segments it carries (creates the follower project on first contact)"},
 	{http.MethodPost, "/v1/internal/projects/{id}/wal", (*Node).adoptWAL,
 		"old home -> new home: push the full WAL and latest generation; the receiver adopts the project (membership handoff)"},
 	{http.MethodDelete, "/v1/internal/projects/{id}", (*Node).removeReplica,
@@ -61,8 +58,8 @@ func InternalRoutes() []InternalRoute {
 }
 
 // applyGeneration handles POST .../generations: install a replicated
-// generation, then schedule a WAL catch-up pull so the durable mirror
-// follows the serving state.
+// generation and mirror its WAL segments before answering, so a removal
+// the home sends after this post finds the mirror written.
 func (n *Node) applyGeneration(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var g platform.ReplicatedGeneration
@@ -75,42 +72,11 @@ func (n *Node) applyGeneration(w http.ResponseWriter, r *http.Request) {
 		platform.WriteError(w, errors.New("payload project does not match URL"))
 		return
 	}
-	home := r.Header.Get(homeHeader)
-	if err := n.p.ApplyReplicatedGeneration(&g, home); err != nil {
+	if err := n.p.ApplyReplicatedGeneration(&g, r.Header.Get(homeHeader)); err != nil {
 		platform.WriteError(w, err)
 		return
-	}
-	if n.p.HasWAL() {
-		n.schedulePull(id, home) // before answering: no removal can precede it
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// shipWAL handles GET .../wal?from=N: the home answers with its segment
-// tail plus the latest published generation, so one round trip refreshes
-// both halves of a follower.
-func (n *Node) shipWAL(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	from := 1
-	if s := r.URL.Query().Get("from"); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 1 {
-			platform.WriteError(w, fmt.Errorf("from must be a positive integer, got %q", s))
-			return
-		}
-		from = v
-	}
-	segs, err := n.p.ShipWAL(id, from)
-	if err != nil {
-		platform.WriteError(w, err)
-		return
-	}
-	env := walShipEnvelope{Segments: segs}
-	if g, ok, err := n.p.LatestReplicated(id); err == nil && ok {
-		env.Latest = &g
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(&env)
 }
 
 // adoptWAL handles POST .../wal: a handoff push from the previous home.
@@ -135,17 +101,9 @@ func (n *Node) adoptWAL(w http.ResponseWriter, r *http.Request) {
 
 // removeReplica handles DELETE .../{id}: drop a follower replica after
 // the home deleted the project. Idempotent — an already-absent project is
-// success. The epoch bump makes it win over every pull scheduled before.
+// success.
 func (n *Node) removeReplica(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	n.removeMu.Lock()
-	n.mu.Lock()
-	n.epoch[id]++
-	delete(n.walTop, id)
-	n.mu.Unlock()
-	err := n.p.RemoveReplica(id)
-	n.removeMu.Unlock()
-	if err != nil && !errors.Is(err, platform.ErrNoProject) {
+	if err := n.p.RemoveReplica(r.PathValue("id")); err != nil && !errors.Is(err, platform.ErrNoProject) {
 		platform.WriteError(w, err)
 		return
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -84,7 +85,7 @@ func (n *Node) Rebalance() error {
 // or already-home duplicate — clears this node to demote: either way the
 // receiver owns the project now.
 func (n *Node) handoff(id string, home member.Member) error {
-	segs, err := n.p.ShipWAL(id, 1)
+	segs, err := n.p.ShipWAL(id)
 	if err != nil {
 		// Without a WAL there is no durable history to move, and demoting
 		// would orphan the in-memory answers. Refuse: cluster mode expects
@@ -99,7 +100,9 @@ func (n *Node) handoff(id string, home member.Member) error {
 	if err != nil {
 		return err
 	}
-	req, err := http.NewRequest(http.MethodPost,
+	ctx, cancel := context.WithTimeout(context.Background(), internalTimeout)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		home.Addr+"/v1/internal/projects/"+url.PathEscape(id)+"/wal",
 		bytes.NewReader(body))
 	if err != nil {
@@ -107,7 +110,7 @@ func (n *Node) handoff(id string, home member.Member) error {
 	}
 	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(homeHeader, n.set.Self().Addr)
-	resp, err := n.doInternal(req)
+	resp, err := n.client.Do(req)
 	if err != nil {
 		return err
 	}

@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -41,13 +41,14 @@ func (n *Node) onPublish(meta platform.ProjectMeta, res *platform.InferenceResul
 // peerShipper streams published generations to one peer with
 // drop-to-latest semantics: per project only the newest unshipped
 // generation is kept, so a slow or down peer costs bounded memory and
-// recovers straight to the current state. Follower-side WAL catch-up
-// (scheduled after each apply) backfills the answer history the skipped
-// generations carried.
+// recovers straight to the current state. Each post carries the project's
+// whole live WAL, read at send time, so the answer history the skipped
+// generations covered reaches the follower's mirror too.
 type peerShipper struct {
 	self   string // this node's base URL, sent as X-Tcrowd-Home
 	peer   string // peer base URL
 	client *http.Client
+	p      *platform.Platform // source of the shipped WAL segments
 
 	// sendMu spans taking a generation and sending it (see remove).
 	sendMu sync.Mutex
@@ -59,24 +60,21 @@ type peerShipper struct {
 	wake chan struct{}
 }
 
-func newPeerShipper(selfAddr, peerAddr string, client *http.Client) *peerShipper {
+func newPeerShipper(selfAddr, peerAddr string, client *http.Client, p *platform.Platform) *peerShipper {
 	return &peerShipper{
 		self:   selfAddr,
 		peer:   peerAddr,
 		client: client,
+		p:      p,
 		queue:  make(map[string]*platform.ReplicatedGeneration),
 		wake:   make(chan struct{}, 1),
 	}
 }
 
-// enqueue records g as the project's latest pending generation, replacing
-// any older queued one.
+// enqueue records g as the project's latest pending generation and wakes
+// the run loop.
 func (s *peerShipper) enqueue(g *platform.ReplicatedGeneration) {
-	s.mu.Lock()
-	if cur, ok := s.queue[g.Project]; !ok || g.Generation > cur.Generation {
-		s.queue[g.Project] = g
-	}
-	s.mu.Unlock()
+	s.put(g)
 	select {
 	case s.wake <- struct{}{}:
 	default:
@@ -101,9 +99,9 @@ func (s *peerShipper) take() *platform.ReplicatedGeneration {
 	return g
 }
 
-// requeue puts a failed ship back unless a newer generation superseded it
-// while the send was in flight.
-func (s *peerShipper) requeue(g *platform.ReplicatedGeneration) {
+// put records g as the project's pending generation unless a newer one is
+// queued (failed ships go back this way).
+func (s *peerShipper) put(g *platform.ReplicatedGeneration) {
 	s.mu.Lock()
 	if cur, ok := s.queue[g.Project]; !ok || g.Generation > cur.Generation {
 		s.queue[g.Project] = g
@@ -125,7 +123,7 @@ func (s *peerShipper) run(stop <-chan struct{}) {
 			var err error
 			if g != nil {
 				if err = s.send(g); err != nil {
-					s.requeue(g)
+					s.put(g)
 				}
 			}
 			s.sendMu.Unlock()
@@ -159,9 +157,17 @@ func (s *peerShipper) remove(project string) {
 	}
 }
 
-// send POSTs one generation to the peer's internal apply endpoint.
+// send POSTs a copy of g carrying the project's live WAL segments (g is
+// shared by every peer's shipper) to the peer's internal apply endpoint.
+// A project deleted since the publish ships nothing.
 func (s *peerShipper) send(g *platform.ReplicatedGeneration) error {
-	body, err := json.Marshal(g)
+	out := *g
+	segs, err := s.p.ShipWAL(g.Project)
+	if errors.Is(err, platform.ErrNoProject) {
+		return nil
+	}
+	out.WAL = segs
+	body, err := json.Marshal(&out)
 	if err != nil {
 		return nil // unserialisable payloads cannot succeed later either
 	}
@@ -201,93 +207,9 @@ func (e errHTTPStatus) Error() string {
 	return "cluster: peer answered HTTP " + http.StatusText(int(e))
 }
 
-// walShipEnvelope is the internal WAL endpoint's wire format, shared by
-// the catch-up GET response and the handoff POST request. Latest rides
-// along so one round trip both mirrors the log and seeds the serving
-// state.
+// walShipEnvelope is the handoff push's wire format. Latest rides along
+// so one round trip both moves the log and seeds the serving state.
 type walShipEnvelope struct {
 	Segments []wal.ShippedSegment           `json:"segments"`
 	Latest   *platform.ReplicatedGeneration `json:"latest,omitempty"`
-}
-
-// schedulePull kicks an async WAL catch-up pull for a follower project,
-// deduplicating concurrent pulls per project. Called after every applied
-// generation: the mirror trails the home's log by at most one publish.
-func (n *Node) schedulePull(projectID, home string) {
-	if home == "" {
-		return
-	}
-	n.mu.Lock()
-	if n.pulling[projectID] {
-		n.mu.Unlock()
-		return
-	}
-	n.pulling[projectID] = true
-	epoch := n.epoch[projectID]
-	n.mu.Unlock()
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		n.pullWAL(projectID, home, epoch)
-		n.mu.Lock()
-		n.pulling[projectID] = false
-		n.mu.Unlock()
-	}()
-}
-
-// pullWAL fetches the home's WAL tail from this node's watermark and lays
-// it down as the local mirror. Best-effort: on any failure the next
-// generation apply schedules another pull. A replica removal since the
-// pull was scheduled wins: the fetch is dropped.
-func (n *Node) pullWAL(projectID, home string, epoch uint64) {
-	n.mu.Lock()
-	from := n.walTop[projectID]
-	n.mu.Unlock()
-	if from < 1 {
-		from = 1
-	}
-	req, err := http.NewRequest(http.MethodGet,
-		home+"/v1/internal/projects/"+url.PathEscape(projectID)+"/wal?from="+strconv.Itoa(from), nil)
-	if err != nil {
-		return
-	}
-	resp, err := n.doInternal(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return
-	}
-	var env walShipEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
-		return
-	}
-	n.removeMu.Lock()
-	defer n.removeMu.Unlock()
-	n.mu.Lock()
-	removed := n.epoch[projectID] != epoch
-	n.mu.Unlock()
-	if removed {
-		return
-	}
-	top, err := n.p.ReplicateWAL(projectID, env.Segments, home)
-	if err != nil {
-		return
-	}
-	if env.Latest != nil {
-		// Cold catch-up: a follower created from the WAL mirror alone has
-		// no serving state yet; the piggybacked latest generation seeds it.
-		// Idempotent — stale generations drop.
-		_ = n.p.ApplyReplicatedGeneration(env.Latest, home)
-	}
-	n.mu.Lock()
-	// from == top refreshes the active segment each round; keep the
-	// watermark at the highest mirrored index (the active segment keeps
-	// growing, so it is re-fetched until the log rolls past it).
-	if top > n.walTop[projectID] {
-		n.walTop[projectID] = top
-	}
-	n.mu.Unlock()
 }

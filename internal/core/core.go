@@ -471,7 +471,7 @@ func newModel(tbl *tabular.Table, log *tabular.AnswerLog, opts Options) (*Model,
 	all := log.All()
 	m.colAcc = make([]colAcc, mm)
 	for _, a := range all {
-		if a.Value.Kind == tabular.Number {
+		if a.Value.Kind == tabular.Number && usableNumber(a.Value.X) {
 			m.colAcc[a.Cell.Col].add(a.Value.X)
 		}
 	}
@@ -575,11 +575,23 @@ func (m *Model) checkAnswer(a tabular.Answer) error {
 	return nil
 }
 
+// MaxAnswerMagnitude bounds the numeric answers the model uses: under it
+// a column's running sum of squared deviations stays finite for any answer
+// count, where one answer near 1.3e154 made the variance +Inf and every
+// estimate in the column NaN. The platform refuses larger answers at
+// submit; an answer a log acknowledged before that check stays in the log,
+// and the model skips it like an answer the mode filter drops.
+const MaxAnswerMagnitude = 1e100
+
+// usableNumber reports whether x lies within ±MaxAnswerMagnitude (NaN
+// does not).
+func usableNumber(x float64) bool { return math.Abs(x) <= MaxAnswerMagnitude }
+
 // decodeAnswer resolves one checked raw answer: mode filter applied, worker
 // index assigned (first-seen workers are appended, with the initial
 // variance when the parameter vector already exists), continuous values
 // standardized with the current column constants. use is false when the
-// mode filter drops the answer.
+// mode filter drops the answer or its number is beyond MaxAnswerMagnitude.
 func (m *Model) decodeAnswer(a tabular.Answer) (oa ingest.Answer, use bool, err error) {
 	if err := m.checkAnswer(a); err != nil {
 		return ingest.Answer{}, false, err
@@ -587,7 +599,7 @@ func (m *Model) decodeAnswer(a tabular.Answer) (oa ingest.Answer, use bool, err 
 	col := m.Table.Schema.Columns[a.Cell.Col]
 	isCat := col.Type == tabular.Categorical
 	if (isCat && m.Opts.Mode == ModeOnlyContinuous) ||
-		(!isCat && m.Opts.Mode == ModeOnlyCategorical) {
+		(!isCat && (m.Opts.Mode == ModeOnlyCategorical || !usableNumber(a.Value.X))) {
 		return ingest.Answer{}, false, nil
 	}
 	k, ok := m.workerIdx[a.Worker]

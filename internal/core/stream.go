@@ -169,7 +169,7 @@ func (m *Model) Ingest(batch []tabular.Answer) error {
 	}
 	changed := false
 	for _, a := range batch {
-		if a.Value.Kind == tabular.Number {
+		if a.Value.Kind == tabular.Number && usableNumber(a.Value.X) {
 			m.colAcc[a.Cell.Col].add(a.Value.X)
 			scr.colChanged[a.Cell.Col] = true
 		}

@@ -426,3 +426,70 @@ func TestEstimatesIntoSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("EstimatesInto allocates %.1f allocs/run, want 0", avg)
 	}
 }
+
+// TestOutOfBoundNumbersAreSkipped pins how the model treats a numeric
+// answer beyond ±MaxAnswerMagnitude that a log already holds (the
+// platform refuses new ones; a WAL may have acknowledged one before): the
+// column constants and the decoded store skip it, so a streamed batch
+// carrying it refreshes to exactly the fit a rebuild of the grown log
+// produces, and both fits — and a cold one — stay finite.
+func TestOutOfBoundNumbersAreSkipped(t *testing.T) {
+	opts := Options{MaxIter: 40, Tol: 1e-9, MStepIter: 25}
+	ds, full := equivDataset(3301, 25)
+	all := full.All()
+	col := -1
+	for j, c := range ds.Table.Schema.Columns {
+		if c.Type == tabular.Continuous {
+			col = j
+			break
+		}
+	}
+	if col < 0 {
+		t.Fatal("dataset has no continuous column")
+	}
+	huge := tabular.Answer{Worker: "huge", Cell: tabular.Cell{Row: 0, Col: col}, Value: tabular.NumberValue(2e154)}
+
+	prefix := len(all) / 2
+	prefLog := tabular.NewAnswerLog()
+	prefLog.AddAll(all[:prefix])
+	m, err := Infer(ds.Table, prefLog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Infer(ds.Table, prefLog, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := append([]tabular.Answer{huge}, all[prefix:]...)
+	if err := m.Ingest(batch); err != nil {
+		t.Fatal(err)
+	}
+	m.RefreshIncremental(12)
+	grown := prefLog.Clone()
+	grown.AddAll(batch)
+	wopts := opts
+	wopts.MaxIter = 12
+	if ref, err = InferWarm(ref, ds.Table, grown, wopts); err != nil {
+		t.Fatal(err)
+	}
+	assertBitwiseFit(t, 0, ref, m)
+	cold, err := Infer(ds.Table, grown, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for name, fit := range map[string]*Model{"streamed": m, "rebuilt": ref, "cold": cold} {
+		for j := range fit.ColStd {
+			if math.IsInf(fit.ColMean[j], 0) || math.IsNaN(fit.ColMean[j]) || math.IsInf(fit.ColStd[j], 0) || math.IsNaN(fit.ColStd[j]) {
+				t.Fatalf("%s fit: column %d constants (%v, %v)", name, j, fit.ColMean[j], fit.ColStd[j])
+			}
+		}
+		for i, row := range fit.Estimates() {
+			for j, v := range row {
+				if v.Kind == tabular.Number && (math.IsInf(v.X, 0) || math.IsNaN(v.X)) {
+					t.Fatalf("%s fit: estimate (%d,%d) = %v", name, i, j, v.X)
+				}
+			}
+		}
+	}
+}

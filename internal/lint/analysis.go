@@ -74,7 +74,8 @@ const directivePrefix = "//tcrowd:"
 // parseDirectives extracts //tcrowd: directives from comment groups (nil
 // groups are fine). The directive form is "//tcrowd:name arg arg..." with
 // no space before the name, matching the Go toolchain's directive
-// convention so godoc hides it.
+// convention so godoc hides it; a trailing "// ..." note is not an
+// argument.
 func parseDirectives(groups ...*ast.CommentGroup) []Directive {
 	var out []Directive
 	for _, g := range groups {
@@ -85,7 +86,7 @@ func parseDirectives(groups ...*ast.CommentGroup) []Directive {
 			if !strings.HasPrefix(c.Text, directivePrefix) {
 				continue
 			}
-			rest := strings.TrimPrefix(c.Text, directivePrefix)
+			rest, _, _ := strings.Cut(strings.TrimPrefix(c.Text, directivePrefix), "//")
 			fields := strings.Fields(rest)
 			if len(fields) == 0 {
 				continue

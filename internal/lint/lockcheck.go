@@ -29,7 +29,9 @@ import (
 //	//tcrowd:lockorder Project.inferMu < Platform.mu
 //
 // meaning inferMu is acquired before mu: taking Project.inferMu while
-// Platform.mu is held is a violation.
+// Platform.mu is held is a violation. A directive that is malformed, or
+// names a type or mutex field the package does not declare, is reported:
+// a stale order would otherwise check nothing without a word.
 //
 // The analysis is intra-procedural and deliberately conservative in what
 // it tracks: Lock/RLock add a mutex to the held set, Unlock/RUnlock
@@ -251,15 +253,24 @@ func collectFieldGuards(pass *Pass) map[types.Object]guardSpec {
 // (Mutex, RWMutex, Cond, Once, WaitGroup, ...), directly or behind a
 // pointer — the fields a struct-level guardedby must not cover.
 func isSyncField(info *types.Info, field *ast.Field) bool {
-	t := info.TypeOf(field.Type)
+	_, ok := syncTypeName(info.TypeOf(field.Type))
+	return ok
+}
+
+// syncTypeName returns the name of t's type when it lives in package sync,
+// directly or behind a pointer.
+func syncTypeName(t types.Type) (string, bool) {
 	if t == nil {
-		return false
+		return "", false
 	}
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
 	n, ok := t.(*types.Named)
-	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == "sync"
+	if !ok || n.Obj().Pkg() == nil || n.Obj().Pkg().Path() != "sync" {
+		return "", false
+	}
+	return n.Obj().Name(), true
 }
 
 // collectLockedFuncs maps function objects to their caller-holds
@@ -288,20 +299,49 @@ func collectLockedFuncs(pass *Pass) map[types.Object]guardSpec {
 	return out
 }
 
+// collectLockOrders parses the package's lock-order directives, reporting
+// each one it cannot use.
 func collectLockOrders(pass *Pass) []lockOrder {
 	var out []lockOrder
 	for _, d := range pass.packageDirectives() {
-		if d.Name != "lockorder" || len(d.Args) != 3 || d.Args[1] != "<" {
+		if d.Name != "lockorder" {
 			continue
 		}
-		fm, fo, ok1 := resolveGuardRef(d.Args[0], "")
-		tm, to, ok2 := resolveGuardRef(d.Args[2], "")
-		if !ok1 || !ok2 {
+		if len(d.Args) != 3 || d.Args[1] != "<" || !strings.Contains(d.Args[0], ".") || !strings.Contains(d.Args[2], ".") {
+			pass.Reportf(d.Pos, "malformed lock-order directive %q: want Type.mu < Type.mu", strings.Join(d.Args, " "))
 			continue
 		}
-		out = append(out, lockOrder{firstOwner: fo, firstMu: fm, thenOwner: to, thenMu: tm})
+		fo, fm, _ := strings.Cut(d.Args[0], ".")
+		to, tm, _ := strings.Cut(d.Args[2], ".")
+		known := declaresMutex(pass.Pkg, fo, fm)
+		if !known {
+			pass.Reportf(d.Pos, "lock-order directive names %s, but the package declares no such mutex field", d.Args[0])
+		}
+		if !declaresMutex(pass.Pkg, to, tm) {
+			pass.Reportf(d.Pos, "lock-order directive names %s, but the package declares no such mutex field", d.Args[2])
+			known = false
+		}
+		if known {
+			out = append(out, lockOrder{firstOwner: fo, firstMu: fm, thenOwner: to, thenMu: tm})
+		}
 	}
 	return out
+}
+
+// declaresMutex reports whether pkg declares a type owner (exported or
+// not) with a sync.Mutex or sync.RWMutex field mu.
+func declaresMutex(pkg *types.Package, owner, mu string) bool {
+	tn, ok := pkg.Scope().Lookup(owner).(*types.TypeName)
+	if !ok {
+		return false
+	}
+	f, _, _ := types.LookupFieldOrMethod(tn.Type(), true, pkg, mu)
+	v, ok := f.(*types.Var)
+	if !ok || !v.IsField() {
+		return false
+	}
+	name, ok := syncTypeName(v.Type())
+	return ok && strings.HasSuffix(name, "Mutex")
 }
 
 func recvTypeName(fd *ast.FuncDecl) string {

@@ -1,8 +1,14 @@
 // Package lockcheck exercises the lockcheck analyzer: guarded fields
 // (directive and legacy prose forms), caller-holds contracts, TryLock
-// idioms, lock-order directives, goroutine escapes and waivers.
+// idioms, lock-order directives (unexported owners included; malformed or
+// stale ones are reported), goroutine escapes and waivers.
 //
 //tcrowd:lockorder Counter.feedMu < Counter.mu
+//tcrowd:lockorder shipper.sendMu < shipper.mu
+//tcrowd:lockorder Counter.gone < Counter.mu // want `names Counter.gone, but the package declares no such mutex field`
+//tcrowd:lockorder Missing.mu < Counter.n // want `names Missing.mu, but` // want `names Counter.n, but`
+//tcrowd:lockorder Counter.feedMu Counter.mu // want `malformed lock-order directive "Counter.feedMu Counter.mu"`
+//tcrowd:lockorder feedMu < Counter.mu // want `malformed lock-order directive`
 package lockcheck
 
 import "sync"
@@ -155,4 +161,13 @@ func inlineClosureKeepsLocks(c *Counter) {
 func waived(c *Counter) {
 	//lint:allow lockcheck single-goroutine init path
 	c.n = 0 // waived `guarded by Counter.mu`
+}
+
+type shipper struct{ sendMu, mu sync.Mutex }
+
+func shipOutOfOrder(s *shipper) {
+	s.mu.Lock()
+	s.sendMu.Lock() // want `lock order violation`
+	s.sendMu.Unlock()
+	s.mu.Unlock()
 }

@@ -266,13 +266,14 @@ func FuzzDecodeCursor(f *testing.F) {
 	})
 }
 
-// TestNonFiniteNumbersNeverBreakReads covers both halves of the huge-answer
-// fault: a numeric answer beyond ±1e100 (where one answer near 1.3e154
+// TestNonFiniteNumbersNeverBreakReads covers the huge-answer fault end to
+// end: a numeric answer beyond ±1e100 (where one answer near 1.3e154
 // made a column's variance +Inf) is refused with the typed 400, alone or
-// in a batch; and a model that holds a non-finite value anyway — here
-// from an answer that entered the log without validation, as WAL replay
-// of an answer acknowledged before the check would — answers a typed 500
-// internal on every read instead of a 200 header over an empty body.
+// in a batch; one that entered the log without validation anyway, as WAL
+// replay of an answer acknowledged before the check would, is skipped by
+// the model, so every read answers 200 with finite values; and a result
+// that holds a non-finite value answers a typed 500 internal on every
+// read instead of a 200 header over an empty body.
 func TestNonFiniteNumbersNeverBreakReads(t *testing.T) {
 	srv, p := newTestServer(t)
 	if _, err := p.CreateProject("a", demoSchema(), ProjectConfig{Rows: 2}); err != nil {
@@ -319,6 +320,31 @@ func TestNonFiniteNumbersNeverBreakReads(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, q := range []string{"", "?limit=1", fmt.Sprintf("?cursor=%d:1", res.Generation)} {
+		resp, err := http.Get(srv.URL + "/v1/projects/a/estimates" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var est api.EstimatesResponse
+		err = json.NewDecoder(resp.Body).Decode(&est)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || len(est.Estimates) == 0 {
+			t.Fatalf("estimates%s over a log holding 2e154: status %d, %v", q, resp.StatusCode, err)
+		}
+		for _, e := range est.Estimates {
+			if e.Number != nil && (math.IsInf(*e.Number, 0) || math.IsNaN(*e.Number)) {
+				t.Fatalf("estimates%s: non-finite estimate %+v", q, e)
+			}
+		}
+	}
+
+	bad := &InferenceResult{Generation: res.Generation + 1, AnswersSeen: res.AnswersSeen,
+		WorkerQuality: res.WorkerQuality, Estimates: make(metrics.Estimates, len(res.Estimates))}
+	for i, row := range res.Estimates {
+		bad.Estimates[i] = append([]tabular.Value(nil), row...)
+	}
+	bad.Estimates[0][1] = tabular.NumberValue(math.NaN())
+	p.installResult(proj, bad, api.WatchEvent{Project: "a", Generation: bad.Generation})
+	for _, q := range []string{"", "?limit=1", fmt.Sprintf("?cursor=%d:1", bad.Generation)} {
 		resp, err := http.Get(srv.URL + "/v1/projects/a/estimates" + q)
 		if err != nil {
 			t.Fatal(err)

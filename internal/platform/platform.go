@@ -729,12 +729,6 @@ type AnswerMeta struct {
 	Client string
 }
 
-// maxAnswerMagnitude bounds a numeric answer (NaN fails too). A column's
-// running sum of squared deviations stays finite under it for any answer
-// count, where one answer near 1.3e154 made the variance +Inf and every
-// estimate in the column NaN.
-const maxAnswerMagnitude = 1e100
-
 // validateAnswer checks one answer against the project under p.mu; seen
 // holds (worker, cell) pairs earlier in the same batch.
 func validateAnswer(proj *Project, a tabular.Answer, seen map[tabular.Answer]bool) error {
@@ -749,9 +743,10 @@ func validateAnswer(proj *Project, a tabular.Answer, seen map[tabular.Answer]boo
 		return err
 	}
 	// Deliberately not part of Value.CheckAgainst, which WAL replay also
-	// runs: recovery must still replay every answer it acknowledged.
-	if a.Value.Kind == tabular.Number && !(math.Abs(a.Value.X) <= maxAnswerMagnitude) {
-		return fmt.Errorf("platform: number %g outside ±%g", a.Value.X, maxAnswerMagnitude)
+	// runs: recovery must still replay every answer it acknowledged (the
+	// model skips one beyond the bound). NaN fails too.
+	if a.Value.Kind == tabular.Number && !(math.Abs(a.Value.X) <= core.MaxAnswerMagnitude) {
+		return fmt.Errorf("platform: number %g outside ±%g", a.Value.X, core.MaxAnswerMagnitude)
 	}
 	if a.Worker == "" {
 		return errors.New("platform: empty worker id")

@@ -13,9 +13,10 @@ import (
 // Cluster-facing replication surface. The platform itself knows nothing
 // about peers, rings or HTTP: it exposes (a) a publish hook the cluster
 // layer taps to stream generations out of a home node, (b) an apply path
-// that installs replicated generations into follower-mode projects, and
-// (c) WAL ship/adopt/demote primitives for cold catch-up and membership
-// handoff. internal/cluster wires these to the wire.
+// that installs replicated generations into follower-mode projects and
+// mirrors the home's WAL segments they carry, and (c) WAL ship/adopt/demote
+// primitives for membership handoff. internal/cluster wires these to the
+// wire.
 
 // Replication sentinels.
 var (
@@ -86,7 +87,9 @@ func (p *Platform) SetPublishHook(h PublishHook) {
 // can create the project on first contact) plus the full immutable result
 // and the watch event the home fanned out. Applying the same payload on
 // any node yields byte-identical estimate pages — the result fields are
-// exactly what the page writer (pageWriter.write) consumes.
+// exactly what the page writer (pageWriter.write) consumes. WAL carries
+// the home's live WAL segments as read when the generation was sent; the
+// follower keeps them as its durable mirror of the project.
 type ReplicatedGeneration struct {
 	Project  string         `json:"project"`
 	Schema   tabular.Schema `json:"schema"`
@@ -102,6 +105,8 @@ type ReplicatedGeneration struct {
 	// Event is the watch event the home node published for this
 	// generation; followers fan it out to their own watchers verbatim.
 	Event api.WatchEvent `json:"event"`
+
+	WAL []wal.ShippedSegment `json:"wal,omitempty"`
 }
 
 // BuildReplicatedGeneration packages one publish for the wire — the
@@ -163,13 +168,14 @@ func (g *ReplicatedGeneration) validate() error {
 }
 
 // ApplyReplicatedGeneration installs one generation shipped from the
-// project's home node. On first contact the project is created in
+// project's home node, then rewrites the follower's WAL mirror from the
+// segments it carries. On first contact the project is created in
 // follower mode (writes reject with NotHomeError; the pinned-read surface
-// serves the replicated generations). Stale or duplicate generations are
-// dropped silently, so redelivery — stream retries racing cold catch-up —
-// is idempotent. Applying to a project homed on THIS node is refused: two
-// nodes believing they own a project must fail loudly, not interleave
-// histories.
+// serves the replicated generations). A generation older than the
+// installed one changes nothing, and a repeat of it only rewrites the
+// mirror, so redelivery after a stream retry is idempotent. Applying to a
+// project homed on THIS node is refused: two nodes believing they own a
+// project must fail loudly, not interleave histories.
 func (p *Platform) ApplyReplicatedGeneration(g *ReplicatedGeneration, home string) error {
 	if err := g.validate(); err != nil {
 		return err
@@ -195,34 +201,46 @@ func (p *Platform) ApplyReplicatedGeneration(g *ReplicatedGeneration, home strin
 	proj.homeAddr = home
 	p.mu.Unlock()
 
-	// Serialise applies per project: the live stream and a cold catch-up
-	// can deliver concurrently, and the stale-check plus install must be
-	// atomic against each other. inferMu is otherwise unused on followers
-	// (they never run inference), so it doubles as the apply mutex.
+	// Serialise applies per project, and against RemoveReplica: the
+	// stale-check, install and mirror write must be atomic. inferMu is
+	// otherwise unused on followers (they never run inference), so it
+	// doubles as the apply mutex.
 	proj.inferMu.Lock()
 	defer proj.inferMu.Unlock()
-	if cur := proj.snapshot.Load(); cur != nil && g.Generation <= cur.Generation {
+	cur := proj.snapshot.Load()
+	if cur != nil && g.Generation < cur.Generation {
 		return nil
 	}
-	ev := g.Event
-	if ev.Generation != g.Generation || ev.Project != g.Project {
-		// Defensive: never fan out an event that disagrees with the result
-		// it announces.
-		ev = api.WatchEvent{Project: g.Project, Generation: g.Generation, AnswersSeen: g.AnswersSeen,
-			Workers: len(g.WorkerQuality), Converged: g.Converged}
+	if cur == nil || g.Generation > cur.Generation {
+		ev := g.Event
+		if ev.Generation != g.Generation || ev.Project != g.Project {
+			// Defensive: never fan out an event that disagrees with the
+			// result it announces.
+			ev = api.WatchEvent{Project: g.Project, Generation: g.Generation, AnswersSeen: g.AnswersSeen,
+				Workers: len(g.WorkerQuality), Converged: g.Converged}
+		}
+		p.mu.Lock()
+		proj.replicaAnswers = g.AnswersSeen
+		proj.replicaWorkers = len(g.WorkerQuality)
+		p.mu.Unlock()
+		p.installResult(proj, g.result(), ev)
 	}
+	// The mirror is written after the install, so readers never wait on
+	// its fsyncs. A failed write does not fail the apply, or the shipper
+	// would resend and stall the peer's stream behind one disk fault: the
+	// next ship rewrites the whole mirror. A removed replica writes nothing.
 	p.mu.Lock()
-	proj.replicaAnswers = g.AnswersSeen
-	proj.replicaWorkers = len(g.WorkerQuality)
+	live := p.projects[g.Project] == proj
 	p.mu.Unlock()
-	p.installResult(proj, g.result(), ev)
+	if live && p.walOpts != nil && len(g.WAL) > 0 {
+		_ = wal.WriteSegments(p.walOpts.fs(), p.walOpts.projDir(g.Project), g.WAL)
+	}
 	return nil
 }
 
 // LatestReplicated packages the project's newest published generation for
-// the wire (ok false before the first publish) — the payload behind the
-// internal latest-generation endpoint, used by followers for cold
-// catch-up and by handoff to seed generation continuity.
+// the wire (ok false before the first publish) — handoff ships it to seed
+// generation continuity on the new home.
 func (p *Platform) LatestReplicated(projectID string) (ReplicatedGeneration, bool, error) {
 	p.mu.Lock()
 	proj, ok := p.projects[projectID]
@@ -242,10 +260,6 @@ func (p *Platform) LatestReplicated(projectID string) (ReplicatedGeneration, boo
 	return BuildReplicatedGeneration(meta, res, ev), true, nil
 }
 
-// HasWAL reports whether the platform runs with durability enabled — the
-// precondition for WAL mirroring, adoption and handoff.
-func (p *Platform) HasWAL() bool { return p.walOpts != nil }
-
 // IsFollower reports whether the project lives on this node in follower
 // mode, and if so where its home is. The cluster edge uses it to decide
 // between serving a read locally and routing it.
@@ -259,96 +273,22 @@ func (p *Platform) IsFollower(projectID string) (follower bool, home string, err
 	return proj.follower, proj.homeAddr, nil
 }
 
-// ShipWAL snapshots the project's WAL segments with index >= from for
-// shipping to a follower (cold catch-up) or a new home (handoff). Only
-// the home node ships; followers redirect via NotHomeError.
-func (p *Platform) ShipWAL(projectID string, from int) ([]wal.ShippedSegment, error) {
+// ShipWAL snapshots the project's live WAL segments for shipping to a
+// follower (with every generation) or a new home (handoff). Only a home
+// project with durability on has a log to ship.
+func (p *Platform) ShipWAL(projectID string) ([]wal.ShippedSegment, error) {
 	p.mu.Lock()
 	proj, ok := p.projects[projectID]
 	if !ok {
 		p.mu.Unlock()
 		return nil, ErrNoProject
 	}
-	if proj.follower {
-		home := proj.homeAddr
-		p.mu.Unlock()
-		return nil, &NotHomeError{Project: projectID, Home: home}
-	}
 	l := proj.wal
 	p.mu.Unlock()
 	if l == nil {
-		return nil, fmt.Errorf("platform: project %q runs without a write-ahead log; nothing to ship", projectID)
+		return nil, fmt.Errorf("platform: project %q has no write-ahead log on this node; nothing to ship", projectID)
 	}
-	return l.ShipSegments(from)
-}
-
-// ReplicateWAL lays a home node's shipped segments down as this node's
-// durable mirror of the project, creating the project in follower mode
-// (via the ordinary recovery path — torn-tail truncation and all) when it
-// is not in memory yet. The mirror is what makes promotion cheap: a
-// follower that becomes home on a membership change replays its own disk.
-// It returns the highest segment index now mirrored, the shipper's next
-// `from` watermark.
-//
-// A crash mid-write leaves a torn or missing tail; the next call rewrites
-// the shipped set wholesale (WriteSegments replaces, then prunes), so
-// convergence needs no per-byte bookkeeping.
-func (p *Platform) ReplicateWAL(projectID string, segs []wal.ShippedSegment, home string) (int, error) {
-	if p.walOpts == nil {
-		return 0, errors.New("platform: WAL replication requires durability (Options.WAL)")
-	}
-	if len(segs) == 0 {
-		return 0, nil
-	}
-	p.mu.Lock()
-	proj, exists := p.projects[projectID]
-	if exists && !proj.follower {
-		p.mu.Unlock()
-		return 0, fmt.Errorf("platform: project %q is homed on this node; refusing WAL replication", projectID)
-	}
-	p.mu.Unlock()
-
-	dir := p.walOpts.projDir(projectID)
-	// A first contact is a full resync and adopts the sender's exact
-	// segment set (prune); incremental tail refreshes must keep the
-	// already-mirrored lower segments.
-	if err := wal.WriteSegments(p.walOpts.fs(), dir, segs, !exists); err != nil {
-		return 0, err
-	}
-	top := 0
-	for _, s := range segs {
-		if s.Index > top {
-			top = s.Index
-		}
-	}
-	if exists {
-		// In-memory state is fed by the generation stream; this call only
-		// refreshed the durable mirror.
-		return top, nil
-	}
-	rec, _, err := p.recoverProject(dir)
-	if err != nil {
-		return 0, err
-	}
-	if rec == nil {
-		return 0, fmt.Errorf("platform: shipped WAL for %q held no records", projectID)
-	}
-	p.mu.Lock()
-	rec.follower = true
-	rec.homeAddr = home
-	// Floor the replica counters at the mirrored log until the first
-	// generation push overwrites them.
-	rec.replicaAnswers = rec.Log.Len()
-	rec.replicaWorkers = rec.Log.NumWorkers()
-	// Followers never append: the mirror lives on disk only, refreshed by
-	// later ReplicateWAL rounds (which write through the FS directly).
-	l := rec.wal
-	rec.wal = nil
-	p.mu.Unlock()
-	if l != nil {
-		_ = l.Close()
-	}
-	return top, nil
+	return l.ShipSegments()
 }
 
 // AdoptWAL promotes this node to the project's home from a handoff push:
@@ -382,7 +322,7 @@ func (p *Platform) AdoptWAL(projectID string, segs []wal.ShippedSegment, seed *R
 	p.mu.Unlock()
 
 	dir := p.walOpts.projDir(projectID)
-	if err := wal.WriteSegments(p.walOpts.fs(), dir, segs, true); err != nil {
+	if err := wal.WriteSegments(p.walOpts.fs(), dir, segs); err != nil {
 		return false, err
 	}
 	proj, _, err := p.recoverProject(dir)
@@ -438,8 +378,8 @@ func (p *Platform) AdoptWAL(projectID string, segs []wal.ShippedSegment, seed *R
 // moved to a new home (membership change): writes start rejecting with
 // NotHomeError, the retained generations keep serving reads, and the
 // project's WAL append handle closes. The WAL directory stays on disk as
-// the follower's mirror — later ReplicateWAL rounds from the new home
-// overwrite it with the authoritative copy. (A restart before that
+// the follower's mirror — the next generation the new home ships
+// overwrites it with the authoritative copy. (A restart before that
 // recovers the project as home; the cluster layer re-demotes at boot when
 // the ring disagrees, so the loop self-heals.)
 func (p *Platform) DemoteToReplica(projectID, home string) error {
@@ -485,6 +425,10 @@ func (p *Platform) RemoveReplica(projectID string) error {
 	}
 	delete(p.projects, projectID)
 	p.mu.Unlock()
+	// Wait out an apply still writing the mirror; later ones see the
+	// project gone and write nothing.
+	proj.inferMu.Lock()
+	proj.inferMu.Unlock()
 	proj.hub.close()
 	if p.walOpts != nil {
 		fs := p.walOpts.fs()

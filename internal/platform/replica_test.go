@@ -3,7 +3,9 @@ package platform
 import (
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -124,10 +126,24 @@ func TestReplicaApplyAndServe(t *testing.T) {
 	}
 }
 
+// shipLatest packages the home's latest generation with its live WAL, as
+// the cluster shipper posts it.
+func shipLatest(t *testing.T, home *Platform, project string) ReplicatedGeneration {
+	t.Helper()
+	g, ok, err := home.LatestReplicated(project)
+	if err != nil || !ok {
+		t.Fatalf("LatestReplicated: ok=%v err=%v", ok, err)
+	}
+	if g.WAL, err = home.ShipWAL(project); err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
 // TestReplicaCrashMidShipConverges is the cluster crash satellite at the
-// platform layer: a follower dies mid-segment-ship (injected write fault,
+// platform layer: a follower dies mid-mirror-write (injected write fault,
 // then a hard crash over the wal.MemFS seam), restarts on the surviving
-// bytes, resumes mirroring, and converges to the leader's exact answer
+// bytes, takes the next ship, and converges to the leader's exact answer
 // log and latest generation with no torn state.
 func TestReplicaCrashMidShipConverges(t *testing.T) {
 	walOpts := func(fs *wal.MemFS) Options {
@@ -145,22 +161,26 @@ func TestReplicaCrashMidShipConverges(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		publishOnce(t, home, "conv", i)
 	}
-	segs, err := home.ShipWAL("conv", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := shipLatest(t, home, "conv")
 
 	// Follower: the very first mirror write applies only half its bytes
-	// and fails (mid-segment-ship kill), then the process hard-crashes
-	// keeping a torn prefix of the unsynced bytes.
+	// and fails (mid-ship kill), then the process hard-crashes keeping a
+	// torn prefix of the unsynced bytes. The failed mirror write must not
+	// fail the apply: the generation serves all the same.
 	fFS := wal.NewMemFS()
 	follower, _, err := Recover(1, walOpts(fFS))
 	if err != nil {
 		t.Fatal(err)
 	}
 	fFS.ShortWrite(1)
-	if _, err := follower.ReplicateWAL("conv", segs, homeURL); err == nil {
-		t.Fatal("mid-ship write fault surfaced no error")
+	if err := follower.ApplyReplicatedGeneration(&g, homeURL); err != nil {
+		t.Fatalf("a failed mirror write failed the apply: %v", err)
+	}
+	if fFS.Writes() == 0 {
+		t.Fatal("the apply wrote no mirror")
+	}
+	if snap, err := follower.Snapshot("conv"); err != nil || snap.Generation != g.Generation {
+		t.Fatalf("follower serving %v (err %v), want generation %d", snap, err, g.Generation)
 	}
 	fFS.Crash(400)
 	_ = follower.Close()
@@ -192,25 +212,14 @@ func TestReplicaCrashMidShipConverges(t *testing.T) {
 		}
 	}
 
-	// Resume mirroring from scratch (the restart lost the watermark) and
-	// seed the serving state from the leader's latest generation.
-	segs2, err := home.ShipWAL("conv", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f2.ReplicateWAL("conv", segs2, homeURL); err != nil {
-		t.Fatalf("resume mirroring: %v", err)
-	}
-	latest, ok, err := home.LatestReplicated("conv")
-	if err != nil || !ok {
-		t.Fatal(err)
-	}
-	if err := f2.ApplyReplicatedGeneration(&latest, homeURL); err != nil {
+	// The next ship rewrites the whole mirror and seeds the serving state.
+	g2 := shipLatest(t, home, "conv")
+	if err := f2.ApplyReplicatedGeneration(&g2, homeURL); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := f2.Snapshot("conv")
-	if err != nil || snap.Generation != latest.Generation {
-		t.Fatalf("follower serving generation %v (err %v), want %d", snap, err, latest.Generation)
+	if err != nil || snap.Generation != g2.Generation {
+		t.Fatalf("follower serving generation %v (err %v), want %d", snap, err, g2.Generation)
 	}
 	_ = f2.Close()
 
@@ -226,8 +235,8 @@ func TestReplicaCrashMidShipConverges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := mirrorProj.Log.Len(), leaderProj.Log.Len(); got != want {
-		t.Fatalf("mirror holds %d answers, leader %d", got, want)
+	if got, want := mirrorProj.Log.All(), leaderProj.Log.All(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("mirror holds %d answers %v, leader %d %v", len(got), got, len(want), want)
 	}
 	mres, err := f3.RunInference("conv")
 	if err != nil {
@@ -236,6 +245,77 @@ func TestReplicaCrashMidShipConverges(t *testing.T) {
 	hres, _ := home.Snapshot("conv")
 	if !reflect.DeepEqual(mres.Estimates, hres.Estimates) {
 		t.Fatalf("mirror fit diverged from leader:\n%v\nvs\n%v", mres.Estimates, hres.Estimates)
+	}
+}
+
+// gatedFS parks the next truncating open (a mirror segment write) until
+// released and reports renames, so a test can hold an apply mid-write.
+type gatedFS struct {
+	*wal.MemFS
+	armed   atomic.Bool
+	reached chan struct{}
+	release chan struct{}
+	renamed chan struct{}
+}
+
+func (g *gatedFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
+	if flag&os.O_TRUNC != 0 && g.armed.CompareAndSwap(true, false) {
+		g.reached <- struct{}{}
+		<-g.release
+	}
+	return g.MemFS.OpenFile(name, flag, perm)
+}
+
+func (g *gatedFS) Rename(oldpath, newpath string) error {
+	select {
+	case g.renamed <- struct{}{}:
+	default:
+	}
+	return g.MemFS.Rename(oldpath, newpath)
+}
+
+// TestRemoveReplicaWaitsOutMirrorWrite pins that a replica removal cannot
+// be undone by an apply already writing the mirror: the removal waits the
+// write out and reaps after it, so no mirror survives the removal.
+func TestRemoveReplicaWaitsOutMirrorWrite(t *testing.T) {
+	home, _, err := Recover(1, walTestOpts(wal.NewMemFS(), wal.SyncAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer home.Close()
+	if _, err := home.CreateProject("gone", demoSchema(), ProjectConfig{Rows: 3}); err != nil {
+		t.Fatal(err)
+	}
+	publishOnce(t, home, "gone", 0)
+	g := shipLatest(t, home, "gone")
+
+	fs := &gatedFS{MemFS: wal.NewMemFS(), reached: make(chan struct{}, 1),
+		release: make(chan struct{}), renamed: make(chan struct{}, 1)}
+	follower := NewWithOptions(1, walTestOpts(fs, wal.SyncAlways))
+	defer follower.Close()
+	if err := follower.ApplyReplicatedGeneration(&g, homeURL); err != nil {
+		t.Fatal(err)
+	}
+	fs.armed.Store(true)
+	applied := make(chan error, 1)
+	go func() { applied <- follower.ApplyReplicatedGeneration(&g, homeURL) }() // a repeat rewrites the mirror
+	<-fs.reached
+	removed := make(chan error, 1)
+	go func() { removed <- follower.RemoveReplica("gone") }()
+	// A removal that did not wait would reap now, under the parked write.
+	select {
+	case <-fs.renamed:
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(fs.release)
+	if err := <-applied; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-removed; err != nil {
+		t.Fatal(err)
+	}
+	if entries, err := fs.ReadDir("walroot/gone"); err == nil && len(entries) > 0 {
+		t.Fatalf("a mirror survived the removal: %d files", len(entries))
 	}
 }
 

@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"runtime"
@@ -477,6 +480,68 @@ func TestRecoverIgnoresPolishFrac(t *testing.T) {
 		}
 		if res, err := p.RunInference(id); err != nil || res.AnswersSeen != len(as) {
 			t.Fatalf("%s: inference after recovery: %+v, %v", id, res, err)
+		}
+	}
+}
+
+// TestRecoverServesOutOfBoundNumber pins the replay side of the ±1e100
+// answer bound: a WAL batch holding 2e154, acknowledged before the bound
+// existed, still recovers into the log, and the project answers GET
+// estimates with 200 and finite values (the model skips that answer)
+// instead of a 500 for good.
+func TestRecoverServesOutOfBoundNumber(t *testing.T) {
+	fs := wal.NewMemFS()
+	opts := walTestOpts(fs, wal.SyncAlways)
+	l, _, err := wal.Open(opts.WAL.projDir("huge"), opts.WAL.walOptions(""))
+	if err != nil {
+		t.Fatal(err)
+	}
+	create, err := json.Marshal(walCreateJSON{ID: "huge", Schema: demoSchema(), Entities: []string{"a", "b"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	price := func(w string, row int, x float64) tabular.Answer {
+		return tabular.Answer{Worker: tabular.WorkerID(w), Cell: tabular.Cell{Row: row, Col: 1}, Value: tabular.NumberValue(x)}
+	}
+	as := []tabular.Answer{catAnswer("w1", 0), price("w1", 0, 10), price("w2", 0, 12), price("w3", 0, 2e154), price("w2", 1, 30)}
+	batch, err := tabular.MarshalAnswers(demoSchema(), as)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []wal.Record{{Type: walRecCreate, Data: create}, {Type: walRecBatch, Data: batch}} {
+		if _, err := l.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	p, rep, err := Recover(5, opts)
+	if err != nil {
+		t.Fatalf("recover: %v", err)
+	}
+	defer p.Close()
+	if rep.Answers != len(as) {
+		t.Fatalf("recovered %d answers, want %d", rep.Answers, len(as))
+	}
+	srv := httptest.NewServer(NewServer(p))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL + "/v1/projects/huge/estimates?min_generation=2147483647")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var est api.EstimatesResponse
+	if err := json.NewDecoder(resp.Body).Decode(&est); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("estimates after recovery: status %d, %v", resp.StatusCode, err)
+	}
+	if est.AnswersSeen != len(as) || len(est.Estimates) == 0 {
+		t.Fatalf("estimates after recovery: %+v", est)
+	}
+	for _, e := range est.Estimates {
+		if e.Number != nil && (math.IsInf(*e.Number, 0) || math.IsNaN(*e.Number)) {
+			t.Fatalf("non-finite estimate %+v", e)
 		}
 	}
 }

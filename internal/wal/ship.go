@@ -4,18 +4,17 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 )
 
-// Segment shipping: the transport-agnostic half of cluster WAL-tail
-// replication. A home node serialises its segment files (ShipSegments),
-// some transport moves them (the cluster layer uses
-// GET/POST /v1/internal/projects/{id}/wal), and the receiver lays them
-// down (WriteSegments) and replays them through the ordinary recovery
-// path — shipping reuses the exact crash-recovery machinery (torn-tail
-// truncation, checkpoint-led replay start) instead of inventing a second
-// decoder.
+// Segment shipping: the transport-agnostic half of cluster WAL
+// replication. A home node serialises its live segment files
+// (ShipSegments), some transport moves them (the cluster layer carries
+// them on every generation post and on the handoff push), and the
+// receiver lays them down as an exact copy (WriteSegments) and replays
+// them through the ordinary recovery path — shipping reuses the exact
+// crash-recovery machinery (torn-tail truncation, checkpoint-led replay
+// start) instead of inventing a second decoder.
 
 // ShippedSegment is one WAL segment file in transit: its index and the
 // raw frame bytes. Data is a whole-frame prefix of the segment (ships cut
@@ -27,15 +26,13 @@ type ShippedSegment struct {
 	Data  []byte `json:"data"`
 }
 
-// ShipSegments snapshots the log's segment files with index >= from, in
-// index order. It holds the log lock for the duration so the shipped set
-// is a point-in-time consistent prefix of the append stream (segments are
-// small — bounded by Options.SegmentBytes — so the stall is short); the
-// active segment is cut at the last acknowledged frame boundary.
-func (l *Log) ShipSegments(from int) ([]ShippedSegment, error) {
-	if from < 1 {
-		from = 1
-	}
+// ShipSegments snapshots the log's live segment files in index order. It
+// holds the log lock for the duration so the shipped set is a
+// point-in-time consistent prefix of the append stream (segments are
+// small — bounded by Options.SegmentBytes — and compaction leaves one
+// checkpoint-led segment, so the stall is short); the active segment is
+// cut at the last acknowledged frame boundary.
+func (l *Log) ShipSegments() ([]ShippedSegment, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
@@ -45,23 +42,18 @@ func (l *Log) ShipSegments(from int) ([]ShippedSegment, error) {
 		return nil, l.sticky
 	}
 	fs := l.opts.FS
-	entries, err := fs.ReadDir(l.dir)
+	entries, err := fs.ReadDir(l.dir) // sorted by name, so by index
 	if err != nil {
 		return nil, fmt.Errorf("wal: ship: list %s: %w", l.dir, err)
 	}
-	var indices []int
+	var out []ShippedSegment
 	for _, e := range entries {
-		if m := segmentRE.FindStringSubmatch(e.Name()); m != nil {
-			idx, _ := strconv.Atoi(m[1])
-			if idx >= from {
-				indices = append(indices, idx)
-			}
+		m := segmentRE.FindStringSubmatch(e.Name())
+		if m == nil {
+			continue
 		}
-	}
-	sort.Ints(indices)
-	out := make([]ShippedSegment, 0, len(indices))
-	for _, idx := range indices {
-		data, err := readAll(fs, filepath.Join(l.dir, segmentName(idx)))
+		idx, _ := strconv.Atoi(m[1])
+		data, err := readAll(fs, filepath.Join(l.dir, e.Name()))
 		if err != nil {
 			return nil, fmt.Errorf("wal: ship segment %d: %w", idx, err)
 		}
@@ -76,16 +68,16 @@ func (l *Log) ShipSegments(from int) ([]ShippedSegment, error) {
 	return out, nil
 }
 
-// WriteSegments lays shipped segments down in dir: each one is written
-// (replacing any previous copy) and fsynced. With prune set — a FULL ship
-// adopting the sender's authoritative state — segment files outside the
-// shipped set are removed too; an incremental tail ship (from > 1) must
-// NOT prune, since the unshipped lower segments are still live history.
-// Segment paths derive from the validated index — nothing on the wire is
-// trusted as a path. The resulting directory is a valid wal.Open target;
-// a crash mid-write leaves a torn or missing tail that Open's recovery
-// truncates, after which the shipper refetches.
-func WriteSegments(fsys FS, dir string, segs []ShippedSegment, prune bool) error {
+// WriteSegments lays shipped segments down in dir as an exact copy of the
+// sender's live set: each one is written (replacing any previous copy) and
+// fsynced, then segment files outside the shipped set are removed — a
+// compaction on the sender deletes low indices, and leftovers here would
+// change what replay sees relative to the sender. Segment paths derive
+// from the validated index — nothing on the wire is trusted as a path.
+// The resulting directory is a valid wal.Open target; a crash mid-write
+// leaves a torn or missing tail that Open's recovery truncates, and the
+// next ship rewrites the whole set.
+func WriteSegments(fsys FS, dir string, segs []ShippedSegment) error {
 	if fsys == nil {
 		fsys = OSFS()
 	}
@@ -115,13 +107,6 @@ func WriteSegments(fsys FS, dir string, segs []ShippedSegment, prune bool) error
 			return fmt.Errorf("wal: adopt: close %s: %w", name, err)
 		}
 	}
-	if !prune {
-		_ = fsys.SyncDir(dir)
-		return nil
-	}
-	// Remove segments outside the shipped set: a compaction on the sender
-	// may have deleted low indices, and leftovers here would change what
-	// replay sees relative to the sender.
 	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return fmt.Errorf("wal: adopt: list %s: %w", dir, err)

@@ -2,18 +2,49 @@ package wal
 
 import (
 	"fmt"
+	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 )
 
-// shipAll ships every segment of l starting at from, failing the test on
-// error.
-func shipAll(t *testing.T, l *Log, from int) []ShippedSegment {
+// shipAll ships every live segment of l, failing the test on error.
+func shipAll(t *testing.T, l *Log) []ShippedSegment {
 	t.Helper()
-	segs, err := l.ShipSegments(from)
+	segs, err := l.ShipSegments()
 	if err != nil {
-		t.Fatalf("ShipSegments(%d): %v", from, err)
+		t.Fatalf("ShipSegments: %v", err)
 	}
 	return segs
+}
+
+// segmentFiles maps the segment file names in dir to their contents.
+func segmentFiles(t *testing.T, fsys FS, dir string) map[string]string {
+	t.Helper()
+	entries, err := fsys.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]string{}
+	for _, e := range entries {
+		if segmentRE.MatchString(e.Name()) {
+			data, err := readAll(fsys, filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(data)
+		}
+	}
+	return out
+}
+
+func sortedNames(files map[string]string) []string {
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }
 
 // TestShipRoundTrip pins the core shipping contract: laying a shipped
@@ -30,7 +61,7 @@ func TestShipRoundTrip(t *testing.T) {
 		}
 		want = append(want, r)
 	}
-	segs := shipAll(t, l, 1)
+	segs := shipAll(t, l)
 	if len(segs) < 2 {
 		t.Fatalf("shipped %d segments, want >= 2 (rotation)", len(segs))
 	}
@@ -41,7 +72,7 @@ func TestShipRoundTrip(t *testing.T) {
 	}
 
 	dst := NewMemFS()
-	if err := WriteSegments(dst, "mirror/alpha", segs, true); err != nil {
+	if err := WriteSegments(dst, "mirror/alpha", segs); err != nil {
 		t.Fatalf("WriteSegments: %v", err)
 	}
 	opts := Options{FS: dst, CheckpointType: ckptType, SegmentBytes: 64}
@@ -57,75 +88,58 @@ func TestShipRoundTrip(t *testing.T) {
 	l.Close()
 }
 
-// TestShipFromWatermark pins incremental tail shipping: from skips lower
-// segments, and laying the tail down with prune=false must keep the
-// already-mirrored low segments intact.
-func TestShipFromWatermark(t *testing.T) {
+// TestShipAfterCompactLeavesExactMirror pins the exact-copy contract: a
+// mirror written from a multi-segment log, then rewritten from a re-ship
+// after the sender compacted, holds exactly the sender's live segment
+// files, byte for byte — no segment from before the checkpoint survives —
+// and replays from the checkpoint on.
+func TestShipAfterCompactLeavesExactMirror(t *testing.T) {
 	src := NewMemFS()
 	l, _ := openTest(t, src, Options{SegmentBytes: 64})
-	var want []Record
+	defer l.Close()
 	for i := 0; i < 12; i++ {
-		r := rec(3, fmt.Sprintf("answer-batch-%02d-padding", i))
-		if _, err := l.Append(r); err != nil {
+		if _, err := l.Append(rec(3, fmt.Sprintf("answer-batch-%02d-padding", i))); err != nil {
 			t.Fatal(err)
 		}
-		want = append(want, r)
 	}
-	full := shipAll(t, l, 1)
-	top := full[len(full)-1].Index
-	if top < 2 {
-		t.Fatalf("need >= 2 segments, got top %d", top)
+	dst := NewMemFS()
+	first := shipAll(t, l)
+	if len(first) < 2 {
+		t.Fatalf("shipped %d segments, want >= 2 (rotation)", len(first))
+	}
+	if err := WriteSegments(dst, "mirror/alpha", first); err != nil {
+		t.Fatal(err)
 	}
 
-	// First contact mirrors everything; a later incremental round ships
-	// only the tail.
-	dst := NewMemFS()
-	if err := WriteSegments(dst, "mirror/alpha", full, true); err != nil {
+	if err := l.Compact(rec(0, "checkpoint-state")); err != nil {
 		t.Fatal(err)
 	}
-	tail := shipAll(t, l, top)
-	if len(tail) == 0 || tail[0].Index != top {
-		t.Fatalf("tail ship from %d = %+v", top, tail)
-	}
-	if err := WriteSegments(dst, "mirror/alpha", tail, false); err != nil {
+	if _, err := l.Append(rec(3, "after")); err != nil {
 		t.Fatal(err)
+	}
+	if err := WriteSegments(dst, "mirror/alpha", shipAll(t, l)); err != nil {
+		t.Fatal(err)
+	}
+	got, want := segmentFiles(t, dst, "mirror/alpha"), segmentFiles(t, src, "proj/alpha")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("mirror holds segments %v, sender's live set is %v (or their bytes differ)", sortedNames(got), sortedNames(want))
 	}
 	_, rep, err := Open("mirror/alpha", Options{FS: dst, CheckpointType: ckptType})
 	if err != nil {
-		t.Fatalf("Open mirror after tail refresh: %v", err)
+		t.Fatalf("Open mirror: %v", err)
 	}
-	wantRecords(t, rep.Records, want...)
-
-	// The same tail written with prune=true deletes the live low segments
-	// and silently loses history — pin that the flag controls it (and so
-	// that incremental callers must pass false).
-	dst2 := NewMemFS()
-	if err := WriteSegments(dst2, "mirror/alpha", full, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteSegments(dst2, "mirror/alpha", tail, true); err != nil {
-		t.Fatal(err)
-	}
-	l2, rep2, err := Open("mirror/alpha", Options{FS: dst2, CheckpointType: ckptType})
-	if err != nil {
-		t.Fatalf("Open pruned mirror: %v", err)
-	}
-	l2.Close()
-	if len(rep2.Records) >= len(want) {
-		t.Fatalf("pruned-to-tail mirror replayed %d records, want < %d (history behind the tail is gone)", len(rep2.Records), len(want))
-	}
-	l.Close()
+	wantRecords(t, rep.Records, rec(ckptType, "checkpoint-state"), rec(3, "after"))
 }
 
 // TestShipRejectsBadIndex pins that segment indices from the wire are
 // validated before becoming file names.
 func TestShipRejectsBadIndex(t *testing.T) {
 	dst := NewMemFS()
-	err := WriteSegments(dst, "mirror/alpha", []ShippedSegment{{Index: 0, Data: []byte("x")}}, true)
+	err := WriteSegments(dst, "mirror/alpha", []ShippedSegment{{Index: 0, Data: []byte("x")}})
 	if err == nil {
 		t.Fatal("index 0 accepted")
 	}
-	err = WriteSegments(dst, "mirror/alpha", []ShippedSegment{{Index: -3, Data: nil}}, true)
+	err = WriteSegments(dst, "mirror/alpha", []ShippedSegment{{Index: -3, Data: nil}})
 	if err == nil {
 		t.Fatal("negative index accepted")
 	}
