@@ -179,7 +179,7 @@ func BenchmarkAblation_StructureAware(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := assign.NewState(m, log, m.Estimates(), true)
+	st := assign.NewState(m, log.All(), m.Estimates(), true)
 	st.Log, st.RNG = log, stats.NewRNG(21)
 	u := m.WorkerIDs[0]
 	b.Run("inherent", func(b *testing.B) {

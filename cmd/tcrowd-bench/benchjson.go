@@ -792,7 +792,7 @@ func benchSelectStructure(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	st := assign.NewState(m, log, m.Estimates(), true)
+	st := assign.NewState(m, log.All(), m.Estimates(), true)
 	workers := append(log.Workers(), "newcomer")
 	answers := make([][]tabular.Answer, len(workers))
 	for i, u := range workers {

@@ -91,11 +91,11 @@
 // writes always execute there — and every published snapshot generation
 // replicates to the other nodes, which serve the full read surface
 // (pinned estimates, ETag/304, watch) from local state. Requests arriving
-// at the wrong node are forwarded (default) or rejected with a typed 421
-// not_home envelope per -route; the Go SDK follows not_home referrals
-// automatically. Cluster mode requires -wal-dir: membership changes hand
-// projects off by shipping the WAL to the new home. See ARCHITECTURE.md,
-// "Cluster layer".
+// at the wrong node are forwarded to the home. A typed 421 not_home
+// envelope, which the Go SDK follows automatically, answers only a request
+// already forwarded once, a failed hop and a follower's strong read.
+// Cluster mode requires -wal-dir: membership changes hand projects off by
+// shipping the WAL to the new home. See ARCHITECTURE.md, "Cluster layer".
 //
 // On SIGINT/SIGTERM the server stops accepting HTTP, drains the shard
 // queues, and flushes + fsyncs every WAL regardless of policy. At
@@ -136,15 +136,10 @@ func main() {
 		retainBytes = flag.Int64("retain-bytes", 0, "byte budget for retained snapshot generations per project: old generations evict early when the ring exceeds it (0 = count cap only; the latest generation always survives)")
 		nodeID      = flag.String("node-id", "", "this node's id in -peers; both flags together enable cluster mode")
 		peers       = flag.String("peers", "", "static cluster membership as id=url,id=url,... including this node; projects are consistent-hashed to their home node, writes route there, reads replicate everywhere")
-		routeMode   = flag.String("route", "forward", "what the edge does with a request for a project homed elsewhere: forward (transparent proxy) or reject (421 not_home envelope the SDK follows)")
 	)
 	flag.Parse()
 
 	members, err := member.Parse(*nodeID, *peers)
-	if err != nil {
-		fatal(err)
-	}
-	mode, err := cluster.ParseRouteMode(*routeMode)
 	if err != nil {
 		fatal(err)
 	}
@@ -192,7 +187,7 @@ func main() {
 	var root http.Handler = handler
 	var node *cluster.Node
 	if members != nil {
-		node, err = cluster.New(cluster.Options{Members: members, Platform: p, Local: handler, Mode: mode})
+		node, err = cluster.New(cluster.Options{Members: members, Platform: p, Local: handler})
 		if err != nil {
 			fatal(err)
 		}
@@ -201,7 +196,7 @@ func main() {
 		// anything no longer homed here (retrying until every peer is up).
 		node.StartRebalance()
 		root = node
-		fmt.Printf("cluster node %s of %d members (route=%s)\n", members.Self().ID, members.Size(), *routeMode)
+		fmt.Printf("cluster node %s of %d members\n", members.Self().ID, members.Size())
 	}
 	srv := newHTTPServer(*addr, root)
 

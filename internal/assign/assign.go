@@ -49,7 +49,7 @@ type State struct {
 // the answers m was fitted on (not retained). Log and RNG are the caller's.
 // The state caches m's gain terms: a caller that then changes m in place
 // must refresh them (see TCrowdSystem.applyRefresh).
-func NewState(m *core.Model, fit *tabular.AnswerLog, est metrics.Estimates, structure bool) *State {
+func NewState(m *core.Model, fit []tabular.Answer, est metrics.Estimates, structure bool) *State {
 	st := &State{Model: m, Est: est, terms: newCellTerms(m)}
 	if structure {
 		st.Err = NewErrorModel(m)

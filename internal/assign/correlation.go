@@ -179,10 +179,10 @@ func NewErrorModel(m *core.Model) *ErrorModel {
 }
 
 // BuildErrorModel fits the marginal and pairwise error distributions from
-// the model's answers and current estimates.
+// the answers of the model's source Log and its current estimates.
 func BuildErrorModel(m *core.Model) *ErrorModel {
 	em := NewErrorModel(m)
-	em.Rebuild(m.Log, m.Estimates())
+	em.Rebuild(m.Log.All(), m.Estimates())
 	return em
 }
 
@@ -236,13 +236,13 @@ func (em *ErrorModel) answerError(a tabular.Answer, guess tabular.Value, clamp b
 	return e
 }
 
-// Rebuild refits the whole model from scratch against est and log: per-
+// Rebuild refits the whole model from scratch against est and answers: per-
 // (worker, cell) errors, fresh winsorization bounds, accumulators and
 // closed-form fits. Every buffer is arena-reused, so a steady-state rebuild
 // allocates nothing. The polish-anchor path; between polishes, UpdateCells.
 //
 //tcrowd:noalloc
-func (em *ErrorModel) Rebuild(log *tabular.AnswerLog, est metrics.Estimates) {
+func (em *ErrorModel) Rebuild(answers []tabular.Answer, est metrics.Estimates) {
 	// Reset the per-(worker, row) vectors and accumulators.
 	for i := range em.rowVec {
 		em.rowVec[i] = -1
@@ -257,7 +257,7 @@ func (em *ErrorModel) Rebuild(log *tabular.AnswerLog, est metrics.Estimates) {
 	}
 
 	// Pass 1: raw (unclamped) last-answer-wins errors into the vectors.
-	for _, a := range log.All() {
+	for _, a := range answers {
 		i, j := a.Cell.Row, a.Cell.Col
 		guess := est[i][j]
 		if guess.IsNone() {

@@ -156,9 +156,9 @@ func TestErrorModelSteadyStateAllocs(t *testing.T) {
 	ds, m := restaurantModel(t)
 	em := NewErrorModel(m)
 	est := m.Estimates()
-	em.Rebuild(m.Log, est) // size every arena
+	em.Rebuild(m.Log.All(), est) // size every arena
 
-	if avg := testing.AllocsPerRun(20, func() { em.Rebuild(m.Log, est) }); avg > 0 {
+	if avg := testing.AllocsPerRun(20, func() { em.Rebuild(m.Log.All(), est) }); avg > 0 {
 		t.Fatalf("warm Rebuild allocates %.1f allocs/run, want 0", avg)
 	}
 

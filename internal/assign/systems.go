@@ -106,7 +106,7 @@ func (t *TCrowdSystem) Refresh(tbl *tabular.Table, log *tabular.AnswerLog) error
 // setState rebuilds the assignment state around a freshly (re)fitted model.
 func (t *TCrowdSystem) setState(m *core.Model, log *tabular.AnswerLog) {
 	_, isStruct := t.Policy.(StructureIG)
-	st := NewState(m, log, m.Estimates(), isStruct)
+	st := NewState(m, log.All(), m.Estimates(), isStruct)
 	st.Log, st.RNG = log, t.tieBreak
 	t.st = st
 }
@@ -144,9 +144,9 @@ func (t *TCrowdSystem) applyRefresh(m *core.Model, log *tabular.AnswerLog, rs co
 	switch {
 	case st.Err == nil:
 		st.Err = NewErrorModel(m)
-		st.Err.Rebuild(log, st.Est)
+		st.Err.Rebuild(log.All(), st.Est)
 	case rs.Polished:
-		st.Err.Rebuild(log, st.Est)
+		st.Err.Rebuild(log.All(), st.Est)
 	default:
 		st.Err.UpdateCells(log, st.Est, rs.Cells)
 	}

@@ -2,9 +2,11 @@
 // member set (the -peers flag, identical on every node) places every
 // project on a home node via consistent hashing (internal/cluster/member,
 // reusing shard.Ring), and each node's edge either serves a request
-// locally or routes it to the home — forwarding transparently (default)
-// or rejecting with a typed 421 not_home envelope the SDK follows
-// automatically.
+// locally or forwards it to the home transparently, so clients see one
+// logical service. The typed 421 not_home envelope, which the SDK follows
+// automatically, is only the fallback: for a request that was already
+// forwarded once (peer lists disagree), for a failed hop, and for a
+// follower's strong read.
 //
 // Writes always land on the home node. Reads scale out: every published
 // generation streams from the home to all peers on one ordered stream per
@@ -46,28 +48,12 @@ const hopHeader = "X-Tcrowd-Forwarded"
 const homeHeader = "X-Tcrowd-Home"
 
 // RouteMode says what the edge does with a request whose home is another
-// node.
+// node. It has one value, RouteForward.
 type RouteMode int
 
-const (
-	// RouteForward proxies the request to the home node transparently:
-	// clients see one logical service whatever node they talk to.
-	RouteForward RouteMode = iota
-	// RouteReject answers 421 not_home with the home's base URL in the
-	// envelope; the tcrowd SDK follows it automatically.
-	RouteReject
-)
-
-// ParseRouteMode maps the -route flag to a mode.
-func ParseRouteMode(s string) (RouteMode, error) {
-	switch s {
-	case "", "forward":
-		return RouteForward, nil
-	case "reject":
-		return RouteReject, nil
-	}
-	return 0, fmt.Errorf("cluster: unknown route mode %q (want forward or reject)", s)
-}
+// RouteForward proxies the request to the home node transparently:
+// clients see one logical service whatever node they talk to.
+const RouteForward RouteMode = 0
 
 // replicaReadable is the request suffix set a follower serves locally
 // from replicated generations; everything else routes to the home node.
@@ -90,7 +76,8 @@ type Options struct {
 	// Local is the local /v1 handler (the platform server, rate limiter
 	// and all) requests are delegated to when this node serves them.
 	Local http.Handler
-	// Mode picks the routing behaviour for non-home requests.
+	// Mode is the routing behaviour for non-home requests; RouteForward,
+	// the zero value, is the only one.
 	Mode RouteMode
 	// Client overrides the peer HTTP client (tests). The default has no
 	// overall timeout — forwarded watch requests are long-polls — and
@@ -105,7 +92,6 @@ type Node struct {
 	set    *member.Set
 	p      *platform.Platform
 	local  http.Handler
-	mode   RouteMode
 	client *http.Client
 	mux    *http.ServeMux
 
@@ -131,7 +117,6 @@ func New(opts Options) (*Node, error) {
 		set:    opts.Members,
 		p:      opts.Platform,
 		local:  opts.Local,
-		mode:   opts.Mode,
 		client: opts.Client,
 		mux:    http.NewServeMux(),
 		stop:   make(chan struct{}),
@@ -191,7 +176,7 @@ func splitProjectPath(p string) (id, rest string, ok bool) {
 }
 
 // route is the cluster edge: pick the home node off the ring and serve
-// locally, serve from the replica, or route away.
+// locally, serve from the replica, or forward to the home.
 func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost && (r.URL.Path == "/v1/projects" || r.URL.Path == "/v1/projects/") {
 		n.routeCreate(w, r)
@@ -222,7 +207,7 @@ func (n *Node) route(w http.ResponseWriter, r *http.Request) {
 		platform.WriteError(w, &platform.NotHomeError{Project: id, Home: home.Addr})
 		return
 	}
-	n.routeAway(w, r, id, home, nil)
+	n.forward(w, r, id, home, nil)
 }
 
 // routeCreate routes POST /v1/projects by peeking the project ID out of
@@ -253,7 +238,7 @@ func (n *Node) routeCreate(w http.ResponseWriter, r *http.Request) {
 		platform.WriteError(w, &platform.NotHomeError{Project: req.ID, Home: home.Addr})
 		return
 	}
-	n.routeAway(w, r, req.ID, home, body)
+	n.forward(w, r, req.ID, home, body)
 }
 
 // hasLocal reports whether the local platform holds the project (home or
@@ -315,22 +300,13 @@ func (n *Node) broadcastRemove(id string) {
 // handoff pushes carry whole WAL segments.
 const internalTimeout = 30 * time.Second
 
-// routeAway sends a non-home request where it belongs per the configured
-// mode. body, when non-nil, is the already-consumed request body.
-func (n *Node) routeAway(w http.ResponseWriter, r *http.Request, id string, home member.Member, body []byte) {
-	if n.mode == RouteReject {
-		platform.WriteError(w, &platform.NotHomeError{Project: id, Home: home.Addr})
-		return
-	}
-	n.forward(w, r, id, home, body)
-}
-
 // forward proxies the request to the home node and copies the response
 // back VERBATIM — status, headers (Retry-After, ETag, Content-Type...)
 // and body bytes, whatever the status. Error envelopes and backpressure
 // hints must survive the hop untouched: the proxy is transport, not
 // policy. The body is streamed with per-chunk flushes so forwarded watch
-// streams (SSE, long-poll) deliver events as they happen.
+// streams (SSE, long-poll) deliver events as they happen. body, when
+// non-nil, is the already-consumed request body.
 func (n *Node) forward(w http.ResponseWriter, r *http.Request, id string, home member.Member, body []byte) {
 	if body == nil && r.Body != nil {
 		var err error

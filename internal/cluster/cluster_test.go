@@ -56,7 +56,7 @@ type nodeConfig func(i int, popts *platform.Options, copts *Options)
 // startCluster boots n real nodes on loopback listeners: each one a full
 // platform (durable when durable is set) wrapped in a cluster Node, all
 // sharing one -peers spec. Cleanup tears everything down.
-func startCluster(t *testing.T, n int, mode RouteMode, durable bool, configs ...nodeConfig) *testCluster {
+func startCluster(t *testing.T, n int, durable bool, configs ...nodeConfig) *testCluster {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	parts := make([]string, n)
@@ -80,7 +80,7 @@ func startCluster(t *testing.T, n int, mode RouteMode, durable bool, configs ...
 		if durable {
 			tn.opts.WAL = &platform.WALOptions{Dir: t.TempDir(), Policy: wal.SyncAlways}
 		}
-		copts := Options{Members: set, Mode: mode}
+		copts := Options{Members: set}
 		for _, c := range configs {
 			c(i, &tn.opts, &copts)
 		}
@@ -222,7 +222,7 @@ func waitGeneration(t *testing.T, addr, project string, gen int) *api.EstimatesR
 // serve the same generation number with byte-identical estimate pages,
 // correct stats, and working conditional reads.
 func TestClusterReplicatedReads(t *testing.T) {
-	tc := startCluster(t, 3, RouteForward, true)
+	tc := startCluster(t, 3, true)
 	set := tc.nodes[0].set
 	project := projectHomedOn(t, set, "n2")
 	home := tc.nodes[1]
@@ -317,26 +317,34 @@ func TestClusterReplicatedReads(t *testing.T) {
 	}
 }
 
-// TestClusterRejectModeAndSDKFollow pins the 421 contract: in reject
-// mode a write to a non-home node answers a typed not_home envelope
-// carrying the home's address, and the SDK follows it transparently.
-func TestClusterRejectModeAndSDKFollow(t *testing.T) {
-	tc := startCluster(t, 3, RouteReject, false)
+// TestClusterHopGuardAndSDKViaNonHome pins the 421 fallback and the
+// forward path: a request already forwarded once that reaches a non-home
+// node (peer lists disagree) answers a typed not_home envelope carrying
+// the home's address instead of hopping again, and an SDK pointed at a
+// non-home node works end to end, every write landing on the home.
+func TestClusterHopGuardAndSDKViaNonHome(t *testing.T) {
+	tc := startCluster(t, 3, false)
 	set := tc.nodes[0].set
 	project := projectHomedOn(t, set, "n3")
 	homeAddr := tc.nodes[2].addr
 	ctx := context.Background()
 
-	// Raw request to the wrong node: 421 + envelope with code and home.
+	// A create that already took one hop: 421 + envelope with code and home.
 	body, _ := json.Marshal(api.CreateProjectRequest{ID: project, Schema: clusterSchema(), Rows: 4})
-	resp, err := http.Post(tc.nodes[0].addr+"/v1/projects", "application/json", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, tc.nodes[0].addr+"/v1/projects", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(hopHeader, "n2")
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	raw, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMisdirectedRequest {
-		t.Fatalf("create at non-home: %d %s", resp.StatusCode, raw)
+		t.Fatalf("hopped create at non-home: %d %s", resp.StatusCode, raw)
 	}
 	var env api.ErrorEnvelope
 	if err := json.Unmarshal(raw, &env); err != nil {
@@ -345,9 +353,12 @@ func TestClusterRejectModeAndSDKFollow(t *testing.T) {
 	if env.Err.Code != api.CodeNotHome || env.Err.Home != homeAddr || env.Err.Retryable {
 		t.Fatalf("not_home envelope = %+v, want code %s home %s", env.Err, api.CodeNotHome, homeAddr)
 	}
+	if _, err := tc.nodes[2].p.Project(project); err == nil {
+		t.Fatal("hopped create reached the home")
+	}
 
-	// The SDK pointed at the SAME wrong node succeeds end to end: it
-	// follows the referral automatically.
+	// The SDK pointed at the SAME non-home node succeeds end to end: the
+	// edge forwards every call to the home.
 	c := client.New(tc.nodes[0].addr)
 	if err := c.CreateProject(ctx, api.CreateProjectRequest{ID: project, Schema: clusterSchema(), Rows: 4}); err != nil {
 		t.Fatalf("SDK create via non-home: %v", err)
@@ -360,15 +371,19 @@ func TestClusterRejectModeAndSDKFollow(t *testing.T) {
 	if _, err := c.Tasks(ctx, project, "w9", 2); err != nil {
 		t.Fatalf("SDK tasks via non-home: %v", err)
 	}
-	if _, err := tc.nodes[2].p.Project(project); err != nil {
+	st, err := tc.nodes[2].p.Stats(project)
+	if err != nil {
 		t.Fatalf("project did not land on home: %v", err)
+	}
+	if st.Answers != 1 {
+		t.Fatalf("home holds %d answers, want 1", st.Answers)
 	}
 }
 
 // TestClusterDeleteFanout pins that deleting a project at its home drops
 // the replicas on every peer.
 func TestClusterDeleteFanout(t *testing.T) {
-	tc := startCluster(t, 3, RouteForward, true)
+	tc := startCluster(t, 3, true)
 	set := tc.nodes[0].set
 	project := projectHomedOn(t, set, "n1")
 	ctx := context.Background()
@@ -457,7 +472,7 @@ func TestShipperRemoveDropsQueuedGeneration(t *testing.T) {
 // a serving replica, writes flow to the new home, and generation
 // numbering continues without a restart.
 func TestClusterHandoffOnMembershipChange(t *testing.T) {
-	tc := startCluster(t, 3, RouteForward, true)
+	tc := startCluster(t, 3, true)
 	n1 := tc.nodes[0]
 	project := projectHomedOn(t, n1.set, "n2")
 	ctx := context.Background()
@@ -468,7 +483,7 @@ func TestClusterHandoffOnMembershipChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	n1.node.Close()
-	solo, err := New(Options{Members: soloSet, Platform: n1.p, Local: platform.NewServer(n1.p), Mode: RouteForward})
+	solo, err := New(Options{Members: soloSet, Platform: n1.p, Local: platform.NewServer(n1.p)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +507,7 @@ func TestClusterHandoffOnMembershipChange(t *testing.T) {
 	// Phase 2: the operator grows the spec; n1 "restarts" into the full
 	// ring and rebalances. Only the moved project transfers.
 	solo.Close()
-	grown, err := New(Options{Members: n1.set, Platform: n1.p, Local: platform.NewServer(n1.p), Mode: RouteForward})
+	grown, err := New(Options{Members: n1.set, Platform: n1.p, Local: platform.NewServer(n1.p)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ import (
 // byte for byte. A proxy that rewrote rate_limited into an opaque 502 (or
 // dropped Retry-After) would break every SDK backoff loop behind it.
 func TestClusterProxyErrorPassthrough(t *testing.T) {
-	tc := startCluster(t, 2, RouteForward, false)
+	tc := startCluster(t, 2, false)
 	set := tc.nodes[0].set
 	edge, home := tc.nodes[0], tc.nodes[1]
 	project := projectHomedOn(t, set, "n2")

@@ -54,7 +54,7 @@ func homeLog(t *testing.T, tn *testNode, project string) []tabular.Answer {
 // recovering the follower's WAL directory gives the home's exact answer
 // log.
 func TestClusterFollowerMirrorsHomeWAL(t *testing.T) {
-	tc := startCluster(t, 2, RouteForward, true, func(_ int, po *platform.Options, _ *Options) {
+	tc := startCluster(t, 2, true, func(_ int, po *platform.Options, _ *Options) {
 		po.WAL.SegmentBytes = 512
 	})
 	home, follower := tc.nodes[0], tc.nodes[1]
@@ -168,7 +168,7 @@ func streamFaultRun(t *testing.T, seed int64) {
 	ft := &faultyTransport{base: &http.Transport{}, rng: rand.New(rand.NewSource(seed + 1000))}
 	defer ft.base.CloseIdleConnections()
 	mirrorFS := wal.NewMemFS()
-	tc := startCluster(t, 2, RouteForward, true, func(i int, po *platform.Options, co *Options) {
+	tc := startCluster(t, 2, true, func(i int, po *platform.Options, co *Options) {
 		if i == 0 {
 			co.Client = &http.Client{Transport: ft}
 		} else {

@@ -166,13 +166,6 @@ type Options struct {
 	//	>1  explicit worker count, capped at GOMAXPROCS.
 	Parallelism int
 
-	// PolishFrac tunes RefreshIncremental's amortized polish cadence: with
-	// a default (maxIter <= 0) budget, the full EM polish runs only once
-	// the unpolished-ingest backlog reaches
-	// max(minPolishBacklog, PolishFrac * log size), keeping per-refresh
-	// cost O(batch) in steady state. <= 0 means DefaultPolishFrac.
-	PolishFrac float64
-
 	// WorkerWeights seeds per-worker likelihood multipliers at fit time:
 	// every answer from worker u contributes weight[u] times its usual
 	// E-step evidence, M-step objective/gradient mass and ELBO term
@@ -259,8 +252,11 @@ func (o Options) withDefaults() Options {
 // per-cell worker qualities and cheap single-cell updates.
 type Model struct {
 	Table *tabular.Table
-	Log   *tabular.AnswerLog
-	Opts  Options
+	// Log is the source log Infer fitted on, which IngestFrom streams
+	// later answers from. A model built by InferAnswers has a nil Log and
+	// keeps no answers: stream into it with Ingest.
+	Log  *tabular.AnswerLog
+	Opts Options
 
 	// Alpha[i], Beta[j] are row/column difficulties; Phi[k] is the
 	// variance of the k-th worker in WorkerIDs order.
@@ -380,9 +376,20 @@ func (m *Model) ensureShards(w int) {
 var ErrNoAnswers = errors.New("core: no usable answers")
 
 // Infer runs T-Crowd truth inference (Algorithm 1) and returns the fitted
-// model.
+// model, whose Log is log.
 func Infer(tbl *tabular.Table, log *tabular.AnswerLog, opts Options) (*Model, error) {
-	m, err := newModel(tbl, log, opts)
+	m, err := InferAnswers(tbl, log.All(), opts)
+	if err != nil {
+		return nil, err
+	}
+	m.Log = log
+	return m, nil
+}
+
+// InferAnswers runs T-Crowd truth inference over answers, in order. The
+// model keeps no reference to answers and has no Log.
+func InferAnswers(tbl *tabular.Table, answers []tabular.Answer, opts Options) (*Model, error) {
+	m, err := newModel(tbl, answers, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -425,7 +432,7 @@ func CanWarmStart(prev *Model, tbl *tabular.Table) bool {
 // start lands next to the previous optimum, so a short run reconverges.
 const WarmMaxIter = 8
 
-func newModel(tbl *tabular.Table, log *tabular.AnswerLog, opts Options) (*Model, error) {
+func newModel(tbl *tabular.Table, all []tabular.Answer, opts Options) (*Model, error) {
 	if err := tbl.Schema.Validate(); err != nil {
 		return nil, err
 	}
@@ -434,7 +441,6 @@ func newModel(tbl *tabular.Table, log *tabular.AnswerLog, opts Options) (*Model,
 
 	m := &Model{
 		Table:     tbl,
-		Log:       log,
 		Opts:      o,
 		Alpha:     ones(n),
 		Beta:      ones(mm),
@@ -468,7 +474,6 @@ func newModel(tbl *tabular.Table, log *tabular.AnswerLog, opts Options) (*Model,
 	// Column standardisation constants from the answers, folded through
 	// the per-column accumulators (kept on the model so streaming batches
 	// extend the same fold).
-	all := log.All()
 	m.colAcc = make([]colAcc, mm)
 	for _, a := range all {
 		if a.Value.Kind == tabular.Number && usableNumber(a.Value.X) {

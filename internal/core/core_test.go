@@ -134,7 +134,7 @@ func TestELBOMonotone(t *testing.T) {
 
 func TestAnalyticGradientMatchesNumeric(t *testing.T) {
 	ds, log := smallDataset(500)
-	m, err := newModel(ds.Table, log, Options{})
+	m, err := newModel(ds.Table, log.All(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

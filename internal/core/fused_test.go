@@ -146,7 +146,7 @@ func TestParallelMatchesSequentialFused(t *testing.T) {
 // parameter point.
 func TestQFusedMatchesSeparatePasses(t *testing.T) {
 	ds, log := equivDataset(2029, 30)
-	m, err := newModel(ds.Table, log, Options{})
+	m, err := newModel(ds.Table, log.All(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestQFusedMatchesSeparatePasses(t *testing.T) {
 // steady-state allocations: posteriors update in place in the arena.
 func TestEStepSteadyStateAllocs(t *testing.T) {
 	ds, log := equivDataset(2030, 30)
-	m, err := newModel(ds.Table, log, Options{})
+	m, err := newModel(ds.Table, log.All(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +210,7 @@ func TestEStepSteadyStateAllocs(t *testing.T) {
 // allocations once the scratch arena is warm.
 func TestMStepSteadyStateAllocs(t *testing.T) {
 	ds, log := equivDataset(2031, 30)
-	m, err := newModel(ds.Table, log, Options{})
+	m, err := newModel(ds.Table, log.All(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,7 +46,7 @@ func TestParallelInferMatchesSerial(t *testing.T) {
 
 func TestParallelQValueMatchesSerial(t *testing.T) {
 	ds, log := smallDataset(1100)
-	m, err := newModel(ds.Table, log, Options{})
+	m, err := newModel(ds.Table, log.All(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestParallelQValueMatchesSerial(t *testing.T) {
 
 func TestParallelGradMatchesSerial(t *testing.T) {
 	ds, log := smallDataset(1200)
-	m, err := newModel(ds.Table, log, Options{})
+	m, err := newModel(ds.Table, log.All(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +93,14 @@ func TestParallelGradMatchesSerial(t *testing.T) {
 
 func TestParallelismClamp(t *testing.T) {
 	ds, log := smallDataset(1300)
-	m, err := newModel(ds.Table, log, Options{Parallelism: 10000})
+	m, err := newModel(ds.Table, log.All(), Options{Parallelism: 10000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := m.effectiveParallelism(); got < 1 || got > 10000 {
 		t.Fatalf("effective parallelism %d", got)
 	}
-	m2, _ := newModel(ds.Table, log, Options{})
+	m2, _ := newModel(ds.Table, log.All(), Options{})
 	if m2.effectiveParallelism() != 1 {
 		t.Fatal("default must be serial")
 	}

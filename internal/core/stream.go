@@ -47,12 +47,12 @@ const DefaultPolishIter = 1
 
 // Amortized polish cadence constants (see RefreshIncremental): a
 // default-budget refresh defers the full EM polish until the unpolished
-// ingest backlog reaches max(minPolishBacklog, PolishFrac * log size).
+// ingest backlog reaches max(minPolishBacklog, DefaultPolishFrac * log size).
 const (
 	// minPolishBacklog keeps small logs responsive: below it a deferral
 	// would save nothing, so every refresh polishes.
 	minPolishBacklog = 32
-	// DefaultPolishFrac is the default backlog fraction: a full polish
+	// DefaultPolishFrac is the backlog fraction: a full polish
 	// roughly every 5% log growth keeps amortized polish cost per answer
 	// constant while the posteriors between polishes stay within the
 	// dirty-cell E-step's reach.
@@ -269,7 +269,7 @@ type RefreshStats struct {
 //
 // Amortized polish cadence: with maxIter <= 0 (the serving default) the
 // full polish is deferred until enough new answers have accumulated —
-// max(minPolishBacklog, PolishFrac·log size) — and then runs for
+// max(minPolishBacklog, DefaultPolishFrac·log size) — and then runs for
 // DefaultPolishIter iterations. In between, a refresh is dirty-cell E-step
 // only, so its cost is O(batch) regardless of log size while the amortized
 // polish cost per answer stays constant (online EM with a batch schedule
@@ -313,11 +313,7 @@ func (m *Model) RefreshIncremental(maxIter int) RefreshStats {
 // ingested answers at which a default-budget refresh pays the full EM
 // sweep.
 func (m *Model) polishBacklog() int {
-	frac := m.Opts.PolishFrac
-	if frac <= 0 {
-		frac = DefaultPolishFrac
-	}
-	t := int(frac * float64(m.ilog.Len()))
+	t := int(DefaultPolishFrac * float64(m.ilog.Len()))
 	if t < minPolishBacklog {
 		t = minPolishBacklog
 	}

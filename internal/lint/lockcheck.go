@@ -39,7 +39,7 @@ import (
 // locks taken inside a branch do not survive the branch, and the
 // "if x.TryLock() { ... }" / "if !x.TryLock() { return }" idioms are
 // recognized. A held mutex satisfies a contract when either the guarding
-// expression matches textually ("proj.inferMu" locked, "proj.shadowAt"
+// expression matches textually ("proj.inferMu" locked, "proj.absorbed"
 // touched) or the mutex's owning type matches the annotation — the type
 // match keeps aliased receivers (p vs proj) from raising false alarms at
 // the cost of not distinguishing two instances of one type.

@@ -33,7 +33,7 @@ func taskCells(t *testing.T, proj *Project, tasks []Task) []tabular.Cell {
 // referenceSelect runs assign.StructureIG over a state built directly from
 // a fitted model and the full answer log.
 func referenceSelect(m *core.Model, log *tabular.AnswerLog, u tabular.WorkerID, k int) []tabular.Cell {
-	st := assign.NewState(m, log, m.Estimates(), true)
+	st := assign.NewState(m, log.All(), m.Estimates(), true)
 	st.Log = log
 	return assign.StructureIG{}.Select(st, u, k)
 }

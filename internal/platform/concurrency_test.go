@@ -10,9 +10,25 @@ import (
 
 // TestConcurrentWorkers hammers one project from many goroutines — the
 // platform's advertised thread-safety. Run with -race to make it bite.
+// The tcrowd case refreshes on every submission, so cold fits, streamed
+// refreshes, trust weights and task-state builds read the answer log
+// while the workers append to it.
 func TestConcurrentWorkers(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		cfg  ProjectConfig
+	}{
+		{"default", ProjectConfig{Rows: 30}},
+		{"tcrowd", ProjectConfig{Rows: 30, RefreshEvery: 1, UseTCrowdAssignment: true, Reputation: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { testConcurrentWorkers(t, tc.cfg) })
+	}
+}
+
+func testConcurrentWorkers(t *testing.T, cfg ProjectConfig) {
 	p := New(55)
-	if _, err := p.CreateProject("conc", demoSchema(), ProjectConfig{Rows: 30}); err != nil {
+	defer p.Close()
+	if _, err := p.CreateProject("conc", demoSchema(), cfg); err != nil {
 		t.Fatal(err)
 	}
 	const workers = 16
@@ -61,8 +77,12 @@ func TestConcurrentWorkers(t *testing.T) {
 	if st.Answers == 0 || st.Workers != workers {
 		t.Fatalf("stats after concurrent load: %+v", st)
 	}
-	// Inference still works on the concurrently built log.
-	if _, err := p.RunInference("conc"); err != nil {
+	// Inference still works on the concurrently built log and covers it.
+	res, err := p.RunInference("conc")
+	if err != nil {
 		t.Fatal(err)
+	}
+	if res.AnswersSeen != st.Answers {
+		t.Fatalf("inference saw %d answers, log holds %d", res.AnswersSeen, st.Answers)
 	}
 }

@@ -34,8 +34,8 @@
 //
 // When both are needed, a project's inferMu is acquired before the
 // platform mutex (refreshProject and replicated applies hold inferMu while
-// briefly taking p.mu to copy the log delta or update counters); the
-// reverse order would deadlock against them. The directive below makes
+// briefly taking p.mu to take the answer log's prefix or update counters);
+// the reverse order would deadlock against them. The directive below makes
 // tcrowd-lint enforce it.
 //
 //tcrowd:lockorder Project.inferMu < Platform.mu
@@ -117,22 +117,17 @@ type Project struct {
 	// creation and immutable afterwards, so the HTTP layer resolves
 	// labels in O(1) without the platform lock.
 	labelIdx []map[string]int
-	// shadow is the serving-side answer log the inference model fits on:
-	// refreshes grow it in place from the main log's delta, preserving the
-	// pointer identity the model's streaming-ingest tier keys on.
+	// absorbed is the length of the Log prefix lastModel has fitted.
 	//tcrowd:guardedby inferMu
-	shadow *tabular.AnswerLog
-	// shadowAt is the main-log length absorbed into shadow.
-	//tcrowd:guardedby inferMu
-	shadowAt int
+	absorbed int
 	// inferMu serialises truth inference per project: the cached model is
 	// refreshed incrementally in place, so exactly one RunInference may
 	// touch it at a time (the platform lock stays free meanwhile, so
 	// submissions never wait on EM).
 	inferMu sync.Mutex
 	// lastModel caches the latest truth-inference fit; after the first
-	// cold fit, refreshes stream the shadow's new suffix into it
-	// (IngestFrom + RefreshIncremental) instead of re-decoding the log.
+	// cold fit, refreshes stream the answers past absorbed into it
+	// (Ingest + RefreshIncremental) instead of re-decoding the log.
 	//tcrowd:guardedby inferMu
 	lastModel *core.Model
 	// snapshot is the copy-on-publish estimate snapshot: every completed
@@ -1123,27 +1118,6 @@ func (p *Platform) Watch(projectID string) (*Watcher, error) {
 	return proj.hub.subscribe(), nil
 }
 
-// growShadow appends the main log's unabsorbed delta to the project's
-// shadow log. It runs on the project's home shard worker under inferMu;
-// the platform lock is taken only to copy the delta.
-//
-//tcrowd:locked Project.inferMu
-func (p *Platform) growShadow(proj *Project) {
-	p.mu.Lock()
-	total := proj.Log.Len()
-	var batch []tabular.Answer
-	if total > proj.shadowAt {
-		batch = append([]tabular.Answer(nil), proj.Log.All()[proj.shadowAt:total]...)
-	}
-	p.mu.Unlock()
-
-	if proj.shadow == nil {
-		proj.shadow = tabular.NewAnswerLog()
-	}
-	proj.shadow.AddAll(batch)
-	proj.shadowAt = total
-}
-
 // emMaxIter is the EM iteration budget of a cold fit and of every
 // streaming refresh's polish.
 const emMaxIter = 50
@@ -1152,7 +1126,8 @@ const emMaxIter = 50
 // answer log, publishes a fresh estimate snapshot and, for a T-Crowd
 // project, the assignment state built from the same model. It runs on the
 // project's shard worker; inferMu additionally serialises it against any
-// direct callers so the in-place model mutation is never concurrent.
+// direct callers so the in-place model mutation is never concurrent. It
+// reads the log's prefix without p.mu, so submissions never wait on EM.
 func (p *Platform) refreshProject(proj *Project) error {
 	p.mu.Lock()
 	follower := proj.follower
@@ -1166,43 +1141,41 @@ func (p *Platform) refreshProject(proj *Project) error {
 	proj.inferMu.Lock()
 	defer proj.inferMu.Unlock()
 
-	// Project logs are append-only, with recovery building fresh projects,
-	// so the cached fit is always for a prefix of the shadow.
-	p.growShadow(proj)
-	shadow, m := proj.shadow, proj.lastModel
+	// The log is append-only, with recovery building fresh projects, so
+	// this prefix stays intact while submissions append past it, and the
+	// cached fit is always for its first absorbed answers.
+	p.mu.Lock()
+	answers := proj.Log.All()
+	p.mu.Unlock()
+	m := proj.lastModel
 	if m == nil {
-		// Cold start directly on the shadow log: EM may run long, and
-		// Submit must not block behind it — the shadow is exactly the
-		// decoupling the old snapshot clone provided, minus the copy, and
-		// the fitted model keys on its pointer identity so every later
-		// refresh streams.
 		opts := core.Options{MaxIter: emMaxIter}
 		if proj.rep != nil {
 			opts.WorkerWeights = proj.rep.Weights()
 		}
-		fit, err := core.Infer(proj.Table, shadow, opts)
+		fit, err := core.InferAnswers(proj.Table, answers, opts)
 		if err != nil {
 			return err
 		}
 		m = fit
 		proj.lastModel = m
 	} else {
-		// Streaming refresh: absorb the shadow's new suffix in place. A
-		// polished refresh keeps the full iteration budget — seeding at
-		// the previous optimum shortens the path to convergence, it must
-		// not lower the convergence guarantee of requester-facing
-		// estimates; runs that start near the optimum still stop after a
-		// couple of iterations via the tolerance.
-		n, err := m.IngestFrom(shadow)
-		if err != nil {
-			return err
-		}
-		if n == 0 && proj.snapshot.Load() != nil {
+		// Streaming refresh: absorb the new answers in place. A polished
+		// refresh keeps the full iteration budget — seeding at the
+		// previous optimum shortens the path to convergence, it must not
+		// lower the convergence guarantee of requester-facing estimates;
+		// runs that start near the optimum still stop after a couple of
+		// iterations via the tolerance.
+		batch := answers[proj.absorbed:]
+		if len(batch) == 0 && proj.snapshot.Load() != nil {
 			// Nothing new since the last publish: keep the current snapshot
 			// (skipping the Estimates rebuild keeps idle refreshes O(1)).
 			return nil
 		}
-		if n > 0 {
+		if len(batch) > 0 {
+			if err := m.Ingest(batch); err != nil {
+				return err
+			}
 			if proj.rep != nil {
 				// Refresh the per-worker trust weights before EM touches
 				// the new answers: quarantined/banned workers' evidence is
@@ -1212,13 +1185,14 @@ func (p *Platform) refreshProject(proj *Project) error {
 			m.RefreshIncremental(emMaxIter)
 		}
 	}
+	proj.absorbed = len(answers)
 
 	res := &InferenceResult{
 		Estimates:     m.Estimates(),
 		WorkerQuality: make(map[tabular.WorkerID]float64, len(m.WorkerIDs)),
 		Iterations:    m.Iterations,
 		Converged:     m.Converged,
-		AnswersSeen:   proj.shadowAt,
+		AnswersSeen:   len(answers),
 	}
 	for _, u := range m.WorkerIDs {
 		res.WorkerQuality[u] = m.WorkerQuality(u)
@@ -1235,10 +1209,9 @@ func (p *Platform) refreshProject(proj *Project) error {
 	p.publishSnapshot(proj, res)
 	if proj.tcrowd {
 		// Task selection scores this same fit, reputation weights and all.
-		// The state keeps no reference to m or to the shadow, whose error
-		// model is fitted now, while nothing grows it.
+		// The state keeps no reference to m or to answers.
 		proj.tasks.Store(&taskState{
-			st:          assign.NewState(m.Freeze(), shadow, res.Estimates, true),
+			st:          assign.NewState(m.Freeze(), answers, res.Estimates, true),
 			answersSeen: res.AnswersSeen,
 		})
 	}

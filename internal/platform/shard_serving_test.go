@@ -71,21 +71,25 @@ func waitFor(t *testing.T, cond func() bool) {
 	}
 }
 
-// seedProject creates a project with a few answers and one published
-// snapshot. RefreshEvery is 1 so every submission exercises the refresh
-// enqueue (the backpressure tests need each Submit to touch the queue).
+// seedProject creates a project with a few answers and exactly one
+// published snapshot, generation 1. RefreshEvery is 1 so every later
+// submission exercises the refresh enqueue (the backpressure tests need
+// each Submit to touch the queue). The answers go in as one batch: one
+// refresh then covers all of them, where separate submits could let an
+// async refresh publish a partial log before RunInference publishes again.
 func seedProject(t *testing.T, p *Platform, id string) {
 	t.Helper()
 	if _, err := p.CreateProject(id, demoSchema(), ProjectConfig{Rows: 3, RefreshEvery: 1}); err != nil {
 		t.Fatal(err)
 	}
+	var batch []tabular.Answer
 	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
-		if err := p.Submit(id, w, 0, "category", tabular.LabelValue(1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Submit(id, w, 0, "price", tabular.NumberValue(100)); err != nil {
-			t.Fatal(err)
-		}
+		batch = append(batch,
+			tabular.Answer{Worker: w, Cell: tabular.Cell{Row: 0, Col: 0}, Value: tabular.LabelValue(1)},
+			tabular.Answer{Worker: w, Cell: tabular.Cell{Row: 0, Col: 1}, Value: tabular.NumberValue(100)})
+	}
+	if _, err := p.SubmitBatch(id, batch); err != nil {
+		t.Fatal(err)
 	}
 	if _, err := p.RunInference(id); err != nil {
 		t.Fatal(err)

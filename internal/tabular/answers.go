@@ -58,7 +58,8 @@ func (l *AnswerLog) AddAll(as []Answer) {
 func (l *AnswerLog) Len() int { return len(l.all) }
 
 // All returns the backing slice of answers in insertion order. The caller
-// must not modify it.
+// must not modify it. Appends never modify the returned prefix, so a
+// caller may read it after releasing the lock that guards the writers.
 func (l *AnswerLog) All() []Answer { return l.all }
 
 // At returns the i-th answer in insertion order.
