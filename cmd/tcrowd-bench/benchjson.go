@@ -528,8 +528,9 @@ func benchWALGroupCommit(nproj, batch int) func(b *testing.B) {
 // refresh enqueue N ways — the batch-200 series costs far less than 200x
 // the batch-1 series, which is the amortization claim the BENCH series
 // pins. Every op submits from a fresh worker id (double answers would
-// 409); the platform is rebuilt periodically (untimed) to keep log size
-// steady.
+// 409), and each op's refresh polishes over every worker so far, so the
+// platform is rebuilt (untimed) every submitBatchWindow ops: the timed
+// loop then sees the same log sizes whatever b.N testing.Benchmark picks.
 //
 // With durable=true the platform writes a real fsync=always WAL: the
 // batch is framed, CRC'd, written, and fsynced before the 201 — the
@@ -537,6 +538,7 @@ func benchWALGroupCommit(nproj, batch int) func(b *testing.B) {
 // acceptance claim of the durable series (within 2x of the in-memory
 // batch-200 per answer).
 func benchServerSubmitBatch(batch int, durable bool) func(b *testing.B) {
+	const submitBatchWindow = 64
 	return func(b *testing.B) {
 		schema := tabular.Schema{
 			Key: "item",
@@ -560,11 +562,10 @@ func benchServerSubmitBatch(batch int, durable bool) func(b *testing.B) {
 			}
 		}
 		var (
-			p    *platform.Platform
-			srv  *httptest.Server
-			c    *client.Client
-			op   int
-			sent int
+			p   *platform.Platform
+			srv *httptest.Server
+			c   *client.Client
+			op  int
 		)
 		var walRoot string
 		if durable {
@@ -598,7 +599,6 @@ func benchServerSubmitBatch(batch int, durable bool) func(b *testing.B) {
 			if _, err := p.CreateProject("bench", schema, platform.ProjectConfig{Rows: rows, RefreshEvery: 1}); err != nil {
 				b.Fatal(err)
 			}
-			sent = 0
 		}
 		reset()
 		defer func() { srv.Close(); p.Close() }()
@@ -607,7 +607,7 @@ func benchServerSubmitBatch(batch int, durable bool) func(b *testing.B) {
 		b.ResetTimer()
 		for n := 0; n < b.N; n++ {
 			b.StopTimer()
-			if sent > 4000 {
+			if n > 0 && n%submitBatchWindow == 0 {
 				reset()
 			}
 			w := fmt.Sprintf("w%07d", op)
@@ -615,7 +615,6 @@ func benchServerSubmitBatch(batch int, durable bool) func(b *testing.B) {
 			for i := range answers {
 				answers[i].Worker = w
 			}
-			sent += batch
 			b.StartTimer()
 			var (
 				res *api.SubmitAnswersResponse

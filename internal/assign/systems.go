@@ -38,7 +38,7 @@ func (t *TCrowdSystem) Name() string { return "T-Crowd" }
 //
 //   - streaming: when the previous fit was made on this very log object
 //     (grown in place — the serving loop's normal shape), the new suffix is
-//     ingested into the fitted model's CSR store and a short incremental
+//     ingested into the fitted model's group store and a short incremental
 //     polish re-converges it; refresh cost is O(batch), not O(log);
 //   - warm rebuild: a different (but shape-compatible) log re-decodes from
 //     scratch with EM seeded at the previous optimum;

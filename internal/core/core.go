@@ -29,26 +29,31 @@
 // The EM hot path is engineered for zero steady-state allocations and
 // minimal transcendental work:
 //
+//   - One decoded store. The model keeps its answers only as
+//     sufficient-statistics groups (internal/ingest): one per (cell,
+//     worker, label) with its answer count and, for a continuous cell,
+//     the moments of the raw values. The E-step, the warm start, the ELBO
+//     and the M-step all read a group's answers through those, and
+//     standardize with the current column constants as they read.
 //   - Fused objective+gradient M-step. The M-step line search evaluates
 //     the MAP objective and its log-space gradient in ONE pass over the
-//     answers (optimize.MinimizeFused + qFused*), sharing the erf/log work
-//     of the quality model between the two; per-answer quantities that are
+//     groups (optimize.MinimizeFused + qFused*), sharing the erf/log work
+//     of the quality model between the two; per-group quantities that are
 //     constant while the posteriors are frozen (posterior mass on the
-//     answered label and its logs, squared residuals) are precomputed once
-//     per M-step.
-//   - Scratch arenas. Answers are stored sorted by cell in one flat slice
-//     with CSR offsets (cellOff); categorical posteriors live in a single
-//     backing arena written in place by the E-step; every per-iteration
-//     buffer (E-step log-probs, theta packing, gradient shards, optimizer
+//     answered label, squared residuals) are precomputed once per M-step.
+//   - Scratch arenas. Groups are sorted by cell with CSR offsets
+//     (GroupOff); categorical posteriors live in a single backing arena
+//     written in place by the E-step; every per-iteration buffer (theta
+//     packing, per-group M-step constants, gradient shards, optimizer
 //     workspace) is hoisted into a per-model scratch reused across
 //     iterations. After the first EM iteration the engine performs no
 //     allocations.
-//   - Variance-triple memoisation. Answers are sorted so duplicates of the
-//     same (row, column, worker) triple are adjacent; consecutive answers
-//     sharing a triple reuse the clamped variance and its erf/log results
-//     instead of recomputing identical transcendentals.
+//   - Variance-triple memoisation. Groups sharing a (row, column, worker)
+//     triple (one worker's labels on one cell) are adjacent; consecutive
+//     groups sharing a triple reuse the clamped variance and its erf/log
+//     results instead of recomputing identical transcendentals.
 //   - Persistent goroutine pool. With Options.Parallelism > 1 the E-step
-//     shards over cells and the M-step over answer ranges on the
+//     shards over cells and the M-step over group ranges on the
 //     internal/pool worker pool (no per-call goroutine spawning), with
 //     deterministic chunking and shard-ordered reductions.
 //
@@ -67,22 +72,22 @@
 //
 // # Streaming ingestion
 //
-// InferWarm still rebuilds the decoded answer store (decode + sort + index)
-// from the raw log on every call — O(log) work per refresh. The streaming
-// path removes that too: a fitted Model can absorb answer batches in place
-// via Ingest/IngestFrom (the internal/ingest CSR store merges the batch and
-// tracks dirty cells) and then RefreshIncremental re-runs the E-step on the
-// dirty posteriors only before a short warm EM polish. Ingestion cost is
-// O(batch), not O(log); see stream.go.
+// InferWarm still rebuilds the group store (decode + sort + fold) from the
+// raw log on every call — O(log) work per refresh. The streaming path
+// removes that too: a fitted Model can absorb answer batches in place via
+// Ingest/IngestFrom (the internal/ingest store folds the batch into its
+// groups and tracks dirty cells) and then RefreshIncremental re-runs the
+// E-step on the dirty posteriors only before a short warm EM polish.
+// Ingestion cost is O(batch), not O(log); see stream.go.
 //
 // # Determinism contract
 //
-// Every fold in this package runs in canonical CSR order: streamed
-// refreshes are pinned BITWISE equal to cold rebuilds across arbitrary
-// batch splits, which is only possible because no accumulation ever
-// depends on map iteration order, the wall clock, or the globally seeded
-// rand source. The directive below makes tcrowd-lint (detfold) reject
-// those constructs in this package.
+// Every fold in this package runs in a fixed order — group order, and log
+// order within a group: streamed refreshes are pinned BITWISE equal to
+// cold rebuilds across arbitrary batch splits, which is only possible
+// because no accumulation ever depends on map iteration order, the wall
+// clock, or the globally seeded rand source. The directive below makes
+// tcrowd-lint (detfold) reject those constructs in this package.
 //
 //tcrowd:deterministic
 package core
@@ -155,7 +160,7 @@ type Options struct {
 	// previous Model and picks warm-appropriate iteration caps.
 	Warm *Warm
 	// Parallelism shards the E-step over cells and the M-step
-	// objective/gradient over answers on a persistent goroutine pool. The
+	// objective/gradient over groups on a persistent goroutine pool. The
 	// paper lists parallel truth inference as future work (Sec. 7);
 	// results are identical up to floating-point summation order.
 	//
@@ -184,16 +189,11 @@ type Options struct {
 	// optimizer's default precision.
 	MStepGradTol float64
 
-	// refMStep switches the M-step to the unfused reference
-	// implementation (separate objective and gradient passes, fresh
-	// allocations). Used by the numerical-equivalence tests to prove the
-	// fused engine computes the same fit.
-	refMStep bool
-	// refFixedStep additionally disables the line-search step memory in
-	// the reference M-step, reproducing the seed engine's original
-	// optimizer exactly. Used to test that the optimised engine reaches
-	// the same EM fixed point as the pre-optimisation code path.
-	refFixedStep bool
+	// refMStep, when set, replaces the fused M-step. The
+	// numerical-equivalence tests install unfused reference
+	// implementations (separate objective and gradient passes, fresh
+	// allocations) to prove the fused engine computes the same fit.
+	refMStep func(*Model)
 }
 
 // Warm carries parameters from a previous fit for warm-started EM.
@@ -287,10 +287,11 @@ type Model struct {
 	// Converged reports whether the parameter-change tolerance fired.
 	Converged bool
 
-	// ilog is the streaming CSR answer store: decoded answers sorted by
-	// (cell, worker), so a cell's answers are contiguous and duplicate
-	// (row, column, worker) variance triples are adjacent (enabling
-	// transcendental memoisation). It grows in place via Ingest.
+	// ilog is the streaming sufficient-statistics store: one group per
+	// (cell, worker, label), sorted so a cell's groups are contiguous and
+	// groups sharing a (row, column, worker) variance triple are adjacent
+	// (enabling transcendental memoisation). It is the model's only copy
+	// of the answers, and grows in place via Ingest.
 	ilog *ingest.Log
 	// colAcc[j] is the running Welford accumulator of column j's raw
 	// numeric answers — the same left fold stats.MeanVariance performs,
@@ -321,14 +322,15 @@ type Model struct {
 // nothing.
 type scratch struct {
 	// Per-group M-step constants, refreshed once per mStep while the
-	// posteriors are frozen: total posterior mass on the answered label
-	// (categorical), total squared residual plus posterior variance
-	// (continuous), and the group's answer count.
-	p, dv, cnt []float64
+	// posteriors are frozen: gc is the total posterior mass on the
+	// answered label (categorical) or the total squared residual plus
+	// posterior variance (continuous), cnt the group's answer count.
+	gc, cnt []float64
 	// theta packing and its (alpha, beta, phi) views.
 	theta, alpha, beta, phi []float64
-	// Reference-path gradient accumulators.
-	ga, gb, gp []float64
+	// Gradient sinks: a FixDifficulty M-step accumulates its discarded
+	// alpha/beta gradients here.
+	ga, gb []float64
 	// EM convergence snapshots.
 	prevParams, curParams []float64
 	// Fused optimizer state.
@@ -502,9 +504,8 @@ func newModel(tbl *tabular.Table, all []tabular.Answer, opts Options) (*Model, e
 		return nil, ErrNoAnswers
 	}
 
-	// Bulk-load the CSR store: answers sorted by (cell, worker) so each
-	// cell's answers are one contiguous run and duplicate (i, j, w)
-	// variance triples sit adjacent for the memoised transcendental reuse.
+	// Fold the decoded answers into the group store; dec is staging only
+	// and is dropped when newModel returns.
 	m.ilog = ingest.NewLog(n, mm)
 	m.ilog.Rebuild(dec)
 
@@ -594,9 +595,11 @@ func usableNumber(x float64) bool { return math.Abs(x) <= MaxAnswerMagnitude }
 
 // decodeAnswer resolves one checked raw answer: mode filter applied, worker
 // index assigned (first-seen workers are appended, with the initial
-// variance when the parameter vector already exists), continuous values
-// standardized with the current column constants. use is false when the
-// mode filter drops the answer or its number is beyond MaxAnswerMagnitude.
+// variance when the parameter vector already exists). Continuous values
+// stay raw: the group store keeps raw moments and the EM loops
+// standardize them with the current column constants. use is false when
+// the mode filter drops the answer or its number is beyond
+// MaxAnswerMagnitude.
 func (m *Model) decodeAnswer(a tabular.Answer) (oa ingest.Answer, use bool, err error) {
 	if err := m.checkAnswer(a); err != nil {
 		return ingest.Answer{}, false, err
@@ -627,7 +630,6 @@ func (m *Model) decodeAnswer(a tabular.Answer) (oa ingest.Answer, use bool, err 
 		oa.Label = a.Value.L
 	} else {
 		oa.X = a.Value.X
-		oa.Z = stats.Standardize(a.Value.X, m.ColMean[a.Cell.Col], m.ColStd[a.Cell.Col])
 	}
 	return oa, true, nil
 }
@@ -699,13 +701,14 @@ func (m *Model) weightOf(k int) float64 {
 // ContMu/ContVar fields (continuous) — no temporaries.
 func (m *Model) warmStart() {
 	n, mm := m.Table.NumRows(), m.Table.NumCols()
-	for idx := range m.ilog.Ans {
-		a := &m.ilog.Ans[idx]
-		if a.IsCat {
-			m.CatPost[a.I][a.J][a.Label]++
+	for idx := range m.ilog.Groups {
+		g := &m.ilog.Groups[idx]
+		if g.IsCat {
+			m.CatPost[g.I][g.J][g.Label] += float64(g.Count)
 		} else {
-			m.ContMu[a.I][a.J] += a.Z // sum of answers
-			m.ContVar[a.I][a.J]++     // answer count
+			sumZ, _ := m.groupZ(g)
+			m.ContMu[g.I][g.J] += sumZ              // sum of answers
+			m.ContVar[g.I][g.J] += float64(g.Count) // answer count
 		}
 	}
 	for i := 0; i < n; i++ {

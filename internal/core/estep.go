@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"tcrowd/internal/ingest"
 	"tcrowd/internal/stats"
 )
 
@@ -50,12 +51,12 @@ func (m *Model) eStep() {
 func (m *Model) eStepCells(loKey, hiKey int) {
 	mm := m.Table.NumCols()
 	for key := loKey; key < hiKey; key++ {
-		lo, hi := int(m.ilog.CellOff[key]), int(m.ilog.CellOff[key+1])
+		lo, hi := m.ilog.GroupRange(key)
 		if lo == hi {
 			continue
 		}
 		i, j := key/mm, key%mm
-		if m.ilog.Ans[lo].IsCat {
+		if m.ilog.Groups[lo].IsCat {
 			m.updateCatCell(i, j, lo, hi)
 		} else {
 			m.updateContCell(i, j, lo, hi)
@@ -64,10 +65,12 @@ func (m *Model) eStepCells(loKey, hiKey int) {
 }
 
 // updateCatCell computes P(T_ij = z) as the normalised product over
-// answers of q^{1[a=z]} * ((1-q)/(|L|-1))^{1[a!=z]} (uniform prior).
+// answers of q^{1[a=z]} * ((1-q)/(|L|-1))^{1[a!=z]} (uniform prior): a
+// group of Count answers adds Count times its log-likelihood terms.
 // Log-probabilities accumulate directly in the cell's posterior slice and
-// are normalised in place; answers are sorted by worker, so repeated
-// answers from one worker reuse the variance triple's erf/log work.
+// are normalised in place; groups are sorted by worker, so one worker's
+// groups (one per label it answered) reuse the variance triple's erf/log
+// work.
 //
 //tcrowd:noalloc
 func (m *Model) updateCatCell(i, j, lo, hi int) {
@@ -76,28 +79,32 @@ func (m *Model) updateCatCell(i, j, lo, hi int) {
 		post[z] = 0
 	}
 	lnL1 := m.lnL1[j]
-	prevW := -1
+	prevW := int32(-1)
 	var lnQ, lnWrong float64
 	for idx := lo; idx < hi; idx++ {
-		a := &m.ilog.Ans[idx]
-		if a.W != prevW {
-			prevW = a.W
-			s := m.cellVariance(i, j, a.W)
+		g := &m.ilog.Groups[idx]
+		if g.W != prevW {
+			prevW = g.W
+			s := m.cellVariance(i, j, int(g.W))
 			var lnNotQ float64
 			lnQ, lnNotQ = logQ(m.Opts.Eps, s)
 			lnWrong = lnNotQ - lnL1
 			// A worker's reputation weight tempers its evidence: the
 			// log-likelihood contribution scales by w (w=1 is an exact
 			// identity, so the unweighted path is bit-unchanged).
-			w := m.weightOf(a.W)
+			w := m.weightOf(int(g.W))
 			lnQ *= w
 			lnWrong *= w
 		}
+		// Count 1 multiplies exactly, so a served project's one-answer
+		// groups add the per-answer terms bit for bit.
+		cnt := float64(g.Count)
+		right, wrong := cnt*lnQ, cnt*lnWrong
 		for z := range post {
-			if z == a.Label {
-				post[z] += lnQ
+			if z == int(g.Label) {
+				post[z] += right
 			} else {
-				post[z] += lnWrong
+				post[z] += wrong
 			}
 		}
 	}
@@ -105,22 +112,46 @@ func (m *Model) updateCatCell(i, j, lo, hi int) {
 }
 
 // updateContCell computes the Gaussian posterior of Eq. 4 in standardized
-// units, with the N(0,1) column prior (mu0=0, phi0=1 after z-scoring).
+// units, with the N(0,1) column prior (mu0=0, phi0=1 after z-scoring): a
+// group adds w·Count/s to the precision and w·Σz/s to the weighted sum.
 //
 //tcrowd:noalloc
 func (m *Model) updateContCell(i, j, lo, hi int) {
 	precision := 1.0 // prior 1/phi0
 	weighted := 0.0  // prior mu0/phi0 = 0
 	for idx := lo; idx < hi; idx++ {
-		a := &m.ilog.Ans[idx]
-		s := m.cellVariance(i, j, a.W)
-		w := m.weightOf(a.W)
-		precision += w / s
-		weighted += w * a.Z / s
+		g := &m.ilog.Groups[idx]
+		s := m.cellVariance(i, j, int(g.W))
+		w := m.weightOf(int(g.W))
+		sumZ, _ := m.groupZ(g)
+		precision += w * float64(g.Count) / s
+		weighted += w * sumZ / s
 	}
 	v := 1 / precision
 	m.ContVar[i][j] = v
 	m.ContMu[i][j] = weighted * v
+}
+
+// groupZ returns the standardized moments Σz and Σz² of a continuous
+// group under the current column constants: Count·z̄ and
+// M2/std² + Count·z̄², with z̄ the standardized mean. A one-answer group
+// has Mean = x and M2 = 0, so they are exactly z and z·z for
+// z = Standardize(x), the per-answer values. Groups keep raw moments, so a
+// shift of the column constants changes no stored value.
+func (m *Model) groupZ(g *ingest.Group) (sumZ, sumZ2 float64) {
+	std := m.ColStd[g.J]
+	z := stats.Standardize(g.Mean, m.ColMean[g.J], std)
+	cnt := float64(g.Count)
+	return cnt * z, g.M2/(std*std) + cnt*z*z
+}
+
+// groupResid returns Σ(z-mu)² + Count·v over a continuous group's
+// standardized answers, from the moments: ΣZ² - 2mu·ΣZ + Count(mu²+v).
+// Mathematically it is at least 0; the moment form can dip below zero by
+// cancellation when residuals are tiny.
+func (m *Model) groupResid(g *ingest.Group, mu, v float64) float64 {
+	sumZ, sumZ2 := m.groupZ(g)
+	return math.Max(0, sumZ2-2*mu*sumZ+float64(g.Count)*(mu*mu+v))
 }
 
 // ELBO returns the MAP evidence lower bound
@@ -130,12 +161,12 @@ func (m *Model) ELBO() float64 {
 	n, mm := m.Table.NumRows(), m.Table.NumCols()
 	total := m.paramLogPrior(m.Alpha, m.Beta, m.Phi)
 	for key := 0; key < n*mm; key++ {
-		lo, hi := int(m.ilog.CellOff[key]), int(m.ilog.CellOff[key+1])
+		lo, hi := m.ilog.GroupRange(key)
 		if lo == hi {
 			continue
 		}
 		i, j := key/mm, key%mm
-		if m.ilog.Ans[lo].IsCat {
+		if m.ilog.Groups[lo].IsCat {
 			total += m.elboCatCell(i, j, lo, hi)
 		} else {
 			total += m.elboContCell(i, j, lo, hi)
@@ -151,11 +182,11 @@ func (m *Model) elboCatCell(i, j, lo, hi int) float64 {
 	q := 0.0
 	// Expected log-likelihood of the answers.
 	for idx := lo; idx < hi; idx++ {
-		a := &m.ilog.Ans[idx]
-		s := m.cellVariance(i, j, a.W)
+		g := &m.ilog.Groups[idx]
+		s := m.cellVariance(i, j, int(g.W))
 		lnQ, lnNotQ := logQ(m.Opts.Eps, s)
-		pCorrect := post[a.Label]
-		q += m.weightOf(a.W) * (pCorrect*lnQ + (1-pCorrect)*(lnNotQ-lnL1))
+		pCorrect := post[g.Label]
+		q += m.weightOf(int(g.W)) * float64(g.Count) * (pCorrect*lnQ + (1-pCorrect)*(lnNotQ-lnL1))
 	}
 	// Uniform prior term.
 	q += -math.Log(float64(l))
@@ -167,10 +198,9 @@ func (m *Model) elboContCell(i, j, lo, hi int) float64 {
 	mu, v := m.ContMu[i][j], m.ContVar[i][j]
 	q := 0.0
 	for idx := lo; idx < hi; idx++ {
-		a := &m.ilog.Ans[idx]
-		s := m.cellVariance(i, j, a.W)
-		d := a.Z - mu
-		q += m.weightOf(a.W) * (-0.5*math.Log(2*math.Pi*s) - (d*d+v)/(2*s))
+		g := &m.ilog.Groups[idx]
+		s := m.cellVariance(i, j, int(g.W))
+		q += m.weightOf(int(g.W)) * (-0.5*float64(g.Count)*math.Log(2*math.Pi*s) - m.groupResid(g, mu, v)/(2*s))
 	}
 	// Standard-normal prior: E[ln N(T; 0, 1)].
 	q += -0.5*math.Log(2*math.Pi) - (mu*mu+v)/2

@@ -65,7 +65,7 @@ func TestFusedMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Infer(ds.Table, log, Options{MaxIter: 15, refMStep: true})
+	ref, err := Infer(ds.Table, log, Options{MaxIter: 15, refMStep: mStepReference})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestFusedMatchesSeedOptimizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seed, err := Infer(ds.Table, log, Options{refMStep: true, refFixedStep: true})
+	seed, err := Infer(ds.Table, log, Options{refMStep: mStepSeed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestFusedMatchesReferenceFixedDifficulty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Infer(ds.Table, log, Options{MaxIter: 10, FixDifficulty: true, refMStep: true})
+	ref, err := Infer(ds.Table, log, Options{MaxIter: 10, FixDifficulty: true, refMStep: mStepReference})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,10 +143,22 @@ func TestParallelMatchesSequentialFused(t *testing.T) {
 
 // TestQFusedMatchesSeparatePasses checks the fused objective+gradient
 // evaluation against the separate qValue / qGradLog passes at a fixed
-// parameter point.
+// parameter point, on a log of one-answer groups and on one where workers
+// answer cells twice (the two paths derive a multi-answer group's
+// residual from its moments by different closed forms).
 func TestQFusedMatchesSeparatePasses(t *testing.T) {
 	ds, log := equivDataset(2029, 30)
-	m, err := newModel(ds.Table, log.All(), Options{})
+	repeated := log.Clone()
+	simulate.NewCrowd(ds, 2030).AppendBatch(repeated, 240)
+	checkQFusedMatchesSeparatePasses(t, ds.Table, log)
+	if m := checkQFusedMatchesSeparatePasses(t, ds.Table, repeated); m.ilog.NumGroups() == m.ilog.Len() {
+		t.Fatal("test premise broken: the repeated log has no multi-answer group")
+	}
+}
+
+func checkQFusedMatchesSeparatePasses(t *testing.T, tbl *tabular.Table, log *tabular.AnswerLog) *Model {
+	t.Helper()
+	m, err := newModel(tbl, log.All(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,6 +202,7 @@ func TestQFusedMatchesSeparatePasses(t *testing.T) {
 	if fast := m.qValueFast(m.Alpha, m.Beta, m.Phi); fast != val {
 		t.Fatalf("value-only path diverged from fused value: %v vs %v", fast, val)
 	}
+	return m
 }
 
 // TestEStepSteadyStateAllocs pins the sequential E-step at zero

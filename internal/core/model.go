@@ -263,4 +263,4 @@ func (m *Model) AnswerDistribution(u tabular.WorkerID, c tabular.Cell) ([]float6
 }
 
 // NumAnswersUsed reports how many answers survived the mode filter.
-func (m *Model) NumAnswersUsed() int { return len(m.ilog.Ans) }
+func (m *Model) NumAnswersUsed() int { return m.ilog.Len() }

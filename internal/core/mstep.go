@@ -18,18 +18,17 @@ import (
 // The production path is fused: optimize.MinimizeFused evaluates the
 // objective and the gradient in a single pass per line-search trial
 // (qFusedRange), sharing the erf/log work of the quality model between the
-// two, with all buffers drawn from the model scratch. Since PR 7 the fused
-// loops iterate the ingest store's sufficient-statistics Groups instead of
-// the raw answers: every answer in a (cell, worker, label) run shares its
-// posterior term and its variance triple, so the run collapses to a single
-// evaluation driven by (Count, ΣZ, ΣZ²) — the objective/gradient never
-// re-reads the answer log. The unfused reference path (mStepReference)
-// still performs separate per-answer value and gradient passes over the
-// full log exactly as the paper describes; the equivalence tests pin the
-// sufficient-stats path against it.
+// two, with all buffers drawn from the model scratch. The fused loops
+// iterate the ingest store's sufficient-statistics Groups: every answer in
+// a (cell, worker, label) group shares its posterior term and its variance
+// triple, so the group collapses to a single evaluation driven by its
+// count and moments — an evaluation is O(groups), and the model keeps no
+// per-answer copy to re-read. The equivalence tests swap in an unfused
+// reference (Options.refMStep) with separate value and gradient passes and
+// pin this path against it.
 func (m *Model) mStep() {
-	if m.Opts.refMStep {
-		m.mStepReference()
+	if ref := m.Opts.refMStep; ref != nil {
+		ref(m)
 		return
 	}
 	pv := optimize.DefaultPositiveVec()
@@ -110,42 +109,38 @@ func (m *Model) ensureMStepScratch(dim int) {
 	}
 	if len(scr.phi) != len(m.Phi) {
 		scr.phi = make([]float64, len(m.Phi))
-		scr.gp = make([]float64, len(m.Phi))
 	}
-	if ng := len(m.ilog.Groups); cap(scr.p) < ng {
-		scr.p = make([]float64, ng+ng/4+64)
-		scr.dv = make([]float64, ng+ng/4+64)
+	if ng := len(m.ilog.Groups); cap(scr.gc) < ng {
+		scr.gc = make([]float64, ng+ng/4+64)
 		scr.cnt = make([]float64, ng+ng/4+64)
 	}
 }
 
 // prepMStepConsts precomputes the per-group quantities that stay constant
 // across every objective/gradient evaluation of one M-step (the posteriors
-// are frozen): the run's answer count, the posterior mass the run puts on
-// its answered label (Count * CatPost), and the run's total squared
-// residual plus posterior variance ΣZ² - 2μΣZ + Count(μ²+v) for continuous
-// runs. This hoists the posterior double-indexing and all per-answer
-// arithmetic out of the line-search loop — each evaluation is O(groups).
+// are frozen): the group's answer count, and one group constant — the
+// posterior mass the group puts on its answered label (Count * CatPost)
+// for a categorical group, its total squared residual plus posterior
+// variance Σ(z-μ)² + Count·v (groupResid) for a continuous one. This
+// hoists the posterior double-indexing and all per-answer arithmetic out
+// of the line-search loop — each evaluation is O(groups).
 func (m *Model) prepMStepConsts() {
 	scr := &m.scr
 	ng := len(m.ilog.Groups)
-	scr.p, scr.dv, scr.cnt = scr.p[:ng], scr.dv[:ng], scr.cnt[:ng]
+	scr.gc, scr.cnt = scr.gc[:ng], scr.cnt[:ng]
 	for idx := range m.ilog.Groups {
 		g := &m.ilog.Groups[idx]
 		cnt := float64(g.Count)
 		// A group's objective and gradient terms are all linear in these
-		// three constants, so scaling them by the worker's reputation
-		// weight weights the entire fused M-step without touching the
-		// hot loops (w=1 multiplies are exact identities).
+		// constants, so scaling them by the worker's reputation weight
+		// weights the entire fused M-step without touching the hot loops
+		// (w=1 multiplies are exact identities).
 		w := m.weightOf(int(g.W))
 		scr.cnt[idx] = w * cnt
 		if g.IsCat {
-			scr.p[idx] = w * cnt * m.CatPost[g.I][g.J][g.Label]
+			scr.gc[idx] = w * cnt * m.CatPost[g.I][g.J][g.Label]
 		} else {
-			mu, v := m.ContMu[g.I][g.J], m.ContVar[g.I][g.J]
-			// Mathematically Σ(z-μ)² + Count·v ≥ 0; the moment form can
-			// dip below zero by cancellation when residuals are tiny.
-			scr.dv[idx] = w * math.Max(0, g.SumZ2-2*mu*g.SumZ+cnt*(mu*mu+v))
+			scr.gc[idx] = w * m.groupResid(g, m.ContMu[g.I][g.J], m.ContVar[g.I][g.J])
 		}
 	}
 }
@@ -245,10 +240,10 @@ func (m *Model) qValueFastRange(alpha, beta, phi []float64, lo, hi int) float64 
 			}
 		}
 		if g.IsCat {
-			sumP := scr.p[idx]
+			sumP := scr.gc[idx]
 			q += sumP*lnQ + (scr.cnt[idx]-sumP)*(lnNotQ-m.lnL1[g.J])
 		} else {
-			q += -0.5*scr.cnt[idx]*ln2pis - scr.dv[idx]/twoS
+			q += -0.5*scr.cnt[idx]*ln2pis - scr.gc[idx]/twoS
 		}
 	}
 	return q
@@ -326,12 +321,16 @@ func catTerms(eps, s float64) (lnQ, lnNotQ, dOverQ, dOverNotQ float64) {
 
 // qFusedRange is the fused hot loop: for sufficient-statistics groups
 // [lo, hi) it returns the data term of Q and accumulates the per-group
-// gradient contribution g = Σ_a s * dQ_a/ds into (ga, gb, gp) — see
-// qValueRange / qGradLogRange for the per-answer derivations. A group's
-// answers share their posterior term and variance triple, so the whole run
-// contributes sumP*lnq + (cnt-sumP)*(ln(1-q)-ln(L-1)) with sumP = cnt*p
-// (categorical), or -cnt*ln(2πs)/2 - Σdv/(2s) with Σdv precomputed from
-// (ΣZ, ΣZ²) (continuous). The expensive transcendentals are computed once
+// gradient contribution g = Σ_a s * dQ_a/ds into (ga, gb, gp).
+//
+// Per answer a (Eq. 5), s*dQ_a/ds is -1/2 + (d²+v)/(2s) for a continuous
+// answer with residual d = z-μ. For a categorical one, with x = eps/sqrt(2s)
+// and q = erf(x), dq/ds = -(x/sqrt(pi)) e^{-x²} / s, so s*dQ_a/ds =
+// (x e^{-x²}/sqrt(pi)) * [(1-p)/(1-q) - p/q] (see catTerms). A group's
+// answers share their posterior term and variance triple, so the whole
+// group contributes sumP*lnq + (cnt-sumP)*(ln(1-q)-ln(L-1)) with sumP =
+// cnt*p (categorical), or -cnt*ln(2πs)/2 - Σdv/(2s) with Σdv precomputed
+// from the group's moments (continuous). The expensive transcendentals are computed once
 // per variance triple and shared between value and gradient; consecutive
 // groups with the same (row, column, worker) triple (adjacent label runs)
 // reuse them outright.
@@ -360,12 +359,12 @@ func (m *Model) qFusedRange(alpha, beta, phi []float64, lo, hi int, ga, gb, gp [
 		}
 		var g float64
 		if gr.IsCat {
-			sumP := scr.p[idx]
+			sumP := scr.gc[idx]
 			rest := scr.cnt[idx] - sumP
 			q += sumP*lnQ + rest*(lnNotQ-m.lnL1[gr.J])
 			g = rest*dOverNotQ - sumP*dOverQ
 		} else {
-			dv := scr.dv[idx]
+			dv := scr.gc[idx]
 			q += -0.5*scr.cnt[idx]*ln2pis - dv/twoS
 			g = -0.5*scr.cnt[idx] + dv/twoS
 		}
@@ -385,97 +384,6 @@ func zero(xs []float64) {
 	for i := range xs {
 		xs[i] = 0
 	}
-}
-
-// mStepReference is the unfused M-step exactly as in the paper's
-// description: gradient descent with separate objective and gradient
-// passes (qValue / qGradLog). Kept as the ground truth the fused engine is
-// verified against.
-func (m *Model) mStepReference() {
-	pv := optimize.DefaultPositiveVec()
-	n, mm, u := len(m.Alpha), len(m.Beta), len(m.Phi)
-
-	fixed := m.Opts.FixDifficulty
-	dim := u
-	if !fixed {
-		dim += n + mm
-	}
-	theta0 := make([]float64, dim)
-	if fixed {
-		pv.ToLog(m.Phi, theta0)
-	} else {
-		pv.ToLog(m.Alpha, theta0[:n])
-		pv.ToLog(m.Beta, theta0[n:n+mm])
-		pv.ToLog(m.Phi, theta0[n+mm:])
-	}
-
-	// split maps a theta vector to (alpha, beta, phi) views without copies.
-	alpha := make([]float64, n)
-	beta := make([]float64, mm)
-	phi := make([]float64, u)
-	split := func(theta []float64) {
-		if fixed {
-			copy(alpha, m.Alpha)
-			copy(beta, m.Beta)
-			pv.FromLog(theta, phi)
-			return
-		}
-		pv.FromLog(theta[:n], alpha)
-		pv.FromLog(theta[n:n+mm], beta)
-		pv.FromLog(theta[n+mm:], phi)
-	}
-
-	negQ := func(theta []float64) float64 {
-		split(theta)
-		return -m.qValue(alpha, beta, phi)
-	}
-	negGrad := func(theta, grad []float64) {
-		split(theta)
-		ga, gb, gp := m.qGradLog(alpha, beta, phi)
-		k := 0
-		if !fixed {
-			for i := 0; i < n; i++ {
-				grad[k] = -ga[i]
-				k++
-			}
-			for j := 0; j < mm; j++ {
-				grad[k] = -gb[j]
-				k++
-			}
-		}
-		for w := 0; w < u; w++ {
-			grad[k] = -gp[w]
-			k++
-		}
-	}
-
-	res := optimize.Minimize(negQ, negGrad, theta0, optimize.Options{
-		MaxIter:      m.Opts.MStepIter,
-		GradTol:      m.gradTol(),
-		FuncTol:      m.funcTol(),
-		InitStep:     0.5,
-		AdaptiveStep: !m.Opts.refFixedStep,
-	})
-	split(res.X)
-	copy(m.Phi, phi)
-	if !fixed {
-		copy(m.Alpha, alpha)
-		copy(m.Beta, beta)
-	}
-}
-
-func geoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 1
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 1
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
 }
 
 // paramLogPrior returns the log-density of the parameter priors: a weak
@@ -501,62 +409,6 @@ func (m *Model) paramLogPrior(alpha, beta, phi []float64) float64 {
 	return lp
 }
 
-// qValue evaluates the MAP objective: Q (Eq. 5) plus the parameter
-// log-priors, posteriors fixed. Truth-prior terms are constant w.r.t. the
-// parameters and omitted. (Reference path; the production M-step uses
-// qFused.)
-func (m *Model) qValue(alpha, beta, phi []float64) float64 {
-	if w := m.effectiveParallelism(); w > 1 {
-		return m.qValueParallel(alpha, beta, phi, w)
-	}
-	return m.paramLogPrior(alpha, beta, phi) + m.qValueRange(alpha, beta, phi, 0, len(m.ilog.Ans))
-}
-
-// qValueRange evaluates the data term of Q over the answer range [lo, hi).
-func (m *Model) qValueRange(alpha, beta, phi []float64, lo, hi int) float64 {
-	q := 0.0
-	for idx := lo; idx < hi; idx++ {
-		a := &m.ilog.Ans[idx]
-		s := stats.Clamp(alpha[a.I]*beta[a.J]*phi[a.W], minS, maxS)
-		w := m.weightOf(a.W)
-		if a.IsCat {
-			post := m.CatPost[a.I][a.J]
-			l := len(post)
-			lnQ, lnNotQ := logQ(m.Opts.Eps, s)
-			p := post[a.Label]
-			q += w * (p*lnQ + (1-p)*(lnNotQ-math.Log(float64(l-1))))
-		} else {
-			mu, v := m.ContMu[a.I][a.J], m.ContVar[a.I][a.J]
-			d := a.Z - mu
-			q += w * (-0.5*math.Log(2*math.Pi*s) - (d*d+v)/(2*s))
-		}
-	}
-	return q
-}
-
-// qGradLog returns dQ/dlog(alpha), dQ/dlog(beta), dQ/dlog(phi). Each answer
-// contributes the same scalar g = s * dQ_a/ds to all three of its
-// coordinates. (Reference path; the production M-step uses qFused.)
-//
-// Continuous (from Eq. 5): s*d/ds[-ln(2 pi s)/2 - (d^2+v)/(2s)]
-// = -1/2 + (d^2+v)/(2s).
-//
-// Categorical: with x = eps/sqrt(2 s) and g(s) = erf(x),
-// dg/ds = -(x/(sqrt(pi))) e^{-x^2} / s, so
-// s*dQ_a/ds = (x e^{-x^2}/sqrt(pi)) * [(1-p)/(1-g) - p/g], with the deep
-// q -> 1 tail evaluated in log space so it stays finite (see catTerms).
-func (m *Model) qGradLog(alpha, beta, phi []float64) (ga, gb, gp []float64) {
-	if w := m.effectiveParallelism(); w > 1 {
-		return m.qGradLogParallel(alpha, beta, phi, w)
-	}
-	ga = make([]float64, len(alpha))
-	gb = make([]float64, len(beta))
-	gp = make([]float64, len(phi))
-	m.priorGradLog(alpha, beta, phi, ga, gb, gp)
-	m.qGradLogRange(alpha, beta, phi, 0, len(m.ilog.Ans), ga, gb, gp)
-	return ga, gb, gp
-}
-
 // priorGradLog accumulates the parameter-prior gradients in log space.
 func (m *Model) priorGradLog(alpha, beta, phi, ga, gb, gp []float64) {
 	o := m.Opts
@@ -571,34 +423,5 @@ func (m *Model) priorGradLog(alpha, beta, phi, ga, gb, gp []float64) {
 		for j, b := range beta {
 			gb[j] -= math.Log(b) / s2
 		}
-	}
-}
-
-// qGradLogRange accumulates the data-term gradients for answers [lo, hi).
-func (m *Model) qGradLogRange(alpha, beta, phi []float64, lo, hi int, ga, gb, gp []float64) {
-	for idx := lo; idx < hi; idx++ {
-		a := &m.ilog.Ans[idx]
-		s := alpha[a.I] * beta[a.J] * phi[a.W]
-		clamped := s < minS || s > maxS
-		s = stats.Clamp(s, minS, maxS)
-		var g float64
-		if a.IsCat {
-			p := m.CatPost[a.I][a.J][a.Label]
-			_, _, dOverQ, dOverNotQ := catTerms(m.Opts.Eps, s)
-			g = (1-p)*dOverNotQ - p*dOverQ
-		} else {
-			mu, v := m.ContMu[a.I][a.J], m.ContVar[a.I][a.J]
-			d := a.Z - mu
-			g = -0.5 + (d*d+v)/(2*s)
-		}
-		g *= m.weightOf(a.W)
-		if clamped {
-			// At the variance clamp the objective is flat; do not push
-			// parameters further out.
-			g = 0
-		}
-		ga[a.I] += g
-		gb[a.J] += g
-		gp[a.W] += g
 	}
 }

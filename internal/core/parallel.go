@@ -12,8 +12,9 @@ import (
 //
 //   - the E-step treats cells independently given the parameters, so cell
 //     ranges shard across workers;
-//   - the M-step objective and gradient are sums over answers, so answer
-//     ranges shard and per-shard partials reduce in shard order.
+//   - the M-step objective and gradient are sums over sufficient-statistics
+//     groups, so group ranges shard and per-shard partials reduce in shard
+//     order.
 //
 // Work runs on the persistent internal/pool goroutine pool (no per-call
 // goroutine spawning) with deterministic pool.ChunkBounds sharding, so a
@@ -33,61 +34,6 @@ func (m *Model) eStepParallel(workers int) {
 	})
 }
 
-// qValueParallel shards the M-step objective over answer ranges.
-// (Reference path; the production M-step shards qFusedParallel.)
-func (m *Model) qValueParallel(alpha, beta, phi []float64, workers int) float64 {
-	partial := make([]float64, workers)
-	pool.Run(workers, func(w int) {
-		lo, hi := pool.ChunkBounds(len(m.ilog.Ans), workers, w)
-		partial[w] = m.qValueRange(alpha, beta, phi, lo, hi)
-	})
-	sum := m.paramLogPrior(alpha, beta, phi)
-	for _, p := range partial {
-		sum += p
-	}
-	return sum
-}
-
-// qGradLogParallel shards the gradient over answer ranges with per-shard
-// accumulators reduced at the end (no atomics on the hot path).
-// (Reference path; the production M-step shards qFusedParallel.)
-func (m *Model) qGradLogParallel(alpha, beta, phi []float64, workers int) (ga, gb, gp []float64) {
-	type grads struct {
-		a, b, p []float64
-	}
-	partial := make([]grads, workers)
-	pool.Run(workers, func(w int) {
-		lo, hi := pool.ChunkBounds(len(m.ilog.Ans), workers, w)
-		g := grads{
-			a: make([]float64, len(alpha)),
-			b: make([]float64, len(beta)),
-			p: make([]float64, len(phi)),
-		}
-		m.qGradLogRange(alpha, beta, phi, lo, hi, g.a, g.b, g.p)
-		partial[w] = g
-	})
-
-	ga = make([]float64, len(alpha))
-	gb = make([]float64, len(beta))
-	gp = make([]float64, len(phi))
-	m.priorGradLog(alpha, beta, phi, ga, gb, gp)
-	for _, g := range partial {
-		if g.a == nil {
-			continue
-		}
-		for i := range ga {
-			ga[i] += g.a[i]
-		}
-		for j := range gb {
-			gb[j] += g.b[j]
-		}
-		for k := range gp {
-			gp[k] += g.p[k]
-		}
-	}
-	return ga, gb, gp
-}
-
 // AutoParallelMinAnswers is the decoded-answer count above which inference
 // parallelises automatically when Options.Parallelism is 0 (auto). Below
 // it the sharding overhead outweighs the fan-out win and the serial path's
@@ -100,7 +46,7 @@ const AutoParallelMinAnswers = 16384
 // 1 (or negative) forces serial, larger values are capped at GOMAXPROCS.
 func (m *Model) effectiveParallelism() int {
 	p := m.Opts.Parallelism
-	if p == 0 && len(m.ilog.Ans) >= AutoParallelMinAnswers {
+	if p == 0 && m.ilog.Len() >= AutoParallelMinAnswers {
 		p = runtime.GOMAXPROCS(0)
 	}
 	if p <= 1 {

@@ -54,7 +54,7 @@ func TestParallelQValueMatchesSerial(t *testing.T) {
 	alpha := append([]float64(nil), m.Alpha...)
 	beta := append([]float64(nil), m.Beta...)
 	phi := append([]float64(nil), m.Phi...)
-	want := m.paramLogPrior(alpha, beta, phi) + m.qValueRange(alpha, beta, phi, 0, len(m.ilog.Ans))
+	want := m.paramLogPrior(alpha, beta, phi) + m.qValueRange(alpha, beta, phi, 0, len(m.ilog.Groups))
 	for _, workers := range []int{2, 3, 8} {
 		got := m.qValueParallel(alpha, beta, phi, workers)
 		if math.Abs(got-want) > 1e-6*math.Abs(want) {
@@ -75,7 +75,7 @@ func TestParallelGradMatchesSerial(t *testing.T) {
 	gb := make([]float64, len(beta))
 	gp := make([]float64, len(phi))
 	m.priorGradLog(alpha, beta, phi, ga, gb, gp)
-	m.qGradLogRange(alpha, beta, phi, 0, len(m.ilog.Ans), ga, gb, gp)
+	m.qGradLogRange(alpha, beta, phi, 0, len(m.ilog.Groups), ga, gb, gp)
 
 	pa, pb, pp := m.qGradLogParallel(alpha, beta, phi, 4)
 	check := func(name string, a, b []float64) {
@@ -132,15 +132,15 @@ func TestAutoParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m.ilog.Ans) >= AutoParallelMinAnswers {
-		t.Fatalf("test premise broken: workload has %d answers", len(m.ilog.Ans))
+	if m.ilog.Len() >= AutoParallelMinAnswers {
+		t.Fatalf("test premise broken: workload has %d answers", m.ilog.Len())
 	}
 	if got := m.effectiveParallelism(); got != 1 {
 		t.Fatalf("auto parallelism on a small log = %d, want 1", got)
 	}
 
-	// Simulate a store past the threshold (only the length is read).
-	m.ilog.Ans = make([]ingest.Answer, AutoParallelMinAnswers)
+	// Grow the store past the threshold (only its answer count is read).
+	m.ilog.Append(make([]ingest.Answer, AutoParallelMinAnswers))
 	want := runtime.GOMAXPROCS(0)
 	if got := m.effectiveParallelism(); got != want {
 		t.Fatalf("auto parallelism on a big log = %d, want GOMAXPROCS (%d)", got, want)

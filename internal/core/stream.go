@@ -2,37 +2,29 @@ package core
 
 // Streaming ingestion — the O(batch) refresh path of online serving.
 //
-// A fitted Model owns a mutable CSR answer store (internal/ingest). When an
-// answer batch lands, Ingest decodes it against the model's worker table and
-// standardisation constants, merges it into the store in place and marks the
-// touched cells dirty; RefreshIncremental then re-runs the E-step on exactly
-// the dirty posteriors before a short warm EM polish from the previous
-// optimum. Unlike InferWarm — which re-decodes, re-sorts and re-indexes the
-// whole log per refresh — decoding and merging are proportional to the
-// batch, not the log.
+// A fitted Model owns a mutable sufficient-statistics store
+// (internal/ingest). When an answer batch lands, Ingest decodes it against
+// the model's worker table, folds it into the store's groups in place and
+// marks the touched cells dirty; RefreshIncremental then re-runs the E-step
+// on exactly the dirty posteriors before a short warm EM polish from the
+// previous optimum. Unlike InferWarm — which re-decodes, re-sorts and
+// re-groups the whole log per refresh — decoding and merging are
+// proportional to the batch, not the log.
 //
 // Column standardisation stays exact: the model keeps each continuous
 // column's Welford accumulator (the same left fold stats.MeanVariance
 // computes), so a batch extends the constants bit-identically to a cold
-// recompute over the grown log; when a column's constants move, its stored
-// answers are re-standardized in place from their retained raw values and
-// the column's cells join the dirty set. Exactness has a cost: a batch
-// that shifts a continuous column's constants adds one linear re-scale
-// pass over the stored answers (a subtract and a divide per answer — no
-// transcendentals, no re-sort; ~70µs per 10k answers, see the
-// ingest/append-50 bench) and widens the dirty set to that column's
-// cells. Purely categorical streams, and continuous batches that leave
-// the constants bit-stable, keep strict O(batch) ingestion. Trading the
-// bitwise rebuild-equivalence guarantee for thresholded re-standardisation
-// would remove the sweep; the ROADMAP tracks that as part of the
-// sufficient-statistics M-step item.
+// recompute over the grown log. Groups keep the moments of the raw values
+// and the EM loops standardize them with the current constants, so when a
+// column's constants move no stored value changes: only the column's
+// answered cells join the dirty set, because their continuous posteriors
+// were computed under the old z-scale.
 
 import (
 	"errors"
 	"fmt"
 	"math"
 
-	"tcrowd/internal/stats"
 	"tcrowd/internal/tabular"
 )
 
@@ -135,12 +127,12 @@ func (m *Model) IngestFrom(log *tabular.AnswerLog) (int, error) {
 	return len(batch), nil
 }
 
-// Ingest decodes a raw answer batch and merges it into the model's CSR
-// answer store in place, marking the touched cells dirty for the next
-// RefreshIncremental. The work — validation, constant updates,
-// re-standardisation bookkeeping, decode, merge — is O(batch) plus a linear
-// shift of the store's tail; the clean prefix is never re-sorted or
-// reallocated. First-seen workers are registered with the initial variance;
+// Ingest decodes a raw answer batch and folds it into the model's group
+// store in place, marking the touched cells dirty for the next
+// RefreshIncremental. The work — validation, constant updates, decode,
+// merge — is O(batch) plus a linear shift of the store's tail (and a pass
+// over the cells when a column's constants move); the clean prefix is
+// never re-sorted. First-seen workers are registered with the initial variance;
 // cells answered for the first time get posteriors allocated.
 //
 // The batch is validated before any state changes, so an error leaves the
@@ -187,16 +179,13 @@ func (m *Model) Ingest(batch []tabular.Answer) error {
 		}
 	}
 	if changed {
-		// Re-standardize the stored answers of the shifted columns from
-		// their retained raw values, and dirty those cells: their
+		// Dirty the answered cells of the shifted columns: their
 		// continuous posteriors were computed under the old z-scale.
-		// z is a strictly increasing map of x, so CSR order within every
-		// run is preserved.
-		for idx := range m.ilog.Ans {
-			a := &m.ilog.Ans[idx]
-			if !a.IsCat && scr.colChanged[a.J] {
-				a.Z = stats.Standardize(a.X, m.ColMean[a.J], m.ColStd[a.J])
-				m.ilog.MarkDirty(m.ilog.Key(a.I, a.J))
+		for i := 0; i < m.Table.NumRows(); i++ {
+			for j := 0; j < mm; j++ {
+				if scr.colChanged[j] && m.Answered[i][j] {
+					m.ilog.MarkDirty(m.ilog.Key(i, j))
+				}
 			}
 		}
 	}
@@ -204,8 +193,8 @@ func (m *Model) Ingest(batch []tabular.Answer) error {
 		scr.colChanged[j] = false
 	}
 
-	// Decode (mode filter, worker registration, standardisation) into the
-	// reusable staging buffer and merge.
+	// Decode (mode filter, worker registration) into the reusable staging
+	// buffer and merge.
 	scr.dec = scr.dec[:0]
 	for _, a := range batch {
 		oa, use, err := m.decodeAnswer(a)
@@ -230,11 +219,6 @@ func (m *Model) Ingest(batch []tabular.Answer) error {
 	if len(scr.dec) > 0 {
 		m.ilog.Append(scr.dec)
 		m.pendingPolish += len(scr.dec)
-	} else if changed {
-		// No answers survived the mode filter but a column's constants
-		// shifted: the re-standardized cells' sufficient statistics must be
-		// brought back in sync without an Append.
-		m.ilog.RecomputeDirtyGroups()
 	}
 	// Worker medians may have shifted (new workers, at least): drop the
 	// cache; RefreshIncremental refreezes it.
@@ -262,10 +246,10 @@ type RefreshStats struct {
 
 // RefreshIncremental reconverges the model after one or more Ingest calls:
 // the E-step runs on exactly the dirty cells' posteriors (new answers,
-// newly answered cells, re-standardized columns), then a warm EM polish —
-// at most maxIter iterations — re-runs full EM from the previous optimum
-// until the model's parameter tolerance fires. Iterations and Converged
-// report the polish.
+// newly answered cells, columns whose constants moved), then a warm EM
+// polish — at most maxIter iterations — re-runs full EM from the previous
+// optimum until the model's parameter tolerance fires. Iterations and
+// Converged report the polish.
 //
 // Amortized polish cadence: with maxIter <= 0 (the serving default) the
 // full polish is deferred until enough new answers have accumulated —

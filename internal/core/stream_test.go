@@ -15,11 +15,12 @@ import (
 // property: for random logs split into arbitrary batch sequences,
 // Ingest + RefreshIncremental(k) after every batch is EXACTLY — bit for
 // bit, far inside the 1e-9 target — the model that InferWarm produces by
-// re-decoding, re-sorting and re-indexing the grown log from scratch with
-// the same EM budget. The streamed store (in-place CSR merge, constant
-// updates, re-standardisation, dirty-cell E-step) therefore introduces
-// zero numerical deviation; the only approximation in the streaming path
-// is EM convergence itself, which the companion cold test bounds.
+// re-decoding, re-sorting and re-grouping the grown log from scratch with
+// the same EM budget. The streamed store (in-place group fold and splice,
+// constant updates, shifted-column dirtying, dirty-cell E-step) therefore
+// introduces zero numerical deviation; the only approximation in the
+// streaming path is EM convergence itself, which the companion cold test
+// bounds.
 func TestRefreshIncrementalMatchesRebuild(t *testing.T) {
 	opts := Options{MaxIter: 40, Tol: 1e-9, MStepIter: 25}
 	splits := [][]int{
@@ -73,6 +74,73 @@ func TestRefreshIncrementalMatchesRebuild(t *testing.T) {
 			assertBitwiseFit(t, trial, ref, m)
 		}
 	}
+}
+
+// FuzzIngestSplits extends the streaming equivalence property to logs in
+// which workers answer a cell more than once, so groups hold several
+// answers (and one worker several groups per categorical cell): Ingest +
+// RefreshIncremental(k) after every batch must stay bitwise the InferWarm
+// rebuild of the grown log. The inputs pick the table and crowd (seed),
+// the batch split (one batch of 1 + size%16 answers per byte; the first is
+// the cold fit) and how often an answer repeats an earlier (cell, worker)
+// pair (repeat/256). Continuous answers move their column's constants on
+// almost every batch.
+func FuzzIngestSplits(f *testing.F) {
+	f.Add(int64(1), []byte{9, 7, 1, 12, 5, 15, 3}, uint8(150)) // duplicate-heavy
+	f.Add(int64(2), []byte{15, 0, 0, 4, 9, 2}, uint8(96))
+	f.Add(int64(3), []byte{8, 8, 8}, uint8(0))
+	f.Fuzz(func(t *testing.T, seed int64, sizes []byte, repeat uint8) {
+		if len(sizes) < 2 || len(sizes) > 12 {
+			return
+		}
+		ds := simulate.Generate(stats.NewRNG(seed), simulate.TableConfig{
+			Rows: 6, Cols: 4, CatRatio: 0.5, MaxLabels: 3,
+			Population: simulate.PopulationConfig{N: 5},
+		})
+		crowd := simulate.NewCrowd(ds, seed+1)
+		rng := stats.NewRNG(seed + 2)
+		var all []tabular.Answer
+		for _, size := range sizes {
+			for n := 1 + int(size%16); n > 0; n-- {
+				w := &ds.Workers[rng.Intn(len(ds.Workers))]
+				c := tabular.Cell{Row: rng.Intn(6), Col: rng.Intn(4)}
+				if len(all) > 0 && rng.Intn(256) < int(repeat) {
+					prev := all[rng.Intn(len(all))]
+					w, c = ds.WorkerByID(prev.Worker), prev.Cell
+				}
+				all = append(all, crowd.Answer(w, c))
+			}
+		}
+
+		opts := Options{MaxIter: 6, Tol: 1e-9, MStepIter: 8}
+		at := 1 + int(sizes[0]%16)
+		prefLog := tabular.NewAnswerLog()
+		prefLog.AddAll(all[:at])
+		m, err := Infer(ds.Table, prefLog, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := Infer(ds.Table, prefLog, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refLog := prefLog.Clone()
+		wopts := opts
+		wopts.MaxIter = 3 // the polish budget
+		for b, size := range sizes[1:] {
+			batch := all[at : at+1+int(size%16)]
+			at += len(batch)
+			if err := m.Ingest(batch); err != nil {
+				t.Fatal(err)
+			}
+			m.RefreshIncremental(wopts.MaxIter)
+			refLog.AddAll(batch)
+			if ref, err = InferWarm(ref, ds.Table, refLog, wopts); err != nil {
+				t.Fatal(err)
+			}
+			assertBitwiseFit(t, b, ref, m)
+		}
+	})
 }
 
 // assertBitwiseFit requires two fits to agree exactly: parameters,

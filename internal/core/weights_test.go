@@ -58,7 +58,7 @@ func TestWeightedFusedMatchesReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Infer(ds.Table, log, Options{MaxIter: 15, WorkerWeights: w, refMStep: true})
+	ref, err := Infer(ds.Table, log, Options{MaxIter: 15, WorkerWeights: w, refMStep: mStepReference})
 	if err != nil {
 		t.Fatal(err)
 	}

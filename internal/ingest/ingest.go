@@ -1,45 +1,41 @@
-// Package ingest is the streaming answer store of the EM engine: a mutable
-// CSR (compressed sparse row) layout of decoded answers that grows in place
-// as answer batches land, instead of being rebuilt from the raw log on every
-// refresh.
+// Package ingest is the streaming answer store of the EM engine: one
+// sufficient-statistics group per distinct (cell, worker, label), kept in
+// CSR (compressed sparse row) order and grown in place as answer batches
+// land, instead of being rebuilt from the raw log on every refresh.
 //
-// Motivation. Online serving re-infers after every small answer batch. The
-// cold path decodes the whole answer log, sorts it and rebuilds every index
-// per refresh — O(|log| log |log|) work to absorb a handful of answers. The
-// streaming store keeps the decoded answers permanently in CSR order and
-// absorbs a batch with one in-place merge: O(|batch| log |batch|) to sort
-// the batch plus a single linear move of the tail, never touching the
-// relative order of the clean prefix. Cells that received answers are
-// tracked as dirty, so the caller can re-run the E-step on exactly the
-// posteriors that changed.
+// Motivation. T-Crowd's EM reads an answer only through its (cell, worker,
+// label) term: a categorical answer through its label, a continuous answer
+// through its value. So a group carries its answer count and, for a
+// continuous cell, the running moments of the raw values, and that is all
+// the E-step, the M-step and the ELBO need. The decoded answers are only
+// Append's staging input; the store keeps no copy of them. On a served
+// project, where the platform refuses a second answer by one worker on one
+// cell, every group holds exactly one answer.
 //
-// Determinism: the sufficient-statistics groups are always re-accumulated
-// in canonical CSR order so the float sums are bitwise batch-split
-// invariant — tcrowd-lint (detfold) enforces that no fold here picks up
-// map-order, clock or global-rand dependence (//tcrowd:deterministic at
-// the end of this comment).
+// Layout. Groups are sorted by (cell key, worker, label) where key =
+// row*cols + col; GroupOff is the CSR index: cell key k owns
+// Groups[GroupOff[k]:GroupOff[k+1]]. The order guarantees two invariants
+// the EM hot loops rely on:
 //
-// Layout. Ans holds every decoded answer sorted by (cell key, worker,
-// label, z) where key = row*cols + col; CellOff is the CSR index: cell key
-// k owns Ans[CellOff[k]:CellOff[k+1]]. The sort order guarantees two
-// invariants the EM hot loops rely on:
+//   - a cell's groups are one contiguous run (E-step locality), and
+//   - groups sharing a (row, column, worker) variance triple sit adjacent,
+//     so the fused M-step reuses their transcendental work (memoisation).
 //
-//   - a cell's answers are one contiguous run (E-step locality), and
-//   - duplicate (row, column, worker) variance triples sit adjacent, so the
-//     fused M-step reuses their transcendental work (memoisation).
+// Streaming. Append sorts a batch by (cell key, worker, label), folds each
+// run into its group in place when the cell already has one, and splices
+// the groups it creates with one backward in-place merge: the clean prefix
+// is shifted, never re-sorted, so the cost is O(|batch| log |batch| +
+// moved groups + cells), not O(|log| log |log|). Cells that received
+// answers are tracked as dirty, so the caller can re-run the E-step on
+// exactly the posteriors that changed. Rebuild is Append into an empty
+// store: both paths run the same code.
 //
-// Sufficient statistics. On top of the per-answer layout the store
-// maintains Groups: one accumulator per maximal run of answers sharing
-// (cell, worker, label), carrying the run's Count, ΣZ and ΣZ². The M-step
-// objective/gradient is a sum of per-answer terms that depend on the answer
-// only through these moments, so the hot loops iterate Groups instead of
-// re-reading the log — O(groups) per evaluation with group count bounded by
-// distinct (cell, worker, label) triples, and the accumulators are updated
-// at Append time from exactly the dirty cells. Group stats are always
-// re-accumulated from the cell's answers in canonical CSR order, never
-// adjusted in place, so they are a pure function of the final log content:
-// any sequence of batch splits that yields the same log yields bitwise
-// identical Groups.
+// Determinism: a group's moments are a left fold over its answers in log
+// order (the batch sort is stable, and batches arrive in log order), so any
+// split of a log into batches yields bitwise the same groups — tcrowd-lint
+// (detfold) enforces that no fold here picks up map-order, clock or
+// global-rand dependence (//tcrowd:deterministic at the end of this
+// comment).
 //
 // Concurrency. A Log is not safe for concurrent mutation; the owning model
 // serialises Append against the EM loops. Read-only access from parallel
@@ -49,72 +45,68 @@
 package ingest
 
 import (
+	"cmp"
 	"slices"
 )
 
-// Answer is one decoded observation: indices resolved against the model's
-// worker table, continuous values standardized to z-scores. The raw value X
-// is retained so continuous answers can be re-standardized in place when a
-// batch shifts the column's standardisation constants.
+// Answer is one decoded observation, the staging input of Append: indices
+// resolved against the model's worker table, the raw value kept for a
+// continuous answer. Append folds it into its group and keeps no copy.
 type Answer struct {
 	// W, I, J are the worker, row and column indices.
 	W, I, J int
 	// IsCat marks a categorical answer (Label valid) vs a continuous one
-	// (Z and X valid).
+	// (X valid).
 	IsCat bool
 	// Label is the answered label index of a categorical answer.
 	Label int
-	// Z is the standardized value of a continuous answer.
-	Z float64
 	// X is the raw (natural-unit) value of a continuous answer.
 	X float64
+	// ord is the answer's position in its batch, the sort's tiebreak: a
+	// run of one group keeps batch order.
+	ord int
 }
 
-// Group is one sufficient-statistics accumulator: a maximal run of stored
-// answers sharing (cell, worker, label). For continuous cells Label is the
-// decoded answers' (constant) label field and SumZ/SumZ2 carry the moments;
-// for categorical cells SumZ/SumZ2 stay zero and Count alone matters.
+// Group is one sufficient-statistics accumulator: the answers sharing
+// (cell, worker, label). For continuous cells Label is the decoded
+// answers' (constant) label field and Mean/M2 carry the moments of the raw
+// values; for categorical cells they stay zero and Count alone matters.
 type Group struct {
 	// W, I, J are the worker, row and column indices of every answer in
-	// the run.
+	// the group.
 	W, I, J int32
 	// Label is the shared label index (categorical) or the constant label
 	// field of the continuous answers.
 	Label int32
-	// Count is the number of answers in the run.
+	// Count is the number of answers in the group.
 	Count int32
-	// IsCat marks a categorical run.
+	// IsCat marks a categorical group.
 	IsCat bool
-	// SumZ and SumZ2 are Σz and Σz² over the run's standardized values.
-	SumZ, SumZ2 float64
+	// Mean and M2 are the Welford moments of a continuous group's raw
+	// values, folded in log order (the fold the model's column
+	// accumulators use): Mean is their mean and M2 their sum of squared
+	// deviations from it. With Count 1, Mean is the raw value and M2 is 0.
+	Mean, M2 float64
 }
 
-// Log is the mutable CSR answer store. The zero value is not usable; call
+// Log is the mutable CSR group store. The zero value is not usable; call
 // NewLog.
 type Log struct {
-	// Ans holds the decoded answers in (cell key, worker, label, z) order.
-	// Hot loops index it directly; everyone else should treat it as
-	// read-only and mutate through Rebuild/Append.
-	Ans []Answer
-	// CellOff is the CSR index: cell key k owns Ans[CellOff[k]:CellOff[k+1]].
-	CellOff []int32
-	// Groups holds the sufficient-statistics runs in the same global order
-	// as Ans; GroupOff is its CSR index: cell key k owns
-	// Groups[GroupOff[k]:GroupOff[k+1]]. Maintained by Rebuild and Append.
+	// Groups holds the sufficient-statistics groups in (cell key, worker,
+	// label) order; GroupOff is its CSR index: cell key k owns
+	// Groups[GroupOff[k]:GroupOff[k+1]]. Hot loops index them directly;
+	// everyone else should treat them as read-only and mutate through
+	// Rebuild/Append.
 	Groups   []Group
 	GroupOff []int32
 
 	rows, cols int
+	// n is the number of answers folded in (Σ Count).
+	n int
 	// dirty flags + insertion-ordered key list of cells touched since the
 	// last ClearDirty.
 	dirty     []bool
 	dirtyKeys []int
-
-	// Scratch for the group splice in Append: ping-pong group buffer,
-	// sorted dirty keys, and their freshly counted group sizes.
-	spare      []Group
-	keyScratch []int
-	cntScratch []int32
 }
 
 // NewLog returns an empty store for a rows x cols table.
@@ -122,7 +114,6 @@ func NewLog(rows, cols int) *Log {
 	return &Log{
 		rows:     rows,
 		cols:     cols,
-		CellOff:  make([]int32, rows*cols+1),
 		GroupOff: make([]int32, rows*cols+1),
 		dirty:    make([]bool, rows*cols),
 	}
@@ -134,16 +125,11 @@ func (l *Log) Rows() int { return l.rows }
 // Cols returns the number of table columns.
 func (l *Log) Cols() int { return l.cols }
 
-// Len returns the number of stored answers.
-func (l *Log) Len() int { return len(l.Ans) }
+// Len returns the number of stored answers (the groups' total Count).
+func (l *Log) Len() int { return l.n }
 
 // Key returns the cell key of (i, j).
 func (l *Log) Key(i, j int) int { return i*l.cols + j }
-
-// CellRange returns the half-open Ans range of cell key k.
-func (l *Log) CellRange(key int) (lo, hi int) {
-	return int(l.CellOff[key]), int(l.CellOff[key+1])
-}
 
 // GroupRange returns the half-open Groups range of cell key k.
 func (l *Log) GroupRange(key int) (lo, hi int) {
@@ -153,226 +139,157 @@ func (l *Log) GroupRange(key int) (lo, hi int) {
 // NumGroups returns the number of sufficient-statistics groups.
 func (l *Log) NumGroups() int { return len(l.Groups) }
 
-// less is the canonical CSR ordering. Ties (identical key, worker, label
-// and z) are fully interchangeable observations, so an unstable sort is
-// fine.
-func (l *Log) less(a, b *Answer) bool {
-	ka, kb := a.I*l.cols+a.J, b.I*l.cols+b.J
-	if ka != kb {
-		return ka < kb
-	}
-	if a.W != b.W {
-		return a.W < b.W
-	}
-	if a.Label != b.Label {
-		return a.Label < b.Label
-	}
-	return a.Z < b.Z
-}
-
+// cmp is the batch order: (cell key, worker, label), ties broken by batch
+// position, which makes the sort stable.
 func (l *Log) cmp(a, b Answer) int {
-	if l.less(&a, &b) {
-		return -1
+	if c := cmp.Compare(a.I*l.cols+a.J, b.I*l.cols+b.J); c != 0 {
+		return c
 	}
-	if l.less(&b, &a) {
-		return 1
+	if c := cmp.Compare(a.W, b.W); c != 0 {
+		return c
 	}
-	return 0
+	if c := cmp.Compare(a.Label, b.Label); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ord, b.ord)
 }
 
-// Rebuild bulk-loads the store from an unordered answer set: sort once,
-// rebuild the CSR index, clear the dirty set. This is the cold-start path;
-// Append is the streaming path.
+// order compares group g with the group answer a belongs to.
+func (l *Log) order(g *Group, a *Answer) int {
+	if c := cmp.Compare(int(g.I)*l.cols+int(g.J), a.I*l.cols+a.J); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(int(g.W), a.W); c != 0 {
+		return c
+	}
+	return cmp.Compare(int(g.Label), a.Label)
+}
+
+// sameGroup reports whether two answers belong to one group.
+func sameGroup(a, b *Answer) bool {
+	return a.I == b.I && a.J == b.J && a.W == b.W && a.Label == b.Label
+}
+
+// fold adds a run of one group's answers to g, in order: the count, and
+// for a continuous group the Welford moments of the raw values.
+func fold(g *Group, run []Answer) {
+	for idx := range run {
+		g.Count++
+		if !g.IsCat {
+			x := run[idx].X
+			d := x - g.Mean
+			g.Mean += d / float64(g.Count)
+			g.M2 += d * (x - g.Mean)
+		}
+	}
+}
+
+// Rebuild bulk-loads the store from an answer set in log order: Append
+// into an empty store, then clear the dirty set. It is the cold-start
+// path, and any split of the same log into Append batches yields bitwise
+// the same groups.
 func (l *Log) Rebuild(ans []Answer) {
-	l.Ans = ans
-	slices.SortFunc(l.Ans, l.cmp)
-	for k := range l.CellOff {
-		l.CellOff[k] = 0
-	}
-	for idx := range l.Ans {
-		a := &l.Ans[idx]
-		l.CellOff[a.I*l.cols+a.J+1]++
-	}
-	for key := 0; key < l.rows*l.cols; key++ {
-		l.CellOff[key+1] += l.CellOff[key]
-	}
-	l.rebuildGroups()
+	l.Groups = l.Groups[:0]
+	clear(l.GroupOff)
+	l.n = 0
+	l.ClearDirty()
+	l.Append(ans)
 	l.ClearDirty()
 }
 
-// rebuildGroups recomputes the whole sufficient-statistics index from the
-// sorted answer array: one linear pass over Ans emitting a group per
-// maximal (cell, worker, label) run, then a counting pass for GroupOff.
-func (l *Log) rebuildGroups() {
-	l.Groups = l.Groups[:0]
-	for k := range l.GroupOff {
-		l.GroupOff[k] = 0
-	}
-	for idx := 0; idx < len(l.Ans); {
-		l.Groups = appendCellRunGroup(l.Groups, l.Ans, &idx, len(l.Ans))
-	}
-	for g := range l.Groups {
-		gr := &l.Groups[g]
-		l.GroupOff[int(gr.I)*l.cols+int(gr.J)+1]++
-	}
-	for key := 0; key < l.rows*l.cols; key++ {
-		l.GroupOff[key+1] += l.GroupOff[key]
-	}
-}
-
-// appendCellRunGroup consumes one maximal (cell, worker, label) run
-// starting at *idx (bounded by hi and by any change of cell) and appends
-// its accumulator. Stats are summed from scratch in canonical order, which
-// keeps them a pure function of the stored content.
-func appendCellRunGroup(dst []Group, ans []Answer, idx *int, hi int) []Group {
-	a := &ans[*idx]
-	g := Group{
-		W: int32(a.W), I: int32(a.I), J: int32(a.J),
-		Label: int32(a.Label), IsCat: a.IsCat,
-	}
-	for *idx < hi {
-		b := &ans[*idx]
-		if b.I != a.I || b.J != a.J || b.W != a.W || b.Label != a.Label {
-			break
-		}
-		g.Count++
-		g.SumZ += b.Z
-		g.SumZ2 += b.Z * b.Z
-		*idx++
-	}
-	return append(dst, g)
-}
-
-// countCellGroups returns the number of (worker, label) runs in cell key's
-// current answer range.
-func (l *Log) countCellGroups(key int) int32 {
-	lo, hi := l.CellRange(key)
-	var n int32
-	for idx := lo; idx < hi; {
-		a := &l.Ans[idx]
-		for idx < hi && l.Ans[idx].W == a.W && l.Ans[idx].Label == a.Label {
-			idx++
-		}
-		n++
-	}
-	return n
-}
-
-// appendCellGroups re-derives cell key's groups from its (already merged)
-// answer range and appends them to dst.
-func (l *Log) appendCellGroups(dst []Group, key int) []Group {
-	lo, hi := l.CellRange(key)
-	for idx := lo; idx < hi; {
-		dst = appendCellRunGroup(dst, l.Ans, &idx, hi)
-	}
-	return dst
-}
-
-// Append merges a batch of decoded answers into the CSR layout in place and
-// marks their cells dirty. The batch is sorted in place (caller's slice is
-// reordered); the store's clean prefix — every run before the first dirty
-// cell — is never re-sorted, only shifted: a single backward merge pass
-// moves each suffix answer at most once, so the cost is O(|batch| log
-// |batch| + moved), not O(|log| log |log|).
+// Append folds a batch of decoded answers, in log order, into the store
+// and marks their cells dirty. The batch is sorted in place (the caller's
+// slice is reordered). A run that extends a group already in the store
+// folds into it in place; the groups the batch creates are spliced in by
+// one backward merge that moves each later group at most once, so the
+// clean prefix is never re-sorted, only shifted.
 func (l *Log) Append(batch []Answer) {
 	if len(batch) == 0 {
 		return
 	}
-	slices.SortFunc(batch, l.cmp)
-
-	// Mark dirty cells (batch is sorted, so duplicates are adjacent).
-	prevKey := -1
 	for idx := range batch {
-		key := batch[idx].I*l.cols + batch[idx].J
+		batch[idx].ord = idx
+	}
+	slices.SortFunc(batch, l.cmp)
+	l.n += len(batch)
+
+	// Forward pass over the batch's runs: fold a run into its group when
+	// the cell has one, count the runs that open a new group, and shift
+	// each cell's end offset by the new groups at or before it. When cell
+	// key is searched, GroupOff[key] is already shifted by the new groups
+	// before it (base), GroupOff[key+1] not yet.
+	var added, base int32
+	next, prevKey := batch[0].I*l.cols+batch[0].J, -1
+	for lo := 0; lo < len(batch); {
+		a := &batch[lo]
+		hi := lo + 1
+		for hi < len(batch) && sameGroup(a, &batch[hi]) {
+			hi++
+		}
+		key := a.I*l.cols + a.J
 		if key != prevKey {
 			prevKey = key
 			l.MarkDirty(key)
+			for ; next < key; next++ {
+				l.GroupOff[next+1] += added
+			}
+			base = added
 		}
-	}
-
-	// Backward in-place merge of the sorted prefix and the sorted batch.
-	// Growth goes through slices.Grow, so steady-state streaming appends
-	// reallocate (and copy the clean prefix) only amortised-O(1) times per
-	// answer.
-	old := len(l.Ans)
-	l.Ans = slices.Grow(l.Ans, len(batch))[:old+len(batch)]
-	i, j := old-1, len(batch)-1
-	for k := old + len(batch) - 1; j >= 0; k-- {
-		if i >= 0 && l.less(&batch[j], &l.Ans[i]) {
-			l.Ans[k] = l.Ans[i]
-			i--
+		if g := l.find(int(l.GroupOff[key]-base), int(l.GroupOff[key+1]), a); g >= 0 {
+			fold(&l.Groups[g], batch[lo:hi])
 		} else {
-			l.Ans[k] = batch[j]
-			j--
+			added++
 		}
+		lo = hi
 	}
-
-	// Shift the CSR offsets: CellOff[k+1] grows by the number of batch
-	// answers at cells <= k. One linear pass over cells + batch.
-	bi, add := 0, int32(0)
-	cells := l.rows * l.cols
-	for key := 0; key < cells; key++ {
-		for bi < len(batch) && batch[bi].I*l.cols+batch[bi].J == key {
-			bi++
-			add++
-		}
-		l.CellOff[key+1] += add
-	}
-
-	l.regroupDirty()
-}
-
-// RecomputeDirtyGroups re-derives the sufficient statistics of every
-// currently dirty cell from its stored answers. Append does this
-// automatically; callers that mutate answer values in place (the model's
-// re-standardisation path rewrites Z when a batch shifts a column's
-// standardisation constants) and cannot immediately follow with an Append
-// use this to bring Groups back in sync.
-func (l *Log) RecomputeDirtyGroups() { l.regroupDirty() }
-
-// regroupDirty splices fresh groups for every dirty cell into the
-// sufficient-statistics index. Dirty cells' runs are re-accumulated from
-// scratch in canonical order (bitwise batch-split invariance); clean cells'
-// groups move by bulk copy into a ping-pong buffer, so the cost is
-// O(|groups| memmove + dirty answers + cells), mirroring the answer merge.
-func (l *Log) regroupDirty() {
-	if len(l.dirtyKeys) == 0 {
+	if added == 0 {
 		return
 	}
-	keys := append(l.keyScratch[:0], l.dirtyKeys...)
-	slices.Sort(keys)
-	cnt := l.cntScratch[:0]
-	for _, key := range keys {
-		cnt = append(cnt, l.countCellGroups(key))
+	for ; next < l.rows*l.cols; next++ {
+		l.GroupOff[next+1] += added
 	}
 
-	// Build the new group array: alternate bulk copies of clean spans with
-	// fresh scans of dirty cells.
-	dst := l.spare[:0]
-	prev := 0
-	for _, key := range keys {
-		dst = append(dst, l.Groups[l.GroupOff[prev]:l.GroupOff[key]]...)
-		dst = l.appendCellGroups(dst, key)
-		prev = key + 1
-	}
-	dst = append(dst, l.Groups[l.GroupOff[prev]:]...)
-	l.spare, l.Groups = l.Groups[:0], dst
-	l.keyScratch, l.cntScratch = keys, cnt
-
-	// Rewrite GroupOff from the first dirty cell on: new end = old end plus
-	// the accumulated group-count delta of dirty cells at or below the key.
-	var shift int32
-	si := 0
-	oldStart := l.GroupOff[keys[0]]
-	for key := keys[0]; key < l.rows*l.cols; key++ {
-		oldEnd := l.GroupOff[key+1]
-		if si < len(keys) && keys[si] == key {
-			shift += cnt[si] - (oldEnd - oldStart)
-			si++
+	// Backward in-place merge: walk the runs from the last, move every
+	// group that sorts after the run up by the number of new groups still
+	// to place, and write a new group into the gap when the run opened
+	// one. Growth goes through slices.Grow, so streamed appends reallocate
+	// (and copy the clean prefix) only amortised-O(1) times per group.
+	old := len(l.Groups)
+	l.Groups = slices.Grow(l.Groups, int(added))[:old+int(added)]
+	i, k := old-1, old+int(added)-1
+	for hi := len(batch); k > i; {
+		lo := hi - 1
+		for lo > 0 && sameGroup(&batch[lo-1], &batch[lo]) {
+			lo--
 		}
-		l.GroupOff[key+1] = oldEnd + shift
-		oldStart = oldEnd
+		a := &batch[lo]
+		for i >= 0 && l.order(&l.Groups[i], a) > 0 {
+			l.Groups[k] = l.Groups[i]
+			i--
+			k--
+		}
+		if i < 0 || l.order(&l.Groups[i], a) != 0 {
+			g := Group{
+				W: int32(a.W), I: int32(a.I), J: int32(a.J),
+				Label: int32(a.Label), IsCat: a.IsCat,
+			}
+			fold(&g, batch[lo:hi])
+			l.Groups[k] = g
+			k--
+		}
+		hi = lo
 	}
+}
+
+// find returns the index in Groups[lo:hi] (one cell's groups) of a's
+// group, or -1 when the cell has none.
+func (l *Log) find(lo, hi int, a *Answer) int {
+	for g := lo; g < hi; g++ {
+		if gr := &l.Groups[g]; int(gr.W) == a.W && int(gr.Label) == a.Label {
+			return g
+		}
+	}
+	return -1
 }
 
 // MarkDirty flags a cell key as needing posterior recomputation.
@@ -388,7 +305,7 @@ func (l *Log) MarkDirty(key int) {
 // retain it across ClearDirty.
 func (l *Log) DirtyKeys() []int { return l.dirtyKeys }
 
-// ClearDirty resets the dirty set (answers stay).
+// ClearDirty resets the dirty set (groups stay).
 func (l *Log) ClearDirty() {
 	for _, key := range l.dirtyKeys {
 		l.dirty[key] = false

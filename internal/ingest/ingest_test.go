@@ -2,10 +2,13 @@ package ingest
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // randomAnswers draws n random decoded answers over a rows x cols table.
+// Few workers on small tables make repeated (cell, worker, label) answers,
+// and so multi-answer groups, common.
 func randomAnswers(rng *rand.Rand, rows, cols, workers, n int) []Answer {
 	out := make([]Answer, n)
 	for k := range out {
@@ -19,42 +22,87 @@ func randomAnswers(rng *rand.Rand, rows, cols, workers, n int) []Answer {
 			a.Label = rng.Intn(4)
 		} else {
 			a.X = rng.NormFloat64() * 10
-			a.Z = a.X / 10
 		}
 		out[k] = a
 	}
 	return out
 }
 
-// checkInvariants asserts the CSR layout: offsets consistent, answers
-// sorted, each cell's run holding exactly its answers.
+// naiveGroups is the reference grouping: a stable sort of a copy of the
+// log by (cell key, worker, label) and one fold per run, in log order.
+func naiveGroups(all []Answer, cols int) []Group {
+	ans := slices.Clone(all)
+	slices.SortStableFunc(ans, func(a, b Answer) int {
+		if ka, kb := a.I*cols+a.J, b.I*cols+b.J; ka != kb {
+			return ka - kb
+		}
+		if a.W != b.W {
+			return a.W - b.W
+		}
+		return a.Label - b.Label
+	})
+	var out []Group
+	for lo := 0; lo < len(ans); {
+		hi := lo + 1
+		for hi < len(ans) && sameGroup(&ans[lo], &ans[hi]) {
+			hi++
+		}
+		a := ans[lo]
+		g := Group{W: int32(a.W), I: int32(a.I), J: int32(a.J), Label: int32(a.Label), IsCat: a.IsCat}
+		for _, b := range ans[lo:hi] {
+			g.Count++
+			if !g.IsCat {
+				d := b.X - g.Mean
+				g.Mean += d / float64(g.Count)
+				g.M2 += d * (b.X - g.Mean)
+			}
+		}
+		out = append(out, g)
+		lo = hi
+	}
+	return out
+}
+
+// checkInvariants asserts the CSR layout: offsets consistent, groups
+// strictly sorted, each cell's run holding exactly its groups, and Len the
+// total count.
 func checkInvariants(t *testing.T, l *Log) {
 	t.Helper()
-	if int(l.CellOff[0]) != 0 || int(l.CellOff[len(l.CellOff)-1]) != len(l.Ans) {
-		t.Fatalf("CSR bounds broken: [%d, %d] over %d answers",
-			l.CellOff[0], l.CellOff[len(l.CellOff)-1], len(l.Ans))
+	if int(l.GroupOff[0]) != 0 || int(l.GroupOff[len(l.GroupOff)-1]) != len(l.Groups) {
+		t.Fatalf("CSR bounds broken: [%d, %d] over %d groups",
+			l.GroupOff[0], l.GroupOff[len(l.GroupOff)-1], len(l.Groups))
 	}
+	total := 0
 	for key := 0; key < l.Rows()*l.Cols(); key++ {
-		lo, hi := l.CellRange(key)
+		lo, hi := l.GroupRange(key)
 		if lo > hi {
 			t.Fatalf("cell %d has negative run [%d, %d)", key, lo, hi)
 		}
-		for idx := lo; idx < hi; idx++ {
-			if got := l.Key(l.Ans[idx].I, l.Ans[idx].J); got != key {
-				t.Fatalf("answer %d in run of cell %d belongs to cell %d", idx, key, got)
+		for g := lo; g < hi; g++ {
+			gr := &l.Groups[g]
+			if got := l.Key(int(gr.I), int(gr.J)); got != key {
+				t.Fatalf("group %d in run of cell %d belongs to cell %d", g, key, got)
 			}
+			total += int(gr.Count)
 		}
 	}
-	for idx := 1; idx < len(l.Ans); idx++ {
-		if l.less(&l.Ans[idx], &l.Ans[idx-1]) {
-			t.Fatalf("answers out of order at %d", idx)
+	for g := 1; g < len(l.Groups); g++ {
+		prev := Answer{I: int(l.Groups[g-1].I), J: int(l.Groups[g-1].J), W: int(l.Groups[g-1].W), Label: int(l.Groups[g-1].Label)}
+		if l.order(&l.Groups[g], &prev) <= 0 {
+			t.Fatalf("groups out of order at %d", g)
 		}
+	}
+	if total != l.Len() {
+		t.Fatalf("Len %d, groups count %d answers", l.Len(), total)
 	}
 }
 
 // TestAppendMatchesRebuild is the core streaming property: any batch split
-// of an answer set, appended incrementally, yields exactly the CSR layout a
-// bulk Rebuild of the full set produces.
+// of an answer set, appended incrementally, yields BITWISE the groups a
+// bulk Rebuild of the full set produces, and both equal the naive
+// sort-and-fold grouping. Group moments fold each group's answers in log
+// order however the batches split, which is what lets streamed refreshes
+// match a rebuild bit for bit.
 func TestAppendMatchesRebuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 25; trial++ {
@@ -62,7 +110,7 @@ func TestAppendMatchesRebuild(t *testing.T) {
 		all := randomAnswers(rng, rows, cols, 6, 40+rng.Intn(200))
 
 		bulk := NewLog(rows, cols)
-		bulk.Rebuild(append([]Answer(nil), all...))
+		bulk.Rebuild(slices.Clone(all))
 
 		inc := NewLog(rows, cols)
 		lo := 0
@@ -71,47 +119,44 @@ func TestAppendMatchesRebuild(t *testing.T) {
 			if hi > len(all) {
 				hi = len(all)
 			}
-			inc.Append(append([]Answer(nil), all[lo:hi]...))
+			inc.Append(slices.Clone(all[lo:hi]))
 			lo = hi
 		}
 
 		checkInvariants(t, inc)
 		checkInvariants(t, bulk)
-		if len(inc.Ans) != len(bulk.Ans) {
-			t.Fatalf("trial %d: %d answers incremental vs %d bulk", trial, len(inc.Ans), len(bulk.Ans))
+		if inc.Len() != len(all) || bulk.Len() != len(all) {
+			t.Fatalf("trial %d: Len %d incremental, %d bulk, want %d", trial, inc.Len(), bulk.Len(), len(all))
 		}
-		for idx := range inc.Ans {
-			if inc.Ans[idx] != bulk.Ans[idx] {
-				t.Fatalf("trial %d: answer %d diverged: %+v vs %+v",
-					trial, idx, inc.Ans[idx], bulk.Ans[idx])
+		want := naiveGroups(all, cols)
+		for name, l := range map[string]*Log{"incremental": inc, "bulk": bulk} {
+			if len(l.Groups) != len(want) {
+				t.Fatalf("trial %d: %s has %d groups, want %d", trial, name, len(l.Groups), len(want))
+			}
+			for g := range want {
+				if l.Groups[g] != want[g] {
+					t.Fatalf("trial %d: %s group %d diverged: %+v vs %+v", trial, name, g, l.Groups[g], want[g])
+				}
 			}
 		}
-		for key := range inc.CellOff {
-			if inc.CellOff[key] != bulk.CellOff[key] {
-				t.Fatalf("trial %d: CellOff[%d] diverged: %d vs %d",
-					trial, key, inc.CellOff[key], bulk.CellOff[key])
-			}
+		if !slices.Equal(inc.GroupOff, bulk.GroupOff) {
+			t.Fatalf("trial %d: GroupOff diverged", trial)
 		}
-		// The sufficient-statistics store must be batch-split invariant
-		// BITWISE: groups are always re-accumulated in canonical CSR
-		// order, so the float sums (SumZ, SumZ2) of any split schedule
-		// equal the bulk rebuild's exactly — which is what lets the
-		// group-based M-step replace the full-log read without any
-		// split-dependent drift.
-		if inc.NumGroups() != bulk.NumGroups() {
-			t.Fatalf("trial %d: %d groups incremental vs %d bulk", trial, inc.NumGroups(), bulk.NumGroups())
-		}
-		for g := range inc.Groups {
-			if inc.Groups[g] != bulk.Groups[g] {
-				t.Fatalf("trial %d: group %d diverged: %+v vs %+v",
-					trial, g, inc.Groups[g], bulk.Groups[g])
-			}
-		}
-		for key := range inc.GroupOff {
-			if inc.GroupOff[key] != bulk.GroupOff[key] {
-				t.Fatalf("trial %d: GroupOff[%d] diverged: %d vs %d",
-					trial, key, inc.GroupOff[key], bulk.GroupOff[key])
-			}
+	}
+}
+
+// TestOneAnswerGroupKeepsRawValue pins what the model's bitwise identity
+// on served projects rests on: a group of one answer holds Mean = x and
+// M2 = 0 exactly.
+func TestOneAnswerGroupKeepsRawValue(t *testing.T) {
+	l := NewLog(2, 2)
+	xs := []float64{-3.7e99, -0.1, 0, 1.0 / 3, 123456.789, 1e100}
+	for w, x := range xs {
+		l.Append([]Answer{{W: w, I: 1, J: 1, X: x}})
+	}
+	for g, x := range xs {
+		if gr := l.Groups[g]; gr.Count != 1 || gr.Mean != x || gr.M2 != 0 {
+			t.Fatalf("group of %v holds %+v", x, gr)
 		}
 	}
 }
@@ -122,7 +167,7 @@ func TestDirtyTracking(t *testing.T) {
 	l := NewLog(4, 3)
 	l.Rebuild([]Answer{
 		{W: 0, I: 0, J: 0, IsCat: true},
-		{W: 1, I: 2, J: 1, Z: 0.5, X: 5},
+		{W: 1, I: 2, J: 1, X: 5},
 	})
 	if len(l.DirtyKeys()) != 0 {
 		t.Fatalf("Rebuild left dirty cells: %v", l.DirtyKeys())
@@ -130,8 +175,8 @@ func TestDirtyTracking(t *testing.T) {
 
 	l.Append([]Answer{
 		{W: 2, I: 0, J: 0, IsCat: true, Label: 1},
-		{W: 2, I: 3, J: 2, Z: 1, X: 10},
-		{W: 0, I: 3, J: 2, Z: -1, X: -10},
+		{W: 2, I: 3, J: 2, X: 10},
+		{W: 0, I: 3, J: 2, X: -10},
 	})
 	want := map[int]bool{l.Key(0, 0): true, l.Key(3, 2): true}
 	got := l.DirtyKeys()
@@ -164,7 +209,7 @@ func TestAppendSteadyStateAllocs(t *testing.T) {
 	l.Rebuild(randomAnswers(rng, 50, 8, 10, 4000))
 	batch := randomAnswers(rng, 50, 8, 10, 50)
 	// Warm capacity headroom.
-	l.Append(append([]Answer(nil), batch...))
+	l.Append(slices.Clone(batch))
 	l.ClearDirty()
 
 	avg := testing.AllocsPerRun(20, func() {

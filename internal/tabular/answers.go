@@ -2,6 +2,7 @@ package tabular
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
@@ -20,31 +21,52 @@ type Answer struct {
 // by cell (for the E-step, which needs A_ij) and by worker (for the M-step
 // and the per-worker error histories of the correlation model).
 //
+// Worker IDs are interned: every stored answer of one worker shares the
+// ID string of its first answer, so an ID decoded afresh per request is
+// not kept once per answer.
+//
 // The zero value is not usable; call NewAnswerLog.
 type AnswerLog struct {
-	all      []Answer
-	byCell   map[Cell][]int
-	byWorker map[WorkerID][]int
-	workers  []WorkerID // insertion-ordered unique workers
+	all    []Answer
+	byCell map[Cell][]int
+	// workerIdx maps a worker to its index in workers and byWorker.
+	workerIdx map[WorkerID]int
+	workers   []WorkerID // insertion-ordered unique workers
+	// byWorker[k] lists the indices (into all) of workers[k]'s answers.
+	byWorker [][]int32
 }
 
 // NewAnswerLog returns an empty log.
 func NewAnswerLog() *AnswerLog {
 	return &AnswerLog{
-		byCell:   make(map[Cell][]int),
-		byWorker: make(map[WorkerID][]int),
+		byCell:    make(map[Cell][]int),
+		workerIdx: make(map[WorkerID]int),
 	}
 }
 
 // Add appends an answer.
 func (l *AnswerLog) Add(a Answer) {
 	idx := len(l.all)
+	k, seen := l.workerIdx[a.Worker]
+	if seen {
+		a.Worker = l.workers[k]
+	} else {
+		k = len(l.workers)
+		l.workerIdx[a.Worker] = k
+		l.workers = append(l.workers, a.Worker)
+		l.byWorker = append(l.byWorker, nil)
+	}
 	l.all = append(l.all, a)
 	l.byCell[a.Cell] = append(l.byCell[a.Cell], idx)
-	if _, seen := l.byWorker[a.Worker]; !seen {
-		l.workers = append(l.workers, a.Worker)
+	l.byWorker[k] = append(l.byWorker[k], int32(idx))
+}
+
+// answersOf returns the indices of worker u's answers (nil when unseen).
+func (l *AnswerLog) answersOf(u WorkerID) []int32 {
+	if k, ok := l.workerIdx[u]; ok {
+		return l.byWorker[k]
 	}
-	l.byWorker[a.Worker] = append(l.byWorker[a.Worker], idx)
+	return nil
 }
 
 // AddAll appends every answer in as.
@@ -88,7 +110,7 @@ func (l *AnswerLog) CellIndices(c Cell) []int { return l.byCell[c] }
 
 // ByWorker returns all answers by worker u, in insertion order.
 func (l *AnswerLog) ByWorker(u WorkerID) []Answer {
-	idxs := l.byWorker[u]
+	idxs := l.answersOf(u)
 	out := make([]Answer, len(idxs))
 	for k, i := range idxs {
 		out[k] = l.all[i]
@@ -97,7 +119,7 @@ func (l *AnswerLog) ByWorker(u WorkerID) []Answer {
 }
 
 // CountByWorker returns the number of answers worker u has given.
-func (l *AnswerLog) CountByWorker(u WorkerID) int { return len(l.byWorker[u]) }
+func (l *AnswerLog) CountByWorker(u WorkerID) int { return len(l.answersOf(u)) }
 
 // Workers returns the distinct workers in first-seen order. The returned
 // slice is freshly allocated.
@@ -111,7 +133,7 @@ func (l *AnswerLog) NumWorkers() int { return len(l.workers) }
 // HasAnswered reports whether worker u already answered cell c. Task
 // assignment must never hand the same cell to the same worker twice.
 func (l *AnswerLog) HasAnswered(u WorkerID, c Cell) bool {
-	for _, i := range l.byWorker[u] {
+	for _, i := range l.answersOf(u) {
 		if l.all[i].Cell == c {
 			return true
 		}
@@ -121,7 +143,7 @@ func (l *AnswerLog) HasAnswered(u WorkerID, c Cell) bool {
 
 // WorkerAnswerIn returns worker u's answer in row i on column j, if any.
 func (l *AnswerLog) WorkerAnswerIn(u WorkerID, c Cell) (Answer, bool) {
-	for _, i := range l.byWorker[u] {
+	for _, i := range l.answersOf(u) {
 		if l.all[i].Cell == c {
 			return l.all[i], true
 		}
@@ -133,7 +155,7 @@ func (l *AnswerLog) WorkerAnswerIn(u WorkerID, c Cell) (Answer, bool) {
 // with their answers — the set L^u_i of Eq. 7.
 func (l *AnswerLog) RowAnswersByWorker(u WorkerID, row int) []Answer {
 	var out []Answer
-	for _, i := range l.byWorker[u] {
+	for _, i := range l.answersOf(u) {
 		if l.all[i].Cell.Row == row {
 			out = append(out, l.all[i])
 		}
@@ -158,10 +180,12 @@ func (l *AnswerLog) Clone() *AnswerLog {
 	for c, idxs := range l.byCell {
 		out.byCell[c] = append([]int(nil), idxs...)
 	}
-	for w, idxs := range l.byWorker {
-		out.byWorker[w] = append([]int(nil), idxs...)
-	}
+	out.workerIdx = maps.Clone(l.workerIdx)
 	out.workers = append([]WorkerID(nil), l.workers...)
+	out.byWorker = make([][]int32, len(l.byWorker))
+	for k, idxs := range l.byWorker {
+		out.byWorker[k] = append([]int32(nil), idxs...)
+	}
 	return out
 }
 

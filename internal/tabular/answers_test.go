@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func logFixture() *AnswerLog {
@@ -85,6 +86,32 @@ func TestAnswerLogClone(t *testing.T) {
 	}
 	if l.NumWorkers() != 3 || c.NumWorkers() != 4 {
 		t.Fatal("clone workers not independent")
+	}
+}
+
+// TestAnswerLogInternsWorkerIDs pins the interning: answers whose worker ID
+// arrives as a fresh string (as each decoded request's does) are stored
+// sharing the first answer's ID string, and the worker indexes still see
+// them all, in a clone too.
+func TestAnswerLogInternsWorkerIDs(t *testing.T) {
+	l := NewAnswerLog()
+	for i := 0; i < 4; i++ {
+		id := WorkerID(strings.Clone("worker-7"))
+		l.Add(Answer{Worker: id, Cell: Cell{i, 0}, Value: LabelValue(0)})
+	}
+	first := unsafe.StringData(string(l.At(0).Worker))
+	for i := 1; i < l.Len(); i++ {
+		if unsafe.StringData(string(l.At(i).Worker)) != first {
+			t.Fatalf("answer %d keeps its own worker ID string", i)
+		}
+	}
+	c := l.Clone()
+	c.Add(Answer{Worker: "worker-7", Cell: Cell{9, 1}, Value: LabelValue(1)})
+	if l.CountByWorker("worker-7") != 4 || c.CountByWorker("worker-7") != 5 {
+		t.Fatalf("CountByWorker: log %d, clone %d", l.CountByWorker("worker-7"), c.CountByWorker("worker-7"))
+	}
+	if !c.HasAnswered("worker-7", Cell{9, 1}) || l.HasAnswered("worker-7", Cell{9, 1}) {
+		t.Fatal("clone's worker index not independent")
 	}
 }
 
