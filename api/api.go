@@ -255,7 +255,7 @@ type Estimate struct {
 const GenerationFresh = 1<<31 - 1
 
 // EstimatesResponse is the body of GET /v1/projects/{id}/estimates (and
-// its /snapshot alias). Every response is pinned to one published model
+// its deprecated /snapshot alias). Every response is pinned to one published model
 // generation: Generation identifies it, the ETag response header quotes
 // it, and with ?cursor=&limit= the estimates list is one page of the
 // row-major cell walk over that immutable snapshot — NextCursor re-encodes

@@ -3,16 +3,21 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 )
 
 // Perf-regression gate: `tcrowd-bench -compare BASELINE.json CANDIDATE.json`
 // compares two -bench-json result files and fails (non-zero exit) when a
-// gated series regressed. Gated series are selected by name prefix
-// (default infer/, refresh/, ingest/, assign/, shard/, server/ and wal/ —
+// gated series regressed. Either side may be a comma-separated list of
+// result files (repeated runs of one tree): the side then reads, per
+// series, as the median ns/op and the median allocs/op over its runs, so
+// one slow run of a series cannot fail the gate on its own. Gated series
+// are selected by name prefix (default infer/, refresh/, ingest/, assign/, shard/, server/ and wal/ —
 // the serving and durability hot paths whose budgets the repo commits
 // to); a series regresses when its ns/op grows by more than the allowed
 // fraction (default 25%, absorbing CI-runner timing noise) or its
@@ -162,6 +167,62 @@ func loadBenchFile(path string) (*benchFile, error) {
 	return &bf, nil
 }
 
+// loadBenchSide reads one side of a compare, a comma-separated list of
+// -bench-json files, as one file whose series hold the median ns/op and
+// allocs/op over the files that ran them. A single file reads back as
+// itself.
+func loadBenchSide(paths string) (*benchFile, error) {
+	var files []*benchFile
+	for _, p := range strings.Split(paths, ",") {
+		if p = strings.TrimSpace(p); p == "" {
+			continue
+		}
+		bf, err := loadBenchFile(p)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, bf)
+	}
+	switch len(files) {
+	case 0:
+		return nil, fmt.Errorf("no result files in %q", paths)
+	case 1:
+		return files[0], nil
+	}
+	out := *files[0]
+	out.Benchmarks = make(map[string]benchResult, len(files[0].Benchmarks))
+	for _, bf := range files {
+		for name := range bf.Benchmarks {
+			if _, done := out.Benchmarks[name]; done {
+				continue
+			}
+			var ns, allocs []float64
+			for _, other := range files {
+				if r, ok := other.Benchmarks[name]; ok {
+					ns = append(ns, r.NsPerOp)
+					allocs = append(allocs, float64(r.AllocsPerOp))
+				}
+			}
+			r := bf.Benchmarks[name]
+			r.NsPerOp = median(ns)
+			r.AllocsPerOp = int64(math.Round(median(allocs)))
+			out.Benchmarks[name] = r
+		}
+	}
+	return &out, nil
+}
+
+// median returns the middle of xs (the mean of the two middles for an
+// even count). It sorts xs.
+func median(xs []float64) float64 {
+	slices.Sort(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
+}
+
 // gated reports whether a series name falls under any gate prefix.
 func (c compareConfig) gated(name string) bool {
 	for _, g := range c.gates {
@@ -203,13 +264,14 @@ func (c compareConfig) allocSlack(name string) (abs float64, frac float64) {
 }
 
 // runCompare prints a comparison table and returns an error when any gated
-// series regressed.
+// series regressed. basePath and candPath are each one result file or a
+// comma-separated list of them (see loadBenchSide).
 func runCompare(basePath, candPath string, cfg compareConfig) error {
-	base, err := loadBenchFile(basePath)
+	base, err := loadBenchSide(basePath)
 	if err != nil {
 		return err
 	}
-	cand, err := loadBenchFile(candPath)
+	cand, err := loadBenchSide(candPath)
 	if err != nil {
 		return err
 	}

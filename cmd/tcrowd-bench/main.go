@@ -15,6 +15,9 @@
 //	                                   # growth in the gated (infer/,
 //	                                   # refresh/, ingest/, assign/,
 //	                                   # shard/, server/, wal/) series
+//	tcrowd-bench -compare a1.json,a2.json,a3.json b1.json,b2.json,b3.json
+//	                                   # the same gate on per-series medians
+//	                                   # of repeated runs
 package main
 
 import (
@@ -37,7 +40,7 @@ func main() {
 		bench     = flag.Int("bench-json", -1, "run hot-path micro-benches and write BENCH_<n>.json")
 		benchOut  = flag.String("bench-out", "", "run hot-path micro-benches and write the results to this path")
 		benchOnly = flag.String("bench-only", "", "comma-separated series-name prefixes to run (empty = all); e.g. 'shard/' for the multi-core scheduler series")
-		compare   = flag.Bool("compare", false, "compare two -bench-json files (args: baseline candidate); exit non-zero on gated regressions")
+		compare   = flag.Bool("compare", false, "compare two -bench-json files (args: baseline candidate, each optionally a comma-separated list of repeated runs compared on per-series medians); exit non-zero on gated regressions")
 		gates     = flag.String("gate", "infer/,refresh/,ingest/,assign/,shard/,server/,wal/", "comma-separated series-name prefixes under the -compare regression gate")
 		maxNs     = flag.Float64("max-ns-regress", 0.25, "allowed fractional ns/op growth for gated kernel series in -compare (concurrency/disk-bearing server/, shard/ and wal/ series never tighten below 25%; OS-paced wal/*-never series are ns-exempt)")
 		maxAlloc  = flag.Float64("max-alloc-regress", 0.001, "allowed fractional allocs/op growth for gated kernel series in -compare, on top of a 1-alloc absolute slack (absorbs EM-iteration and benchmark-harness wobble; server/ series use a fixed 5%+4 slack because their timed windows race async shard refreshes)")

@@ -46,10 +46,11 @@ type State struct {
 
 // NewState builds the selection state of a fitted model m with estimates
 // est, plus — with structure set — the error model fitted on est and fit,
-// the answers m was fitted on (not retained). Log and RNG are the caller's.
+// a view of the answers m was fitted on (read, not retained). Log and RNG
+// are the caller's.
 // The state caches m's gain terms: a caller that then changes m in place
 // must refresh them (see TCrowdSystem.applyRefresh).
-func NewState(m *core.Model, fit []tabular.Answer, est metrics.Estimates, structure bool) *State {
+func NewState(m *core.Model, fit tabular.AnswerView, est metrics.Estimates, structure bool) *State {
 	st := &State{Model: m, Est: est, terms: newCellTerms(m)}
 	if structure {
 		st.Err = NewErrorModel(m)

@@ -182,7 +182,7 @@ func NewErrorModel(m *core.Model) *ErrorModel {
 // the answers of the model's source Log and its current estimates.
 func BuildErrorModel(m *core.Model) *ErrorModel {
 	em := NewErrorModel(m)
-	em.Rebuild(m.Log.All(), m.Estimates())
+	em.Rebuild(m.Log.Prefix(), m.Estimates())
 	return em
 }
 
@@ -242,7 +242,7 @@ func (em *ErrorModel) answerError(a tabular.Answer, guess tabular.Value, clamp b
 // allocates nothing. The polish-anchor path; between polishes, UpdateCells.
 //
 //tcrowd:noalloc
-func (em *ErrorModel) Rebuild(answers []tabular.Answer, est metrics.Estimates) {
+func (em *ErrorModel) Rebuild(answers tabular.AnswerView, est metrics.Estimates) {
 	// Reset the per-(worker, row) vectors and accumulators.
 	for i := range em.rowVec {
 		em.rowVec[i] = -1
@@ -257,7 +257,8 @@ func (em *ErrorModel) Rebuild(answers []tabular.Answer, est metrics.Estimates) {
 	}
 
 	// Pass 1: raw (unclamped) last-answer-wins errors into the vectors.
-	for _, a := range answers {
+	for k := 0; k < answers.Len(); k++ {
+		a := answers.At(k)
 		i, j := a.Cell.Row, a.Cell.Col
 		guess := est[i][j]
 		if guess.IsNone() {
@@ -334,7 +335,8 @@ func (em *ErrorModel) UpdateCells(log *tabular.AnswerLog, est metrics.Estimates,
 		if guess.IsNone() {
 			continue
 		}
-		for _, ai := range log.CellIndices(tabular.Cell{Row: i, Col: j}) {
+		it := log.CellAnswers(tabular.Cell{Row: i, Col: j})
+		for ai, ok := it.Next(); ok; ai, ok = it.Next() {
 			a := log.At(ai)
 			e := em.answerError(a, guess, true)
 			v := em.vecFor(em.workerOf(a.Worker), i)

@@ -81,8 +81,8 @@ func TestStructureSelectMatchesReference(t *testing.T) {
 	for _, c := range []tabular.Cell{{Row: 92, Col: 0}, {Row: 92, Col: 3}, {Row: 7, Col: 2}, {Row: 93, Col: 1}} {
 		served.Add(crowd.Answer(&ds.Workers[1], c))
 	}
-	checkSelectMatchesReference(t, "structure", NewState(m, log.All(), est, true), served)
-	checkSelectMatchesReference(t, "inherent", NewState(m, log.All(), est, false), served)
+	checkSelectMatchesReference(t, "structure", NewState(m, log.Prefix(), est, true), served)
+	checkSelectMatchesReference(t, "inherent", NewState(m, log.Prefix(), est, false), served)
 	checkSelectMatchesReference(t, "hand-built", &State{Model: m, Est: est, Err: BuildErrorModel(m)}, served)
 }
 
@@ -155,7 +155,7 @@ func TestStructureSelectAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st := NewState(m, log.All(), m.Estimates(), true)
+		st := NewState(m, log.Prefix(), m.Estimates(), true)
 		u := log.Workers()[0]
 		mine := log.ByWorker(u)
 		allocs = append(allocs, testing.AllocsPerRun(20, func() {
@@ -179,7 +179,7 @@ func TestRowConditioningIsDeterministic(t *testing.T) {
 		t.Fatal(err)
 	}
 	em := NewErrorModel(m)
-	em.Rebuild(log.All(), m.Estimates())
+	em.Rebuild(log.Prefix(), m.Estimates())
 	nCols := ds.Table.NumCols()
 	for j := 0; j < nCols; j++ {
 		rowErrs := map[int]float64{}

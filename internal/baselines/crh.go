@@ -88,8 +88,9 @@ func newHeteroState(tbl *tabular.Table, log *tabular.AnswerLog) *heteroState {
 		catTruth:  map[[2]int]int{},
 		contTruth: map[[2]int]float64{},
 	}
+	answers := log.All()
 	perCol := make([][]float64, tbl.NumCols())
-	for _, a := range log.All() {
+	for _, a := range answers {
 		if a.Value.Kind == tabular.Number {
 			perCol[a.Cell.Col] = append(perCol[a.Cell.Col], a.Value.X)
 		}
@@ -105,7 +106,7 @@ func newHeteroState(tbl *tabular.Table, log *tabular.AnswerLog) *heteroState {
 		}
 	}
 	workerIdx := map[tabular.WorkerID]int{}
-	for _, a := range log.All() {
+	for _, a := range answers {
 		w, ok := workerIdx[a.Worker]
 		if !ok {
 			w = len(st.workerIDs)

@@ -9,9 +9,14 @@ import (
 	"tcrowd/internal/tabular"
 )
 
-// maxModelBytesPerAnswer bounds the live heap a fitted, streaming model
-// holds per answer: its groups, GroupOff, posteriors and M-step scratch.
-const maxModelBytesPerAnswer = 125
+// maxLogBytesPerAnswer bounds the live heap of a tabular.AnswerLog per
+// answer: its column store, cell chains and heads, and worker lists.
+// maxModelBytesPerAnswer bounds what a fitted, streaming model holds per
+// answer: its groups, GroupOff, posteriors and M-step scratch.
+const (
+	maxLogBytesPerAnswer   = 40
+	maxModelBytesPerAnswer = 100
+)
 
 // TestBytesPerAnswer measures the live heap per answer of the answer log
 // and of the model on a served project's shape: 500 rows x 8 columns (half
@@ -51,13 +56,12 @@ func TestBytesPerAnswer(t *testing.T) {
 	log := tabular.NewAnswerLog()
 	log.AddAll(order)
 	h1 := heap()
-	answers := log.All()
-	m, err := InferAnswers(ds.Table, answers[:cold], Options{})
+	m, err := InferAnswers(ds.Table, order[:cold], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for at := cold; at < len(answers); at += batch {
-		if err := m.Ingest(answers[at : at+batch]); err != nil {
+	for at := cold; at < len(order); at += batch {
+		if err := m.Ingest(order[at : at+batch]); err != nil {
 			t.Fatal(err)
 		}
 		m.RefreshIncremental(50)
@@ -73,6 +77,9 @@ func TestBytesPerAnswer(t *testing.T) {
 	}
 	logB, modelB := float64(int64(h1-h0))/n, float64(int64(h2-h1))/n
 	t.Logf("%v answers: answer log %.0f B/answer, model %.0f B/answer (%d groups)", n, logB, modelB, m.ilog.NumGroups())
+	if logB > maxLogBytesPerAnswer {
+		t.Fatalf("answer log holds %.0f B per answer, want <= %d", logB, maxLogBytesPerAnswer)
+	}
 	if modelB > maxModelBytesPerAnswer {
 		t.Fatalf("model holds %.0f B per answer, want <= %d", modelB, maxModelBytesPerAnswer)
 	}

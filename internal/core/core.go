@@ -321,11 +321,11 @@ type Model struct {
 // and reused across EM iterations so the steady-state engine allocates
 // nothing.
 type scratch struct {
-	// Per-group M-step constants, refreshed once per mStep while the
-	// posteriors are frozen: gc is the total posterior mass on the
-	// answered label (categorical) or the total squared residual plus
-	// posterior variance (continuous), cnt the group's answer count.
-	gc, cnt []float64
+	// Per-group M-step constant, refreshed once per mStep while the
+	// posteriors are frozen: the total posterior mass on the answered
+	// label (categorical) or the total squared residual plus posterior
+	// variance (continuous).
+	gc []float64
 	// theta packing and its (alpha, beta, phi) views.
 	theta, alpha, beta, phi []float64
 	// Gradient sinks: a FixDifficulty M-step accumulates its discarded
@@ -341,6 +341,8 @@ type scratch struct {
 	// colChanged is its per-column changed-constants flag set.
 	dec        []ingest.Answer
 	colChanged []bool
+	// src holds the source-log answers IngestFrom hands to Ingest.
+	src []tabular.Answer
 	// refreshCells snapshots the dirty-cell set per RefreshIncremental and
 	// backs the RefreshStats.Cells view handed to callers.
 	refreshCells []int

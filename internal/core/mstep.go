@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 
+	"tcrowd/internal/ingest"
 	"tcrowd/internal/optimize"
 	"tcrowd/internal/pool"
 	"tcrowd/internal/stats"
@@ -112,38 +113,38 @@ func (m *Model) ensureMStepScratch(dim int) {
 	}
 	if ng := len(m.ilog.Groups); cap(scr.gc) < ng {
 		scr.gc = make([]float64, ng+ng/4+64)
-		scr.cnt = make([]float64, ng+ng/4+64)
 	}
 }
 
-// prepMStepConsts precomputes the per-group quantities that stay constant
-// across every objective/gradient evaluation of one M-step (the posteriors
-// are frozen): the group's answer count, and one group constant — the
-// posterior mass the group puts on its answered label (Count * CatPost)
-// for a categorical group, its total squared residual plus posterior
-// variance Σ(z-μ)² + Count·v (groupResid) for a continuous one. This
-// hoists the posterior double-indexing and all per-answer arithmetic out
-// of the line-search loop — each evaluation is O(groups).
+// prepMStepConsts precomputes the one per-group quantity that stays
+// constant across every objective/gradient evaluation of one M-step (the
+// posteriors are frozen): the posterior mass the group puts on its
+// answered label (Count * CatPost) for a categorical group, its total
+// squared residual plus posterior variance Σ(z-μ)² + Count·v (groupResid)
+// for a continuous one. This hoists the posterior double-indexing and all
+// per-answer arithmetic out of the line-search loop — each evaluation is
+// O(groups). The evaluations take the group's weighted count from
+// weightedCount, the same product this fold uses.
 func (m *Model) prepMStepConsts() {
 	scr := &m.scr
-	ng := len(m.ilog.Groups)
-	scr.gc, scr.cnt = scr.gc[:ng], scr.cnt[:ng]
+	scr.gc = scr.gc[:len(m.ilog.Groups)]
 	for idx := range m.ilog.Groups {
 		g := &m.ilog.Groups[idx]
-		cnt := float64(g.Count)
-		// A group's objective and gradient terms are all linear in these
-		// constants, so scaling them by the worker's reputation weight
-		// weights the entire fused M-step without touching the hot loops
-		// (w=1 multiplies are exact identities).
+		// A group's objective and gradient terms are all linear in its
+		// count and this constant, so scaling both by the worker's
+		// reputation weight weights the entire fused M-step without
+		// touching the hot loops (w=1 multiplies are exact identities).
 		w := m.weightOf(int(g.W))
-		scr.cnt[idx] = w * cnt
 		if g.IsCat {
-			scr.gc[idx] = w * cnt * m.CatPost[g.I][g.J][g.Label]
+			scr.gc[idx] = weightedCount(w, g) * m.CatPost[g.I][g.J][g.Label]
 		} else {
 			scr.gc[idx] = w * m.groupResid(g, m.ContMu[g.I][g.J], m.ContVar[g.I][g.J])
 		}
 	}
 }
+
+// weightedCount is group g's answer count scaled by its worker's weight w.
+func weightedCount(w float64, g *ingest.Group) float64 { return w * float64(g.Count) }
 
 // splitTheta unpacks a theta vector into the scratch (alpha, beta, phi)
 // views.
@@ -226,11 +227,12 @@ func (m *Model) qValueFastRange(alpha, beta, phi []float64, lo, hi int) float64 
 	eps := m.Opts.Eps
 	q := 0.0
 	var prevI, prevJ, prevW int32 = -1, -1, -1
-	var twoS, lnQ, lnNotQ, ln2pis float64
+	var twoS, lnQ, lnNotQ, ln2pis, w float64
 	for idx := lo; idx < hi; idx++ {
 		g := &m.ilog.Groups[idx]
 		if g.I != prevI || g.J != prevJ || g.W != prevW {
 			prevI, prevJ, prevW = g.I, g.J, g.W
+			w = m.weightOf(int(g.W))
 			s := stats.Clamp(alpha[g.I]*beta[g.J]*phi[g.W], minS, maxS)
 			if g.IsCat {
 				lnQ, lnNotQ = logQ(eps, s)
@@ -239,11 +241,12 @@ func (m *Model) qValueFastRange(alpha, beta, phi []float64, lo, hi int) float64 
 				ln2pis = math.Log(2 * math.Pi * s)
 			}
 		}
+		cnt := weightedCount(w, g)
 		if g.IsCat {
 			sumP := scr.gc[idx]
-			q += sumP*lnQ + (scr.cnt[idx]-sumP)*(lnNotQ-m.lnL1[g.J])
+			q += sumP*lnQ + (cnt-sumP)*(lnNotQ-m.lnL1[g.J])
 		} else {
-			q += -0.5*scr.cnt[idx]*ln2pis - scr.gc[idx]/twoS
+			q += -0.5*cnt*ln2pis - scr.gc[idx]/twoS
 		}
 	}
 	return q
@@ -341,12 +344,13 @@ func (m *Model) qFusedRange(alpha, beta, phi []float64, lo, hi int, ga, gb, gp [
 	eps := m.Opts.Eps
 	q := 0.0
 	var prevI, prevJ, prevW int32 = -1, -1, -1
-	var twoS, lnQ, lnNotQ, dOverQ, dOverNotQ, ln2pis float64
+	var twoS, lnQ, lnNotQ, dOverQ, dOverNotQ, ln2pis, w float64
 	var clamped bool
 	for idx := lo; idx < hi; idx++ {
 		gr := &m.ilog.Groups[idx]
 		if gr.I != prevI || gr.J != prevJ || gr.W != prevW {
 			prevI, prevJ, prevW = gr.I, gr.J, gr.W
+			w = m.weightOf(int(gr.W))
 			raw := alpha[gr.I] * beta[gr.J] * phi[gr.W]
 			clamped = raw < minS || raw > maxS
 			s := stats.Clamp(raw, minS, maxS)
@@ -358,15 +362,16 @@ func (m *Model) qFusedRange(alpha, beta, phi []float64, lo, hi int, ga, gb, gp [
 			}
 		}
 		var g float64
+		cnt := weightedCount(w, gr)
 		if gr.IsCat {
 			sumP := scr.gc[idx]
-			rest := scr.cnt[idx] - sumP
+			rest := cnt - sumP
 			q += sumP*lnQ + rest*(lnNotQ-m.lnL1[gr.J])
 			g = rest*dOverNotQ - sumP*dOverQ
 		} else {
 			dv := scr.gc[idx]
-			q += -0.5*scr.cnt[idx]*ln2pis - dv/twoS
-			g = -0.5*scr.cnt[idx] + dv/twoS
+			q += -0.5*cnt*ln2pis - dv/twoS
+			g = -0.5*cnt + dv/twoS
 		}
 		if clamped {
 			// At the variance clamp the objective is flat; do not push

@@ -113,10 +113,11 @@ func (m *Model) IngestFrom(log *tabular.AnswerLog) (int, error) {
 	if log.Len() < m.decoded {
 		return 0, fmt.Errorf("core: source log shrank to %d answers (model consumed %d)", log.Len(), m.decoded)
 	}
-	batch := log.All()[m.decoded:]
-	if len(batch) == 0 {
+	if log.Len() == m.decoded {
 		return 0, nil
 	}
+	batch := log.Prefix().Slice(m.decoded, log.Len()).AppendTo(m.scr.src[:0])
+	m.scr.src = batch
 	if err := m.Ingest(batch); err != nil {
 		return 0, err
 	}

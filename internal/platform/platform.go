@@ -120,6 +120,10 @@ type Project struct {
 	// absorbed is the length of the Log prefix lastModel has fitted.
 	//tcrowd:guardedby inferMu
 	absorbed int
+	// batch is a streaming refresh's reused buffer for the answers past
+	// absorbed.
+	//tcrowd:guardedby inferMu
+	batch []tabular.Answer
 	// inferMu serialises truth inference per project: the cached model is
 	// refreshed incrementally in place, so exactly one RunInference may
 	// touch it at a time (the platform lock stays free meanwhile, so
@@ -1142,10 +1146,10 @@ func (p *Platform) refreshProject(proj *Project) error {
 	defer proj.inferMu.Unlock()
 
 	// The log is append-only, with recovery building fresh projects, so
-	// this prefix stays intact while submissions append past it, and the
-	// cached fit is always for its first absorbed answers.
+	// this prefix view stays intact while submissions append past it, and
+	// the cached fit is always for its first absorbed answers.
 	p.mu.Lock()
-	answers := proj.Log.All()
+	answers := proj.Log.Prefix()
 	p.mu.Unlock()
 	m := proj.lastModel
 	if m == nil {
@@ -1153,7 +1157,7 @@ func (p *Platform) refreshProject(proj *Project) error {
 		if proj.rep != nil {
 			opts.WorkerWeights = proj.rep.Weights()
 		}
-		fit, err := core.InferAnswers(proj.Table, answers, opts)
+		fit, err := core.InferAnswers(proj.Table, answers.AppendTo(nil), opts)
 		if err != nil {
 			return err
 		}
@@ -1166,14 +1170,15 @@ func (p *Platform) refreshProject(proj *Project) error {
 		// lower the convergence guarantee of requester-facing estimates;
 		// runs that start near the optimum still stop after a couple of
 		// iterations via the tolerance.
-		batch := answers[proj.absorbed:]
-		if len(batch) == 0 && proj.snapshot.Load() != nil {
+		n := answers.Len() - proj.absorbed
+		if n == 0 && proj.snapshot.Load() != nil {
 			// Nothing new since the last publish: keep the current snapshot
 			// (skipping the Estimates rebuild keeps idle refreshes O(1)).
 			return nil
 		}
-		if len(batch) > 0 {
-			if err := m.Ingest(batch); err != nil {
+		if n > 0 {
+			proj.batch = answers.Slice(proj.absorbed, answers.Len()).AppendTo(proj.batch[:0])
+			if err := m.Ingest(proj.batch); err != nil {
 				return err
 			}
 			if proj.rep != nil {
@@ -1185,14 +1190,14 @@ func (p *Platform) refreshProject(proj *Project) error {
 			m.RefreshIncremental(emMaxIter)
 		}
 	}
-	proj.absorbed = len(answers)
+	proj.absorbed = answers.Len()
 
 	res := &InferenceResult{
 		Estimates:     m.Estimates(),
 		WorkerQuality: make(map[tabular.WorkerID]float64, len(m.WorkerIDs)),
 		Iterations:    m.Iterations,
 		Converged:     m.Converged,
-		AnswersSeen:   len(answers),
+		AnswersSeen:   answers.Len(),
 	}
 	for _, u := range m.WorkerIDs {
 		res.WorkerQuality[u] = m.WorkerQuality(u)

@@ -18,10 +18,10 @@ type routeDef struct {
 
 // routeTable is the full wire surface: the versioned /v1 API and nothing
 // else (the pre-v1 unversioned aliases, deprecated in the previous
-// release, are gone — they now 404). /snapshot is served by the same
-// generation-pinned handler as /estimates: the two endpoints merged when
-// reads became snapshot-pinned, and the old path is kept as a stable
-// alias of the merged read.
+// release, are gone — they now 404). /snapshot is a deprecated alias of
+// /estimates: the two endpoints merged when reads became snapshot-pinned,
+// and the old path still serves the merged read, with Deprecation and
+// successor Link headers (snapshotAlias).
 var routeTable = []routeDef{
 	{"POST", "/v1/projects", (*Server).createProject},
 	{"GET", "/v1/projects", (*Server).listProjects},
@@ -29,7 +29,7 @@ var routeTable = []routeDef{
 	{"GET", "/v1/projects/{id}/tasks", (*Server).tasks},
 	{"POST", "/v1/projects/{id}/answers", (*Server).submitV1},
 	{"GET", "/v1/projects/{id}/estimates", (*Server).estimates},
-	{"GET", "/v1/projects/{id}/snapshot", (*Server).estimates},
+	{"GET", "/v1/projects/{id}/snapshot", (*Server).snapshotAlias},
 	{"GET", "/v1/projects/{id}/watch", (*Server).watch},
 	{"GET", "/v1/projects/{id}/stats", (*Server).stats},
 	{"GET", "/v1/projects/{id}/workers", (*Server).workers},

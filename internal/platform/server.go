@@ -28,7 +28,7 @@ import (
 //	GET  /v1/projects/{id}/tasks?worker=u&count=k
 //	POST /v1/projects/{id}/answers        one answer or {"answers": [...]} batch
 //	GET  /v1/projects/{id}/estimates      generation-pinned read (see below)
-//	GET  /v1/projects/{id}/snapshot       alias of /estimates (the endpoints merged)
+//	GET  /v1/projects/{id}/snapshot       deprecated alias of /estimates (same body)
 //	GET  /v1/projects/{id}/watch          generation-bump stream (long-poll or SSE)
 //	GET  /v1/projects/{id}/stats          collection progress
 //	GET  /v1/stats                        shard-scheduler metrics
@@ -416,8 +416,18 @@ func etagMatches(header string, generation int) bool {
 	return false
 }
 
+// snapshotAlias serves GET .../snapshot, the deprecated alias of
+// .../estimates: the same response, plus a Deprecation header and a Link
+// to the successor route.
+func (s *Server) snapshotAlias(w http.ResponseWriter, r *http.Request) {
+	h := w.Header()
+	h.Set("Deprecation", "true")
+	h.Set("Link", "</v1/projects/"+url.PathEscape(r.PathValue("id"))+`/estimates>; rel="successor-version"`)
+	s.estimates(w, r)
+}
+
 // estimates serves the merged generation-pinned read (GET .../estimates
-// and its .../snapshot alias). Resolution order:
+// and its deprecated .../snapshot alias). Resolution order:
 //
 //   - ?cursor=<gen>:<ord> — continue a paged walk over the generation the
 //     cursor pins (the retained ring keeps it addressable; 410

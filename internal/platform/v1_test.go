@@ -579,6 +579,58 @@ func TestLegacyRoutesRemoved(t *testing.T) {
 	}
 }
 
+// TestSnapshotAliasDeprecated pins the /snapshot alias: it serves the
+// /estimates response byte for byte, plus Deprecation: true and a Link to
+// its successor route, and /estimates carries neither header.
+func TestSnapshotAliasDeprecated(t *testing.T) {
+	p := New(68)
+	defer p.Close()
+	srv := httptest.NewServer(NewServer(p))
+	defer srv.Close()
+	if _, err := p.CreateProject("a", demoSchema(), ProjectConfig{Rows: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []tabular.WorkerID{"w1", "w2"} {
+		if err := p.Submit("a", w, 0, "category", tabular.LabelValue(1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := p.RunInference("a"); err != nil {
+		t.Fatal(err)
+	}
+	get := func(route string) (http.Header, []byte) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + "/v1/projects/a/" + route)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s status %d: %s", route, resp.StatusCode, body)
+		}
+		return resp.Header, body
+	}
+	estH, estBody := get("estimates")
+	snapH, snapBody := get("snapshot")
+	if !bytes.Equal(snapBody, estBody) || snapH.Get("ETag") != estH.Get("ETag") {
+		t.Fatalf("/snapshot served %s (ETag %s), /estimates %s (ETag %s)",
+			snapBody, snapH.Get("ETag"), estBody, estH.Get("ETag"))
+	}
+	if got := snapH.Get("Deprecation"); got != "true" {
+		t.Fatalf("/snapshot Deprecation = %q, want true", got)
+	}
+	if got, want := snapH.Get("Link"), `</v1/projects/a/estimates>; rel="successor-version"`; got != want {
+		t.Fatalf("/snapshot Link = %q, want %q", got, want)
+	}
+	if estH.Get("Deprecation") != "" || estH.Get("Link") != "" {
+		t.Fatalf("/estimates carries deprecation headers: %v", estH)
+	}
+}
+
 // TestTasksBoundedWaitBehindBusyShard pins the bounded-wait rule: a task
 // request whose assign refresh is queued behind other (slow) work on a
 // busy-but-NOT-saturated shard stops waiting after assignRefreshWait and

@@ -19,7 +19,7 @@ import (
 // The input log is not modified; a fresh log with the same answer order is
 // returned.
 func AddNoise(rng *rand.Rand, schema tabular.Schema, log *tabular.AnswerLog, gamma float64) *tabular.AnswerLog {
-	answers := append([]tabular.Answer(nil), log.All()...)
+	answers := log.All()
 
 	// Per-column answer statistics for the z-transform.
 	perCol := make([][]float64, len(schema.Columns))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -283,4 +284,85 @@ func TestQuickAnswersJSONRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rng}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestAnswerLogGridGrowsOverFarCells pins the head grid's bound and its
+// growth: a cell past max(minGridCells, gridPerAnswer·Len()) heads keeps
+// its head in the far map until the log has grown enough for the grid to
+// cover it, then moves in; a wide cell (row past int32, column past int16)
+// never does, even inside the bound, and all keep reading back.
+func TestAnswerLogGridGrowsOverFarCells(t *testing.T) {
+	l := NewAnswerLog()
+	var ref []Answer
+	add := func(a Answer) {
+		l.Add(a)
+		ref = append(ref, a)
+	}
+	add(Answer{Worker: "u", Cell: Cell{0, 9}, Value: LabelValue(1)})
+	farOut := Cell{5000, 0}
+	add(Answer{Worker: "u", Cell: farOut, Value: NumberValue(2)})
+	add(Answer{Worker: "v", Cell: Cell{1 << 40, 3}, Value: NumberValue(3)})
+	if _, ok := l.far[farOut]; !ok || l.gridIndex(farOut) >= 0 {
+		t.Fatal("far-out cell sized the grid")
+	}
+	for len(ref)*gridPerAnswer < 5001*10 {
+		add(Answer{Worker: WorkerID(rune('a' + len(ref)%7)), Cell: Cell{len(ref) % 3, 1}, Value: LabelValue(0)})
+	}
+	add(Answer{Worker: "v", Cell: Cell{5000, 1}, Value: LabelValue(2)})
+	if _, ok := l.far[farOut]; ok || l.gridIndex(farOut) < 0 {
+		t.Fatal("grown grid left a covered cell in the far map")
+	}
+	if len(l.far) != 1 {
+		t.Fatalf("far map holds %d cells, want only the wide one", len(l.far))
+	}
+	add(Answer{Worker: "w", Cell: farOut, Value: NumberValue(4)})
+	checkAgainstReference(t, l, ref)
+
+	// A one-row grid whose bound would admit a column past int16.
+	l, ref = NewAnswerLog(), nil
+	for len(ref) < 12000 {
+		add(Answer{Worker: "u", Cell: Cell{0, 0}, Value: LabelValue(0)})
+	}
+	add(Answer{Worker: "u", Cell: Cell{0, 40000}, Value: LabelValue(1)})
+	checkAgainstReference(t, l, ref)
+}
+
+// TestAnswerViewReadsWhileAppending pins the view contract under the race
+// detector: a view taken under the writers' lock reads its answers after
+// the lock is released while another goroutine keeps appending, through
+// column growth, new workers and new far cells.
+func TestAnswerViewReadsWhileAppending(t *testing.T) {
+	answer := func(i int) Answer {
+		c := Cell{Row: i % 50, Col: i % 7}
+		if i%97 == 0 {
+			c = Cell{Row: -i, Col: 1 << 20}
+		}
+		return Answer{Worker: WorkerID(strings.Repeat("w", 1+i%13)), Cell: c, Value: NumberValue(float64(i))}
+	}
+	const n = 20000
+	var mu sync.Mutex
+	l := NewAnswerLog()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < n; i++ {
+			mu.Lock()
+			l.Add(answer(i))
+			mu.Unlock()
+		}
+	}()
+	for reads := 0; ; reads++ {
+		mu.Lock()
+		v := l.Prefix()
+		mu.Unlock()
+		for i := 0; i < v.Len(); i++ {
+			if got := v.At(i); !sameAnswer(got, answer(i)) {
+				t.Fatalf("view of %d answers: answer %d = %+v, want %+v", v.Len(), i, got, answer(i))
+			}
+		}
+		if v.Len() == n {
+			break
+		}
+	}
+	<-done
 }
