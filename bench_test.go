@@ -248,14 +248,15 @@ func BenchmarkInfer(b *testing.B) {
 	}
 }
 
-// BenchmarkRefreshWarmVsCold measures the online loop's refresh cost after
-// an answer batch lands on an already-fitted system: "cold" re-runs full
-// EM from scratch on the grown log (what serving pays without warm
-// starts), "warm" is the TCrowdSystem default (core.InferWarm seeded from
-// the previous model, which is why it converges within its short
-// iteration budget). Every timed iteration sees a fresh 50-answer batch
-// on top of the base log — cloned with the timer stopped — so neither arm
-// degenerates into refreshing an unchanged log.
+// BenchmarkRefreshWarmVsCold measures a refresh after an answer batch
+// lands on an already-fitted system: "cold" re-runs full EM from scratch
+// on the grown log, "warm" is TCrowdSystem's warm rebuild (core.InferWarm
+// seeded from the previous model, which is why it converges within its
+// short iteration budget). TCrowdSystem rebuilds only for a log its model
+// was not fitted on — on its own grown log it streams instead
+// (BenchmarkRefreshIncremental) — so every timed iteration sees a fresh
+// 50-answer batch on top of a clone of the base log, made with the timer
+// stopped, and neither arm degenerates into refreshing an unchanged log.
 func BenchmarkRefreshWarmVsCold(b *testing.B) {
 	ds := simulate.Generate(stats.NewRNG(23), simulate.TableConfig{
 		Rows: 100, Cols: 10, CatRatio: 0.5,

@@ -128,12 +128,14 @@ func benchInfer(rows int) func(b *testing.B) {
 	}
 }
 
-// benchRefresh measures an online refresh after an answer batch lands on
-// an already-fitted system: cold re-runs full EM from scratch on the
-// grown log, warm seeds from the previous model (assign.TCrowdSystem's
-// default behaviour). Each timed iteration refreshes on a fresh batch
-// appended to a clone of the base log (clone excluded from the timing),
-// mirroring bench_test.go's BenchmarkRefreshWarmVsCold.
+// benchRefresh measures a refresh after an answer batch lands on an
+// already-fitted system: cold re-runs full EM from scratch on the grown
+// log, warm is assign.TCrowdSystem's warm rebuild (core.InferWarm seeded
+// from the previous model). TCrowdSystem streams into its model when the
+// log is the one it was fitted on and rebuilds only for another log, so
+// each timed iteration refreshes on a fresh batch appended to a clone of
+// the base log (clone excluded from the timing), mirroring bench_test.go's
+// BenchmarkRefreshWarmVsCold. The ingest/ series time the streaming path.
 func benchRefresh(warm bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		ds, base := inferWorkload(100)

@@ -34,14 +34,15 @@ func NewTCrowdSystem(seed int64) *TCrowdSystem {
 // Name implements System.
 func (t *TCrowdSystem) Name() string { return "T-Crowd" }
 
-// Refresh implements System. Three tiers, fastest first:
+// Refresh implements System. Three tiers, fastest first; each runs core's
+// one engine (Ingest, then RefreshIncremental) with its own budget:
 //
 //   - streaming: when the previous fit was made on this very log object
 //     (grown in place — the serving loop's normal shape), the new suffix is
 //     ingested into the fitted model's group store and a short incremental
 //     polish re-converges it; refresh cost is O(batch), not O(log);
-//   - warm rebuild: a different (but shape-compatible) log re-decodes from
-//     scratch with EM seeded at the previous optimum;
+//   - warm rebuild: a different (but shape-compatible) log is ingested
+//     into a new model whose EM is seeded at the previous optimum;
 //   - cold: no usable previous model.
 func (t *TCrowdSystem) Refresh(tbl *tabular.Table, log *tabular.AnswerLog) error {
 	if t.Policy == nil {
@@ -50,7 +51,7 @@ func (t *TCrowdSystem) Refresh(tbl *tabular.Table, log *tabular.AnswerLog) error
 	if t.tieBreak == nil {
 		t.tieBreak = stats.NewRNG(t.Seed)
 	}
-	if prev := t.Model(); t.Opts.Warm == nil && prev.CanIngestFrom(tbl, log) {
+	if prev := t.Model(); prev.CanIngestFrom(tbl, log) {
 		if n, err := prev.IngestFrom(log); err == nil {
 			if n == 0 {
 				// Nothing landed since the last refresh: the fitted state
@@ -85,7 +86,7 @@ func (t *TCrowdSystem) Refresh(tbl *tabular.Table, log *tabular.AnswerLog) error
 	// actually usable — after a table reshape the previous model is
 	// incompatible and the refresh deserves its full cold budget.
 	prev := t.Model()
-	if opts.Warm != nil || !core.CanWarmStart(prev, tbl) {
+	if !core.CanWarmStart(prev, tbl) {
 		prev = nil
 	}
 	if prev != nil && opts.MaxIter > 5 {

@@ -56,12 +56,16 @@ func TestBytesPerAnswer(t *testing.T) {
 	log := tabular.NewAnswerLog()
 	log.AddAll(order)
 	h1 := heap()
-	m, err := InferAnswers(ds.Table, order[:cold], Options{})
+	m, err := NewModel(ds.Table, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := m.Ingest(log.Prefix().Slice(0, cold)); err != nil {
+		t.Fatal(err)
+	}
+	m.RefreshIncremental(0)
 	for at := cold; at < len(order); at += batch {
-		if err := m.Ingest(order[at : at+batch]); err != nil {
+		if err := m.Ingest(log.Prefix().Slice(at, at+batch)); err != nil {
 			t.Fatal(err)
 		}
 		m.RefreshIncremental(50)

@@ -57,28 +57,26 @@
 //     internal/pool worker pool (no per-call goroutine spawning), with
 //     deterministic chunking and shard-ordered reductions.
 //
-// # Warm-started incremental inference
+// # One engine: Ingest, then RefreshIncremental
 //
-// Online serving re-infers after every small answer batch, so cold-start
-// cost dominates the refresh latency. InferWarm seeds a new fit from a
-// previous Model: parameters start at the previous optimum (Options.Warm)
-// and the posteriors are refreshed with a single E-step instead of the
-// empirical vote seed, so EM typically converges in a handful of cheap
-// iterations. Warm starts are safe whenever the table schema and row set
-// are unchanged and the answer log only grew; after structural changes
-// (rows added/removed, labels redefined) or bulk log rewrites, run a full
-// cold Infer instead — InferWarm falls back to cold automatically when
-// the dimensions no longer match.
+// Answers enter a model only through Ingest (IngestFrom for the model's
+// source log): the batch is validated, decoded against the worker table
+// and folded into the internal/ingest group store in place, marking the
+// touched cells dirty. RefreshIncremental is the only fit. A model's first
+// refresh over usable answers is its cold fit: it seeds every posterior
+// from the empirical answer distribution and runs EM to convergence. Every
+// later refresh re-runs the E-step on the dirty posteriors only, then a
+// warm EM polish from the previous optimum, so ingestion and refresh cost
+// O(batch) plus the polish; see stream.go.
 //
-// # Streaming ingestion
-//
-// InferWarm still rebuilds the group store (decode + sort + fold) from the
-// raw log on every call — O(log) work per refresh. The streaming path
-// removes that too: a fitted Model can absorb answer batches in place via
-// Ingest/IngestFrom (the internal/ingest store folds the batch into its
-// groups and tracks dirty cells) and then RefreshIncremental re-runs the
-// E-step on the dirty posteriors only before a short warm EM polish.
-// Ingestion cost is O(batch), not O(log); see stream.go.
+// Infer is NewModel, IngestFrom over the whole log and one
+// RefreshIncremental. InferWarm does the same for a log a previous Model
+// was not fitted on: it copies the previous parameters before the first
+// refresh, which then derives the posteriors from them with one E-step
+// instead of the vote seed, so EM converges in a handful of iterations.
+// Warm starts are safe whenever the table schema and row set are unchanged
+// and the answer log only grew; InferWarm falls back to a cold fit when the
+// dimensions no longer match.
 //
 // # Determinism contract
 //
@@ -137,28 +135,6 @@ type Options struct {
 	// TrackObjective records the ELBO after every EM iteration
 	// (regenerates Fig. 12a).
 	TrackObjective bool
-	// InitPhi is the initial worker variance (default 0.2).
-	InitPhi float64
-	// PhiPriorA/PhiPriorB parameterise a weak inverse-gamma prior on each
-	// phi_u (defaults 1.0 and 0.4, putting the prior mode at 0.2). The
-	// paper's pure MLE degenerates on sparse workers (phi -> 0 for a
-	// worker whose few answers all match the posterior); the weak prior is
-	// the standard MAP-EM stabilisation and washes out once a worker has
-	// tens of answers.
-	PhiPriorA, PhiPriorB float64
-	// DiffPriorSigma is the std of the N(0, sigma^2) shrinkage prior on
-	// ln(alpha_i) and ln(beta_j) (default 0.5), keeping difficulties
-	// modest multiplicative modulations around 1 and anchoring the scale
-	// of the otherwise scale-ambiguous product alpha*beta*phi.
-	DiffPriorSigma float64
-	// Warm seeds the parameters from a previous fit, the standard trick
-	// for online re-inference after a handful of new answers: the EM
-	// restarts next to its previous optimum and converges in a few
-	// iterations. When set, the posteriors are seeded by an E-step from
-	// the warm parameters instead of the empirical vote distribution.
-	// Most callers should use InferWarm, which builds this from a
-	// previous Model and picks warm-appropriate iteration caps.
-	Warm *Warm
 	// Parallelism shards the E-step over cells and the M-step
 	// objective/gradient over groups on a persistent goroutine pool. The
 	// paper lists parallel truth inference as future work (Sec. 7);
@@ -170,15 +146,6 @@ type Options struct {
 	//	 1  explicitly serial (the opt-out);
 	//	>1  explicit worker count, capped at GOMAXPROCS.
 	Parallelism int
-
-	// WorkerWeights seeds per-worker likelihood multipliers at fit time:
-	// every answer from worker u contributes weight[u] times its usual
-	// E-step evidence, M-step objective/gradient mass and ELBO term
-	// (1 = full weight, 0 = the worker's answers are ignored). Workers
-	// absent from the map get weight 1. The reputation layer uses this to
-	// down-weight suspected spammers without rewriting the answer log; a
-	// fitted model adjusts weights between refreshes via SetWorkerWeights.
-	WorkerWeights map[tabular.WorkerID]float64
 
 	// MStepGradTol overrides the M-step gradient-norm stopping tolerance
 	// (default 1e-7). Values below 1e-10 also tighten the optimizer's
@@ -196,27 +163,23 @@ type Options struct {
 	refMStep func(*Model)
 }
 
-// Warm carries parameters from a previous fit for warm-started EM.
-type Warm struct {
-	// Alpha and Beta must match the table dimensions to be used.
-	Alpha, Beta []float64
-	// Phi maps workers to their previous variance; unknown workers keep
-	// InitPhi.
-	Phi map[tabular.WorkerID]float64
-}
-
-// WarmFromModel extracts warm-start parameters from a fitted model.
-func WarmFromModel(prev *Model) *Warm {
-	w := &Warm{
-		Alpha: prev.Alpha,
-		Beta:  prev.Beta,
-		Phi:   make(map[tabular.WorkerID]float64, len(prev.WorkerIDs)),
-	}
-	for k, u := range prev.WorkerIDs {
-		w.Phi[u] = prev.Phi[k]
-	}
-	return w
-}
+// Fixed model constants.
+const (
+	// initPhi is the variance a worker starts at.
+	initPhi = 0.2
+	// phiPriorA and phiPriorB parameterise a weak inverse-gamma prior on
+	// each phi_u, with its mode at initPhi. The paper's pure MLE
+	// degenerates on sparse workers (phi -> 0 for a worker whose few
+	// answers all match the posterior); the weak prior is the standard
+	// MAP-EM stabilisation and washes out once a worker has tens of
+	// answers.
+	phiPriorA, phiPriorB = 1.0, 0.4
+	// diffPriorSigma is the std of the N(0, sigma^2) shrinkage prior on
+	// ln(alpha_i) and ln(beta_j), keeping difficulties modest
+	// multiplicative modulations around 1 and anchoring the scale of the
+	// otherwise scale-ambiguous product alpha*beta*phi.
+	diffPriorSigma = 0.5
+)
 
 func (o Options) withDefaults() Options {
 	if o.Eps <= 0 {
@@ -231,18 +194,6 @@ func (o Options) withDefaults() Options {
 	if o.MStepIter <= 0 {
 		o.MStepIter = 20
 	}
-	if o.InitPhi <= 0 {
-		o.InitPhi = 0.2
-	}
-	if o.PhiPriorA <= 0 {
-		o.PhiPriorA = 1.0
-	}
-	if o.PhiPriorB <= 0 {
-		o.PhiPriorB = 0.4
-	}
-	if o.DiffPriorSigma <= 0 {
-		o.DiffPriorSigma = 0.5
-	}
 	return o
 }
 
@@ -252,9 +203,9 @@ func (o Options) withDefaults() Options {
 // per-cell worker qualities and cheap single-cell updates.
 type Model struct {
 	Table *tabular.Table
-	// Log is the source log Infer fitted on, which IngestFrom streams
-	// later answers from. A model built by InferAnswers has a nil Log and
-	// keeps no answers: stream into it with Ingest.
+	// Log is the source log IngestFrom streams answers from: the log
+	// Infer fitted on. A model from NewModel has none until its owner
+	// sets it; without one, answers enter through Ingest.
 	Log  *tabular.AnswerLog
 	Opts Options
 
@@ -313,6 +264,11 @@ type Model struct {
 	// pendingPolish counts answers ingested since the last full EM polish;
 	// RefreshIncremental defers the polish until it crosses polishBacklog.
 	pendingPolish int
+	// fitted is set by the first RefreshIncremental over usable answers,
+	// which seeds every posterior before EM: by one E-step when warmSeed
+	// marks parameters InferWarm copied from a previous fit, else from the
+	// empirical answer distribution.
+	fitted, warmSeed bool
 	// scr holds every reusable hot-path buffer; see scratch.
 	scr scratch
 }
@@ -337,12 +293,8 @@ type scratch struct {
 	work optimize.Workspace
 	fg   optimize.FuncGrad
 	fv   optimize.Func
-	// dec is the reusable decode buffer of Ingest (batch staging);
-	// colChanged is its per-column changed-constants flag set.
-	dec        []ingest.Answer
-	colChanged []bool
-	// src holds the source-log answers IngestFrom hands to Ingest.
-	src []tabular.Answer
+	// dec is the reusable decode buffer of Ingest (batch staging).
+	dec []ingest.Answer
 	// refreshCells snapshots the dirty-cell set per RefreshIncremental and
 	// backs the RefreshStats.Cells view handed to callers.
 	refreshCells []int
@@ -382,45 +334,51 @@ var ErrNoAnswers = errors.New("core: no usable answers")
 // Infer runs T-Crowd truth inference (Algorithm 1) and returns the fitted
 // model, whose Log is log.
 func Infer(tbl *tabular.Table, log *tabular.AnswerLog, opts Options) (*Model, error) {
-	m, err := InferAnswers(tbl, log.All(), opts)
+	return InferWarm(nil, tbl, log, opts)
+}
+
+// InferWarm runs truth inference seeded from a previously fitted model —
+// the rebuild path for a log the previous model was not fitted on: the EM
+// restarts at the previous optimum (parameters, and posteriors derived
+// from them by one E-step) and only re-runs to convergence from there,
+// typically in a handful of iterations instead of a full cold start.
+//
+// Warm starts are valid while the table's dimensions and schema are
+// unchanged and the log has only accumulated answers; when prev is nil or
+// its dimensions no longer match, InferWarm is a cold Infer. Unless the
+// caller overrides them, warm runs cap EM at WarmMaxIter iterations and
+// keep the cold convergence tolerance, so the result matches a cold fit
+// to within the EM tolerance.
+func InferWarm(prev *Model, tbl *tabular.Table, log *tabular.AnswerLog, opts Options) (*Model, error) {
+	warm := CanWarmStart(prev, tbl)
+	if warm && opts.MaxIter <= 0 {
+		opts.MaxIter = WarmMaxIter
+	}
+	m, err := NewModel(tbl, opts)
 	if err != nil {
 		return nil, err
 	}
 	m.Log = log
-	return m, nil
-}
-
-// InferAnswers runs T-Crowd truth inference over answers, in order. The
-// model keeps no reference to answers and has no Log.
-func InferAnswers(tbl *tabular.Table, answers []tabular.Answer, opts Options) (*Model, error) {
-	m, err := newModel(tbl, answers, opts)
-	if err != nil {
+	if _, err := m.IngestFrom(log); err != nil {
 		return nil, err
 	}
-	m.run()
-	return m, nil
-}
-
-// InferWarm runs truth inference seeded from a previously fitted model —
-// the online-serving fast path: after a small answer batch lands, the EM
-// restarts at the previous optimum (parameters and posteriors) and only
-// re-runs to convergence from there, typically in a handful of iterations
-// instead of a full cold start.
-//
-// Warm starts are valid while the table's dimensions and schema are
-// unchanged and the log has only accumulated answers; when prev is nil or
-// its dimensions no longer match, InferWarm transparently falls back to a
-// cold Infer. Unless the caller overrides them, warm runs cap EM at
-// WarmMaxIter iterations and keep the cold convergence tolerance, so the
-// result matches a cold fit to within the EM tolerance.
-func InferWarm(prev *Model, tbl *tabular.Table, log *tabular.AnswerLog, opts Options) (*Model, error) {
-	if opts.Warm == nil && CanWarmStart(prev, tbl) {
-		opts.Warm = WarmFromModel(prev)
-		if opts.MaxIter <= 0 {
-			opts.MaxIter = WarmMaxIter
-		}
+	if m.NumAnswersUsed() == 0 {
+		return nil, ErrNoAnswers
 	}
-	return Infer(tbl, log, opts)
+	if warm {
+		if !m.Opts.FixDifficulty {
+			copy(m.Alpha, prev.Alpha)
+			copy(m.Beta, prev.Beta)
+		}
+		for k, u := range m.WorkerIDs {
+			if pk, ok := prev.workerIdx[u]; ok && prev.Phi[pk] > 0 {
+				m.Phi[k] = stats.Clamp(prev.Phi[pk], minS, maxS)
+			}
+		}
+		m.warmSeed = true
+	}
+	m.RefreshIncremental(0)
+	return m, nil
 }
 
 // CanWarmStart reports whether prev is a usable warm seed for inference
@@ -436,26 +394,30 @@ func CanWarmStart(prev *Model, tbl *tabular.Table) bool {
 // start lands next to the previous optimum, so a short run reconverges.
 const WarmMaxIter = 8
 
-func newModel(tbl *tabular.Table, all []tabular.Answer, opts Options) (*Model, error) {
+// NewModel returns an empty model of tbl: no answers and no workers, unit
+// difficulties, column constants at mean 0 and std 1. Answers enter
+// through Ingest (or IngestFrom once Log is set), and the first
+// RefreshIncremental fits them.
+func NewModel(tbl *tabular.Table, opts Options) (*Model, error) {
 	if err := tbl.Schema.Validate(); err != nil {
 		return nil, err
 	}
-	o := opts.withDefaults()
 	n, mm := tbl.NumRows(), tbl.NumCols()
-
 	m := &Model{
 		Table:     tbl,
-		Opts:      o,
+		Opts:      opts.withDefaults(),
 		Alpha:     ones(n),
 		Beta:      ones(mm),
 		ColMean:   make([]float64, mm),
-		ColStd:    make([]float64, mm),
+		ColStd:    ones(mm),
 		CatPost:   make([][][]float64, n),
 		ContMu:    make([][]float64, n),
 		ContVar:   make([][]float64, n),
 		Answered:  make([][]bool, n),
 		lnL1:      make([]float64, mm),
 		workerIdx: make(map[tabular.WorkerID]int),
+		colAcc:    make([]colAcc, mm),
+		ilog:      ingest.NewLog(n, mm),
 	}
 	// Row views share flat backing arrays: one allocation per field
 	// instead of one per row.
@@ -473,96 +435,6 @@ func newModel(tbl *tabular.Table, all []tabular.Answer, opts Options) (*Model, e
 		if col := tbl.Schema.Columns[j]; col.Type == tabular.Categorical {
 			m.lnL1[j] = math.Log(float64(col.NumLabels() - 1))
 		}
-	}
-
-	// Column standardisation constants from the answers, folded through
-	// the per-column accumulators (kept on the model so streaming batches
-	// extend the same fold).
-	m.colAcc = make([]colAcc, mm)
-	for _, a := range all {
-		if a.Value.Kind == tabular.Number && usableNumber(a.Value.X) {
-			m.colAcc[a.Cell.Col].add(a.Value.X)
-		}
-	}
-	for j := 0; j < mm; j++ {
-		m.setColConstants(j)
-	}
-
-	// Decode answers, applying the mode filter.
-	dec := make([]ingest.Answer, 0, len(all))
-	for _, a := range all {
-		oa, use, err := m.decodeAnswer(a)
-		if err != nil {
-			return nil, err
-		}
-		if !use {
-			continue
-		}
-		dec = append(dec, oa)
-		m.Answered[a.Cell.Row][a.Cell.Col] = true
-	}
-	m.decoded = len(all)
-	if len(dec) == 0 {
-		return nil, ErrNoAnswers
-	}
-
-	// Fold the decoded answers into the group store; dec is staging only
-	// and is dropped when newModel returns.
-	m.ilog = ingest.NewLog(n, mm)
-	m.ilog.Rebuild(dec)
-
-	// Categorical posteriors live in one arena, assigned per answered
-	// cell and updated in place ever after. (Cells first answered by a
-	// later streamed batch get their own small slices — the clean arena
-	// prefix is never reallocated.)
-	total := 0
-	for i := 0; i < n; i++ {
-		for j := 0; j < mm; j++ {
-			if m.Answered[i][j] && tbl.Schema.Columns[j].Type == tabular.Categorical {
-				total += tbl.Schema.Columns[j].NumLabels()
-			}
-		}
-	}
-	arena := make([]float64, total)
-	off := 0
-	for i := 0; i < n; i++ {
-		for j := 0; j < mm; j++ {
-			if m.Answered[i][j] && tbl.Schema.Columns[j].Type == tabular.Categorical {
-				l := tbl.Schema.Columns[j].NumLabels()
-				m.CatPost[i][j] = arena[off : off+l : off+l]
-				off += l
-			}
-		}
-	}
-
-	m.Phi = make([]float64, len(m.WorkerIDs))
-	for k := range m.Phi {
-		m.Phi[k] = o.InitPhi
-	}
-	if len(o.WorkerWeights) > 0 {
-		m.SetWorkerWeights(o.WorkerWeights)
-	}
-	warmed := false
-	if w := o.Warm; w != nil {
-		if len(w.Alpha) == n && !o.FixDifficulty {
-			copy(m.Alpha, w.Alpha)
-		}
-		if len(w.Beta) == mm && !o.FixDifficulty {
-			copy(m.Beta, w.Beta)
-		}
-		for k, u := range m.WorkerIDs {
-			if phi, ok := w.Phi[u]; ok && phi > 0 {
-				m.Phi[k] = stats.Clamp(phi, minS, maxS)
-			}
-		}
-		warmed = true
-	}
-	if !warmed {
-		// Cold start: seed the posteriors from the empirical answer
-		// distribution. Warm starts skip this — run() derives their
-		// posteriors from the warm parameters with one E-step, which both
-		// reflects the previous fit and folds in any new answers.
-		m.warmStart()
 	}
 	return m, nil
 }
@@ -596,12 +468,11 @@ const MaxAnswerMagnitude = 1e100
 func usableNumber(x float64) bool { return math.Abs(x) <= MaxAnswerMagnitude }
 
 // decodeAnswer resolves one checked raw answer: mode filter applied, worker
-// index assigned (first-seen workers are appended, with the initial
-// variance when the parameter vector already exists). Continuous values
-// stay raw: the group store keeps raw moments and the EM loops
-// standardize them with the current column constants. use is false when
-// the mode filter drops the answer or its number is beyond
-// MaxAnswerMagnitude.
+// index assigned (first-seen workers are appended to WorkerIDs; Ingest
+// grows their parameters once per batch). Continuous values stay raw: the
+// group store keeps raw moments and the EM loops standardize them with the
+// current column constants. use is false when the mode filter drops the
+// answer or its number is beyond MaxAnswerMagnitude.
 func (m *Model) decodeAnswer(a tabular.Answer) (oa ingest.Answer, use bool, err error) {
 	if err := m.checkAnswer(a); err != nil {
 		return ingest.Answer{}, false, err
@@ -617,15 +488,6 @@ func (m *Model) decodeAnswer(a tabular.Answer) (oa ingest.Answer, use bool, err 
 		k = len(m.WorkerIDs)
 		m.workerIdx[a.Worker] = k
 		m.WorkerIDs = append(m.WorkerIDs, a.Worker)
-		if m.Phi != nil {
-			// Streaming arrival after the cold fit sized Phi: a fresh
-			// worker starts at the initial variance, like a cold start.
-			m.Phi = append(m.Phi, m.Opts.InitPhi)
-		}
-		if m.wgt != nil {
-			// New workers enter at full weight until told otherwise.
-			m.wgt = append(m.wgt, 1)
-		}
 	}
 	oa = ingest.Answer{W: k, I: a.Cell.Row, J: a.Cell.Col, IsCat: isCat}
 	if isCat {
@@ -737,23 +599,10 @@ func (m *Model) warmStart() {
 	}
 }
 
-// run executes the EM loop: M-step (worker quality + cell difficulty), then
-// E-step (truth posteriors), until parameters stabilise (Algorithm 1).
-func (m *Model) run() {
-	if m.Opts.Warm != nil {
-		// Warm parameters beat vote-share posteriors: derive the
-		// posteriors from them before the first M-step.
-		m.eStep()
-	}
-	m.emLoop(m.Opts.MaxIter)
-	// Freeze the median-phi cache now so concurrent readers (parallel
-	// assignment scoring) never write to the model.
-	m.medianPhi = m.MedianPhi()
-}
-
-// emLoop alternates M- and E-steps for at most maxIter iterations or until
-// the parameter-change tolerance fires — the shared engine of the cold run
-// and the streaming polish (RefreshIncremental).
+// emLoop alternates M- and E-steps (worker quality and cell difficulty,
+// then truth posteriors) for at most maxIter iterations or until the
+// parameter-change tolerance fires — Algorithm 1, run by every
+// RefreshIncremental.
 func (m *Model) emLoop(maxIter int) {
 	d := len(m.Alpha) + len(m.Beta) + len(m.Phi)
 	if cap(m.scr.prevParams) < d {

@@ -134,10 +134,7 @@ func TestELBOMonotone(t *testing.T) {
 
 func TestAnalyticGradientMatchesNumeric(t *testing.T) {
 	ds, log := smallDataset(500)
-	m, err := newModel(ds.Table, log.All(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := loadModel(t, ds.Table, log, Options{})
 	m.eStep() // fix posteriors at a non-trivial point
 
 	n, mm, u := len(m.Alpha), len(m.Beta), len(m.Phi)

@@ -187,15 +187,8 @@ func TestWarmStartConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warmOpts := Options{Warm: &Warm{
-		Alpha: cold.Alpha,
-		Beta:  cold.Beta,
-		Phi:   map[tabular.WorkerID]float64{},
-	}}
-	for k, u := range cold.WorkerIDs {
-		warmOpts.Warm.Phi[u] = cold.Phi[k]
-	}
-	warm, err := Infer(ds.Table, log, warmOpts)
+	// The cold fit's budget, so only the seed differs.
+	warm, err := InferWarm(cold, ds.Table, log, Options{MaxIter: cold.Opts.MaxIter})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,6 +18,27 @@ func equivDataset(seed int64, rows int) (*simulate.Dataset, *tabular.AnswerLog) 
 	return ds, simulate.NewCrowd(ds, seed+1).FixedAssignment(4)
 }
 
+// loadModel returns a model that has ingested log but not been fitted:
+// parameters at their initial values, posteriors still zero.
+func loadModel(t *testing.T, tbl *tabular.Table, log *tabular.AnswerLog, opts Options) *Model {
+	t.Helper()
+	m, err := NewModel(tbl, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Ingest(log.Prefix()); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// view returns answers, in order, as an answer view.
+func view(answers []tabular.Answer) tabular.AnswerView {
+	log := tabular.NewAnswerLog()
+	log.AddAll(answers)
+	return log.Prefix()
+}
+
 // assertModelsAgree checks two fits for numerical equivalence: identical
 // EM iteration counts and estimates/parameters within tol.
 func assertModelsAgree(t *testing.T, a, b *Model, tol float64) {
@@ -158,10 +179,7 @@ func TestQFusedMatchesSeparatePasses(t *testing.T) {
 
 func checkQFusedMatchesSeparatePasses(t *testing.T, tbl *tabular.Table, log *tabular.AnswerLog) *Model {
 	t.Helper()
-	m, err := newModel(tbl, log.All(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := loadModel(t, tbl, log, Options{})
 	m.eStep()
 	// Nudge parameters off the initial point so the gradients are
 	// non-trivial.
@@ -209,10 +227,7 @@ func checkQFusedMatchesSeparatePasses(t *testing.T, tbl *tabular.Table, log *tab
 // steady-state allocations: posteriors update in place in the arena.
 func TestEStepSteadyStateAllocs(t *testing.T) {
 	ds, log := equivDataset(2030, 30)
-	m, err := newModel(ds.Table, log.All(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := loadModel(t, ds.Table, log, Options{})
 	m.eStep() // warm
 	if avg := testing.AllocsPerRun(10, m.eStep); avg > 0 {
 		t.Fatalf("E-step allocates in steady state: %.1f allocs/run", avg)
@@ -223,10 +238,7 @@ func TestEStepSteadyStateAllocs(t *testing.T) {
 // allocations once the scratch arena is warm.
 func TestMStepSteadyStateAllocs(t *testing.T) {
 	ds, log := equivDataset(2031, 30)
-	m, err := newModel(ds.Table, log.All(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := loadModel(t, ds.Table, log, Options{})
 	m.eStep()
 	m.mStep() // warm the scratch arena and optimizer workspace
 	if avg := testing.AllocsPerRun(10, m.mStep); avg > 0 {
@@ -297,7 +309,10 @@ func TestInferWarmFallsBackCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m2.Opts.Warm != nil {
-		t.Fatal("dimension-mismatched warm start was not dropped")
+	cold, err := Infer(ds.Table, log, Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	assertBitwiseFit(t, 0, cold, m)
+	assertBitwiseFit(t, 1, cold, m2)
 }

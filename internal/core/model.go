@@ -108,7 +108,8 @@ func cloneGrid[T any](g [][]T) [][]T {
 }
 
 // PhiFor returns the inferred variance of worker u, falling back to the
-// median of all inferred variances (or InitPhi with no workers) for workers
+// median of all inferred variances (or the initial variance with no
+// workers) for workers
 // the model has not seen — the sensible prior for a fresh arrival in online
 // assignment.
 func (m *Model) PhiFor(u tabular.WorkerID) float64 {
@@ -118,7 +119,8 @@ func (m *Model) PhiFor(u tabular.WorkerID) float64 {
 	return m.MedianPhi()
 }
 
-// MedianPhi returns the population median variance (InitPhi when empty).
+// MedianPhi returns the population median variance (the initial variance
+// when empty).
 // The cache is written once at the end of the EM run; reads never mutate,
 // so concurrent assignment scoring is race-free.
 func (m *Model) MedianPhi() float64 {
@@ -126,7 +128,7 @@ func (m *Model) MedianPhi() float64 {
 		return m.medianPhi
 	}
 	if len(m.Phi) == 0 {
-		return m.Opts.InitPhi
+		return initPhi
 	}
 	return stats.Median(m.Phi)
 }
@@ -233,33 +235,6 @@ func CatPosteriorWithAnswer(post []float64, label int, eps, s float64) []float64
 // parameters.
 func ContVarWithAnswer(variance, s float64) float64 {
 	return 1 / (1/variance + 1/s)
-}
-
-// AnswerDistribution returns the predictive distribution of worker u's
-// hypothetical answer on categorical cell c: P(a = z') =
-// sum_z P(T=z) P(a=z' | T=z) under the worker model.
-func (m *Model) AnswerDistribution(u tabular.WorkerID, c tabular.Cell) ([]float64, bool) {
-	post, ok := m.PosteriorCat(c)
-	if !ok {
-		return nil, false
-	}
-	s := m.CellVarianceFor(u, c)
-	q := math.Erf(m.Opts.Eps / math.Sqrt(2*s))
-	l := len(post)
-	wrong := (1 - q) / float64(l-1)
-	out := make([]float64, l)
-	for zp := 0; zp < l; zp++ {
-		p := 0.0
-		for z := 0; z < l; z++ {
-			if z == zp {
-				p += post[z] * q
-			} else {
-				p += post[z] * wrong
-			}
-		}
-		out[zp] = p
-	}
-	return out, true
 }
 
 // NumAnswersUsed reports how many answers survived the mode filter.

@@ -155,31 +155,6 @@ func TestContVarWithAnswer(t *testing.T) {
 	}
 }
 
-func TestAnswerDistribution(t *testing.T) {
-	m, _ := tinyFixture(t)
-	dist, ok := m.AnswerDistribution("u1", tabular.Cell{Row: 0, Col: 0})
-	if !ok {
-		t.Fatal("missing distribution")
-	}
-	sum := 0.0
-	for _, p := range dist {
-		if p < 0 {
-			t.Fatal("negative probability")
-		}
-		sum += p
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("answer distribution sums to %v", sum)
-	}
-	// The most likely answer from a decent worker is the posterior mode.
-	if argMax(dist) != 1 {
-		t.Fatalf("predictive mode %v", dist)
-	}
-	if _, ok := m.AnswerDistribution("u1", tabular.Cell{Row: 0, Col: 1}); ok {
-		t.Fatal("AnswerDistribution on continuous column")
-	}
-}
-
 func TestLogQStable(t *testing.T) {
 	for _, s := range []float64{1e-8, 1e-4, 0.1, 1, 100, 1e8} {
 		lnQ, lnNotQ := logQ(0.5, s)

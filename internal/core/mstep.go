@@ -395,13 +395,12 @@ func zero(xs []float64) {
 // inverse-gamma on each phi_u and N(0, sigma^2) shrinkage on ln(alpha_i),
 // ln(beta_j). Constant offsets are dropped.
 func (m *Model) paramLogPrior(alpha, beta, phi []float64) float64 {
-	o := m.Opts
 	lp := 0.0
 	for _, p := range phi {
-		lp += -(o.PhiPriorA+1)*math.Log(p) - o.PhiPriorB/p
+		lp += -(phiPriorA+1)*math.Log(p) - phiPriorB/p
 	}
-	s2 := o.DiffPriorSigma * o.DiffPriorSigma
-	if !o.FixDifficulty {
+	const s2 = diffPriorSigma * diffPriorSigma
+	if !m.Opts.FixDifficulty {
 		for _, a := range alpha {
 			la := math.Log(a)
 			lp -= la * la / (2 * s2)
@@ -416,12 +415,11 @@ func (m *Model) paramLogPrior(alpha, beta, phi []float64) float64 {
 
 // priorGradLog accumulates the parameter-prior gradients in log space.
 func (m *Model) priorGradLog(alpha, beta, phi, ga, gb, gp []float64) {
-	o := m.Opts
 	for k, p := range phi {
-		gp[k] += -(o.PhiPriorA + 1) + o.PhiPriorB/p
+		gp[k] += -(phiPriorA + 1) + phiPriorB/p
 	}
-	if !o.FixDifficulty {
-		s2 := o.DiffPriorSigma * o.DiffPriorSigma
+	if !m.Opts.FixDifficulty {
+		const s2 = diffPriorSigma * diffPriorSigma
 		for i, a := range alpha {
 			ga[i] -= math.Log(a) / s2
 		}

@@ -46,10 +46,7 @@ func TestParallelInferMatchesSerial(t *testing.T) {
 
 func TestParallelQValueMatchesSerial(t *testing.T) {
 	ds, log := smallDataset(1100)
-	m, err := newModel(ds.Table, log.All(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := loadModel(t, ds.Table, log, Options{})
 	m.eStep()
 	alpha := append([]float64(nil), m.Alpha...)
 	beta := append([]float64(nil), m.Beta...)
@@ -65,10 +62,7 @@ func TestParallelQValueMatchesSerial(t *testing.T) {
 
 func TestParallelGradMatchesSerial(t *testing.T) {
 	ds, log := smallDataset(1200)
-	m, err := newModel(ds.Table, log.All(), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := loadModel(t, ds.Table, log, Options{})
 	m.eStep()
 	alpha, beta, phi := m.Alpha, m.Beta, m.Phi
 	ga := make([]float64, len(alpha))
@@ -93,14 +87,11 @@ func TestParallelGradMatchesSerial(t *testing.T) {
 
 func TestParallelismClamp(t *testing.T) {
 	ds, log := smallDataset(1300)
-	m, err := newModel(ds.Table, log.All(), Options{Parallelism: 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
+	m := loadModel(t, ds.Table, log, Options{Parallelism: 10000})
 	if got := m.effectiveParallelism(); got < 1 || got > 10000 {
 		t.Fatalf("effective parallelism %d", got)
 	}
-	m2, _ := newModel(ds.Table, log.All(), Options{})
+	m2 := loadModel(t, ds.Table, log, Options{})
 	if m2.effectiveParallelism() != 1 {
 		t.Fatal("default must be serial")
 	}

@@ -1,15 +1,16 @@
 package core
 
-// Streaming ingestion — the O(batch) refresh path of online serving.
+// Ingestion — the only way answers enter a model, and the O(batch)
+// refresh path of online serving.
 //
-// A fitted Model owns a mutable sufficient-statistics store
-// (internal/ingest). When an answer batch lands, Ingest decodes it against
-// the model's worker table, folds it into the store's groups in place and
-// marks the touched cells dirty; RefreshIncremental then re-runs the E-step
-// on exactly the dirty posteriors before a short warm EM polish from the
-// previous optimum. Unlike InferWarm — which re-decodes, re-sorts and
-// re-groups the whole log per refresh — decoding and merging are
-// proportional to the batch, not the log.
+// A Model owns a mutable sufficient-statistics store (internal/ingest).
+// When an answer batch lands, Ingest decodes it against the model's worker
+// table, folds it into the store's groups in place and marks the touched
+// cells dirty; RefreshIncremental then re-runs the E-step on exactly the
+// dirty posteriors before a short warm EM polish from the previous
+// optimum. A model's first RefreshIncremental is its cold fit, and a cold
+// Infer is one Ingest of the whole log followed by it; every later
+// refresh decodes and merges in proportion to the batch, not the log.
 //
 // Column standardisation stays exact: the model keeps each continuous
 // column's Welford accumulator (the same left fold stats.MeanVariance
@@ -24,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"tcrowd/internal/tabular"
 )
@@ -64,6 +66,9 @@ type colAcc struct {
 	n    int
 	mean float64
 	m2   float64
+	// moved flags, within one Ingest, a column whose batch values moved
+	// its standardisation constants.
+	moved bool
 }
 
 func (c *colAcc) add(x float64) {
@@ -80,9 +85,8 @@ func (c *colAcc) variance() float64 {
 	return c.m2 / float64(c.n)
 }
 
-// setColConstants derives ColMean/ColStd for column j from its accumulator,
-// with the cold path's exact rules (std 1 for categorical, empty and
-// near-constant columns).
+// setColConstants derives ColMean/ColStd for column j from its accumulator
+// (std 1 for categorical, empty and near-constant columns).
 func (m *Model) setColConstants(j int) {
 	m.ColStd[j] = 1
 	if m.Table.Schema.Columns[j].Type == tabular.Continuous && m.colAcc[j].n > 0 {
@@ -103,38 +107,40 @@ func (m *Model) CanIngestFrom(tbl *tabular.Table, log *tabular.AnswerLog) bool {
 }
 
 // IngestFrom ingests every answer appended to the model's source log since
-// the last sync (the cold fit or the previous IngestFrom) and returns how
-// many raw answers were consumed. The caller still owns running
-// RefreshIncremental afterwards.
+// the previous IngestFrom and returns how many raw answers were consumed.
+// The caller still owns running RefreshIncremental afterwards.
 func (m *Model) IngestFrom(log *tabular.AnswerLog) (int, error) {
 	if log != m.Log {
 		return 0, ErrLogMismatch
 	}
-	if log.Len() < m.decoded {
-		return 0, fmt.Errorf("core: source log shrank to %d answers (model consumed %d)", log.Len(), m.decoded)
+	view := log.Prefix()
+	n := view.Len() - m.decoded
+	if n < 0 {
+		return 0, fmt.Errorf("core: source log shrank to %d answers (model consumed %d)", view.Len(), m.decoded)
 	}
-	if log.Len() == m.decoded {
-		return 0, nil
-	}
-	batch := log.Prefix().Slice(m.decoded, log.Len()).AppendTo(m.scr.src[:0])
-	m.scr.src = batch
-	if err := m.Ingest(batch); err != nil {
+	if err := m.Ingest(view.Slice(m.decoded, view.Len())); err != nil {
 		return 0, err
 	}
 	// Only the source-log sync advances the cursor: Ingest may also be fed
 	// external batches (the platform passes explicit deltas), which must
 	// not make IngestFrom skip source answers it never saw.
-	m.decoded += len(batch)
-	return len(batch), nil
+	m.decoded = view.Len()
+	return n, nil
 }
+
+// maxKeptDecode bounds the decode staging buffer a model keeps between
+// batches: a larger batch (a cold fit's, say) drops its buffer afterwards
+// instead of holding ~56 B per answer for the model's lifetime.
+const maxKeptDecode = 1024
 
 // Ingest decodes a raw answer batch and folds it into the model's group
 // store in place, marking the touched cells dirty for the next
 // RefreshIncremental. The work — validation, constant updates, decode,
 // merge — is O(batch) plus a linear shift of the store's tail (and a pass
 // over the cells when a column's constants move); the clean prefix is
-// never re-sorted. First-seen workers are registered with the initial variance;
-// cells answered for the first time get posteriors allocated.
+// never re-sorted. First-seen workers are registered with the initial
+// variance; the categorical cells a batch answers for the first time get
+// their posteriors from one arena, laid out in cell-key order.
 //
 // The batch is validated before any state changes, so an error leaves the
 // model untouched. Posteriors and estimates are stale between Ingest and
@@ -142,12 +148,12 @@ func (m *Model) IngestFrom(log *tabular.AnswerLog) (int, error) {
 // source-log cursor — callers feeding explicit external batches own their
 // own bookkeeping; use IngestFrom to stay in sync with the model's source
 // log.
-func (m *Model) Ingest(batch []tabular.Answer) error {
-	if len(batch) == 0 {
+func (m *Model) Ingest(batch tabular.AnswerView) error {
+	if batch.Len() == 0 {
 		return nil
 	}
-	for _, a := range batch {
-		if err := m.checkAnswer(a); err != nil {
+	for i := 0; i < batch.Len(); i++ {
+		if err := m.checkAnswer(batch.At(i)); err != nil {
 			return err
 		}
 	}
@@ -155,50 +161,46 @@ func (m *Model) Ingest(batch []tabular.Answer) error {
 	// Fold the batch's numeric values into the column accumulators and
 	// refresh the standardisation constants of the touched continuous
 	// columns.
-	scr := &m.scr
-	mm := m.Table.NumCols()
-	if scr.colChanged == nil {
-		scr.colChanged = make([]bool, mm)
-	}
-	changed := false
-	for _, a := range batch {
-		if a.Value.Kind == tabular.Number && usableNumber(a.Value.X) {
-			m.colAcc[a.Cell.Col].add(a.Value.X)
-			scr.colChanged[a.Cell.Col] = true
+	for i := 0; i < batch.Len(); i++ {
+		if a := batch.At(i); a.Value.Kind == tabular.Number && usableNumber(a.Value.X) {
+			acc := &m.colAcc[a.Cell.Col]
+			acc.add(a.Value.X)
+			acc.moved = true
 		}
 	}
-	for j := 0; j < mm; j++ {
-		if !scr.colChanged[j] {
+	changed := false
+	for j := range m.colAcc {
+		acc := &m.colAcc[j]
+		if !acc.moved {
 			continue
 		}
 		oldMean, oldStd := m.ColMean[j], m.ColStd[j]
 		m.setColConstants(j)
-		if m.ColMean[j] == oldMean && m.ColStd[j] == oldStd {
-			scr.colChanged[j] = false // constants stable: nothing to redo
-		} else {
-			changed = true
-		}
+		acc.moved = m.ColMean[j] != oldMean || m.ColStd[j] != oldStd
+		changed = changed || acc.moved
 	}
 	if changed {
 		// Dirty the answered cells of the shifted columns: their
 		// continuous posteriors were computed under the old z-scale.
 		for i := 0; i < m.Table.NumRows(); i++ {
-			for j := 0; j < mm; j++ {
-				if scr.colChanged[j] && m.Answered[i][j] {
+			for j := range m.colAcc {
+				if m.colAcc[j].moved && m.Answered[i][j] {
 					m.ilog.MarkDirty(m.ilog.Key(i, j))
 				}
 			}
 		}
-	}
-	for j := 0; j < mm; j++ {
-		scr.colChanged[j] = false
+		for j := range m.colAcc {
+			m.colAcc[j].moved = false
+		}
 	}
 
 	// Decode (mode filter, worker registration) into the reusable staging
 	// buffer and merge.
-	scr.dec = scr.dec[:0]
-	for _, a := range batch {
-		oa, use, err := m.decodeAnswer(a)
+	scr := &m.scr
+	scr.dec = slices.Grow(scr.dec[:0], batch.Len())
+	newPost := 0
+	for i := 0; i < batch.Len(); i++ {
+		oa, use, err := m.decodeAnswer(batch.At(i))
 		if err != nil {
 			return err // unreachable: batch was pre-validated
 		}
@@ -206,25 +208,51 @@ func (m *Model) Ingest(batch []tabular.Answer) error {
 			continue
 		}
 		scr.dec = append(scr.dec, oa)
-		i, j := a.Cell.Row, a.Cell.Col
-		if !m.Answered[i][j] {
-			m.Answered[i][j] = true
-			if col := m.Table.Schema.Columns[j]; col.Type == tabular.Categorical {
-				// A newly answered categorical cell gets its own small
-				// posterior slice; the cold fit's arena prefix is shared
-				// state and never reallocated.
-				m.CatPost[i][j] = make([]float64, col.NumLabels())
+		if !m.Answered[oa.I][oa.J] {
+			m.Answered[oa.I][oa.J] = true
+			if oa.IsCat {
+				newPost += m.Table.Schema.Columns[oa.J].NumLabels()
 			}
 		}
 	}
-	if len(scr.dec) > 0 {
-		m.ilog.Append(scr.dec)
-		m.pendingPolish += len(scr.dec)
+	// Workers first seen in this batch start at the initial variance and,
+	// when weights are set, at full weight.
+	if k := len(m.WorkerIDs) - len(m.Phi); k > 0 {
+		m.Phi = appendN(m.Phi, k, initPhi)
+		if m.wgt != nil {
+			m.wgt = appendN(m.wgt, k, 1)
+		}
+	}
+	m.ilog.Append(scr.dec)
+	m.pendingPolish += len(scr.dec)
+	if newPost > 0 {
+		// Append sorted the staging buffer by cell key, so the new
+		// posteriors are carved from one arena in the order the E-step
+		// walks them. Earlier arenas are never reallocated.
+		arena := make([]float64, newPost)
+		for _, oa := range scr.dec {
+			if oa.IsCat && m.CatPost[oa.I][oa.J] == nil {
+				l := m.Table.Schema.Columns[oa.J].NumLabels()
+				m.CatPost[oa.I][oa.J], arena = arena[:l:l], arena[l:]
+			}
+		}
+	}
+	if cap(scr.dec) > maxKeptDecode {
+		scr.dec = nil
 	}
 	// Worker medians may have shifted (new workers, at least): drop the
 	// cache; RefreshIncremental refreezes it.
 	m.medianPhi = 0
 	return nil
+}
+
+// appendN appends k copies of v to s, growing it at most once.
+func appendN(s []float64, k int, v float64) []float64 {
+	s = slices.Grow(s, k)
+	for range k {
+		s = append(s, v)
+	}
+	return s
 }
 
 // RefreshStats reports what one RefreshIncremental did, so callers can
@@ -252,43 +280,68 @@ type RefreshStats struct {
 // optimum until the model's parameter tolerance fires. Iterations and
 // Converged report the polish.
 //
-// Amortized polish cadence: with maxIter <= 0 (the serving default) the
-// full polish is deferred until enough new answers have accumulated —
-// max(minPolishBacklog, DefaultPolishFrac·log size) — and then runs for
-// DefaultPolishIter iterations. In between, a refresh is dirty-cell E-step
-// only, so its cost is O(batch) regardless of log size while the amortized
-// polish cost per answer stays constant (online EM with a batch schedule
-// proportional to the data seen, cf. Liang & Klein's stepwise EM). An
-// explicit maxIter > 0 always polishes now — callers needing
-// convergence-grade estimates (the platform's requester-facing inference,
-// the equivalence tests) keep their full budget semantics.
+// The first refresh of a model with usable answers is its cold fit: it
+// seeds every posterior (from the empirical answer distribution, or by one
+// E-step under the parameters InferWarm copied from a previous fit), then
+// runs EM for maxIter iterations, or Options.MaxIter when maxIter <= 0.
+// It reports no Cells. A model with no usable answers is left as it is.
+//
+// Amortized polish cadence: on a fitted model, maxIter <= 0 (the serving
+// default) defers the full polish until enough new answers have
+// accumulated — max(minPolishBacklog, DefaultPolishFrac·log size) — and
+// then runs it for DefaultPolishIter iterations. In between, a refresh is
+// dirty-cell E-step only, so its cost is O(batch) regardless of log size
+// while the amortized polish cost per answer stays constant (online EM with
+// a batch schedule proportional to the data seen, cf. Liang & Klein's
+// stepwise EM). An explicit maxIter > 0 always polishes now — callers
+// needing convergence-grade estimates (the platform's requester-facing
+// inference, the equivalence tests) keep their full budget semantics.
 //
 // Equivalence: run with a tight Options.Tol (and matching MStepGradTol),
 // the polish converges to the same fixed point a cold Infer over the grown
 // log reaches — the equivalence property test pins estimates to 1e-9.
 func (m *Model) RefreshIncremental(maxIter int) RefreshStats {
-	scr := &m.scr
-	scr.refreshCells = append(scr.refreshCells[:0], m.ilog.DirtyKeys()...)
-	st := RefreshStats{Cells: scr.refreshCells}
-	for _, key := range st.Cells {
-		m.eStepCells(key, key+1)
-	}
-	m.ilog.ClearDirty()
-	if maxIter <= 0 {
-		if m.pendingPolish < m.polishBacklog() {
-			// Defer the O(log) polish: report zero EM iterations so the
-			// deferral is observable, keep the debt.
-			m.Iterations, m.Converged = 0, false
-			st.Pending = m.pendingPolish
-			m.medianPhi = 0
-			m.medianPhi = m.MedianPhi()
-			return st
+	var st RefreshStats
+	switch {
+	case m.ilog.Len() == 0:
+		return st
+	case !m.fitted:
+		m.ilog.ClearDirty()
+		if m.warmSeed {
+			m.eStep()
+		} else {
+			m.warmStart()
 		}
-		maxIter = DefaultPolishIter
+		m.fitted = true
+		if maxIter <= 0 {
+			maxIter = m.Opts.MaxIter
+		}
+	default:
+		scr := &m.scr
+		scr.refreshCells = append(scr.refreshCells[:0], m.ilog.DirtyKeys()...)
+		st.Cells = scr.refreshCells
+		for _, key := range st.Cells {
+			m.eStepCells(key, key+1)
+		}
+		m.ilog.ClearDirty()
+		if maxIter <= 0 {
+			if m.pendingPolish < m.polishBacklog() {
+				// Defer the O(log) polish: report zero EM iterations so the
+				// deferral is observable, keep the debt.
+				m.Iterations, m.Converged = 0, false
+				st.Pending = m.pendingPolish
+				m.medianPhi = 0
+				m.medianPhi = m.MedianPhi()
+				return st
+			}
+			maxIter = DefaultPolishIter
+		}
 	}
 	m.emLoop(maxIter)
 	m.pendingPolish = 0
 	st.Polished = true
+	// Freeze the median-phi cache now so concurrent readers (parallel
+	// assignment scoring) never write to the model.
 	m.medianPhi = 0
 	m.medianPhi = m.MedianPhi()
 	return st

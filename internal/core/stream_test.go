@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -59,7 +60,7 @@ func TestRefreshIncrementalMatchesRebuild(t *testing.T) {
 			batch := all[at : at+n]
 			at += n
 
-			if err := m.Ingest(batch); err != nil {
+			if err := m.Ingest(view(batch)); err != nil {
 				t.Fatal(err)
 			}
 			m.RefreshIncremental(12)
@@ -130,7 +131,7 @@ func FuzzIngestSplits(f *testing.F) {
 		for b, size := range sizes[1:] {
 			batch := all[at : at+1+int(size%16)]
 			at += len(batch)
-			if err := m.Ingest(batch); err != nil {
+			if err := m.Ingest(view(batch)); err != nil {
 				t.Fatal(err)
 			}
 			m.RefreshIncremental(wopts.MaxIter)
@@ -212,7 +213,7 @@ func TestRefreshIncrementalMatchesCold(t *testing.T) {
 			if at+n > len(all) {
 				n = len(all) - at
 			}
-			if err := m.Ingest(all[at : at+n]); err != nil {
+			if err := m.Ingest(view(all[at : at+n])); err != nil {
 				t.Fatal(err)
 			}
 			at += n
@@ -238,6 +239,74 @@ func TestRefreshIncrementalMatchesCold(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestUnusableFirstBatchStaysUnfitted covers a model whose first batch
+// holds no usable answer — a number beyond ±MaxAnswerMagnitude, and
+// categorical answers under ModeOnlyContinuous: RefreshIncremental leaves
+// it unfitted, and once a usable batch lands its first fit is bitwise the
+// cold Infer of the whole log.
+func TestUnusableFirstBatchStaysUnfitted(t *testing.T) {
+	ds, full := equivDataset(3700, 20)
+	cont, cat := -1, -1
+	for j, c := range ds.Table.Schema.Columns {
+		if c.Type == tabular.Continuous && cont < 0 {
+			cont = j
+		}
+		if c.Type == tabular.Categorical && cat < 0 {
+			cat = j
+		}
+	}
+	huge := tabular.Answer{Worker: "huge", Cell: tabular.Cell{Row: 0, Col: cont}, Value: tabular.NumberValue(-2e154)}
+	label := tabular.Answer{Worker: "labeler", Cell: tabular.Cell{Row: 1, Col: cat}, Value: tabular.LabelValue(0)}
+	for trial, tc := range []struct {
+		mode     Mode
+		unusable []tabular.Answer
+	}{
+		{ModeFull, []tabular.Answer{huge}},
+		{ModeOnlyContinuous, []tabular.Answer{huge, label, label}},
+	} {
+		opts := Options{Mode: tc.mode, MaxIter: 30}
+		log := tabular.NewAnswerLog()
+		log.AddAll(tc.unusable)
+		if _, err := Infer(ds.Table, log, opts); !errors.Is(err, ErrNoAnswers) {
+			t.Fatalf("trial %d: Infer over unusable answers = %v, want ErrNoAnswers", trial, err)
+		}
+		m, err := NewModel(ds.Table, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Log = log
+		if n, err := m.IngestFrom(log); err != nil || n != len(tc.unusable) {
+			t.Fatalf("trial %d: IngestFrom = (%d, %v)", trial, n, err)
+		}
+		for range 2 {
+			if rs := m.RefreshIncremental(0); rs.Polished || len(rs.Cells) != 0 || m.Iterations != 0 {
+				t.Fatalf("trial %d: refresh of an answerless model = %+v, %d iterations", trial, rs, m.Iterations)
+			}
+		}
+		if m.NumAnswersUsed() != 0 || len(m.WorkerIDs) != 0 || m.fitted {
+			t.Fatalf("trial %d: unusable answers entered the model", trial)
+		}
+		for i, row := range m.Estimates() {
+			for j, v := range row {
+				if !v.IsNone() {
+					t.Fatalf("trial %d: estimate (%d,%d) = %+v from no usable answer", trial, i, j, v)
+				}
+			}
+		}
+
+		log.AddAll(full.All())
+		if _, err := m.IngestFrom(log); err != nil {
+			t.Fatal(err)
+		}
+		m.RefreshIncremental(0)
+		cold, err := Infer(ds.Table, log, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitwiseFit(t, trial, cold, m)
 	}
 }
 
@@ -321,7 +390,7 @@ func TestIngestExternalBatchKeepsSourceCursor(t *testing.T) {
 	// An external batch (not appended to the source log).
 	external := tabular.NewAnswerLog()
 	simulate.NewCrowd(ds, 3251).AppendBatch(external, 15)
-	if err := m.Ingest(external.All()); err != nil {
+	if err := m.Ingest(external.Prefix()); err != nil {
 		t.Fatal(err)
 	}
 	// The source log grows too; IngestFrom must still see all of it.
@@ -369,7 +438,7 @@ func TestIngestNewWorkerAndCell(t *testing.T) {
 			Worker: "fresh-worker", Cell: tabular.Cell{Row: 9, Col: j}, Value: v,
 		})
 	}
-	if err := m.Ingest(batch); err != nil {
+	if err := m.Ingest(view(batch)); err != nil {
 		t.Fatal(err)
 	}
 	m.RefreshIncremental(0)
@@ -405,7 +474,7 @@ func TestIngestRejectsBadBatchAtomically(t *testing.T) {
 		{Worker: "w", Cell: tabular.Cell{Row: 0, Col: 0}, Value: tabular.NumberValue(1)}, // valid or not, col 0 type decides
 		{Worker: "w", Cell: tabular.Cell{Row: 999, Col: 0}, Value: tabular.LabelValue(0)},
 	}
-	if err := m.Ingest(bad); err == nil {
+	if err := m.Ingest(view(bad)); err == nil {
 		t.Fatal("out-of-range batch accepted")
 	}
 	if m.NumAnswersUsed() != before || len(m.WorkerIDs) != workers {
@@ -426,7 +495,7 @@ func TestIngestRejectsBadBatchAtomically(t *testing.T) {
 		Cell:   tabular.Cell{Row: 0, Col: catCol},
 		Value:  tabular.LabelValue(ds.Table.Schema.Columns[catCol].NumLabels()),
 	}}
-	if err := m.Ingest(badLabel); err == nil {
+	if err := m.Ingest(view(badLabel)); err == nil {
 		t.Fatal("out-of-range label accepted")
 	}
 	if m.NumAnswersUsed() != before {
@@ -451,7 +520,7 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 		// Warm headroom: a few batches grow every arena past its next
 		// capacity step.
 		for i := 0; i < 4; i++ {
-			if err := m.Ingest(batch.All()); err != nil {
+			if err := m.Ingest(batch.Prefix()); err != nil {
 				t.Fatal(err)
 			}
 			m.RefreshIncremental(1)
@@ -459,7 +528,7 @@ func TestIngestSteadyStateAllocs(t *testing.T) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		if err := m.Ingest(batch.All()); err != nil {
+		if err := m.Ingest(batch.Prefix()); err != nil {
 			t.Fatal(err)
 		}
 		runtime.ReadMemStats(&after)
@@ -529,7 +598,7 @@ func TestOutOfBoundNumbersAreSkipped(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := append([]tabular.Answer{huge}, all[prefix:]...)
-	if err := m.Ingest(batch); err != nil {
+	if err := m.Ingest(view(batch)); err != nil {
 		t.Fatal(err)
 	}
 	m.RefreshIncremental(12)

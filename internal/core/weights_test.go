@@ -8,9 +8,18 @@ import (
 	"tcrowd/internal/tabular"
 )
 
+// inferWeighted is Infer with worker weights installed before the fit, as
+// the platform installs its reputation weights.
+func inferWeighted(t *testing.T, tbl *tabular.Table, log *tabular.AnswerLog, opts Options, w map[tabular.WorkerID]float64) *Model {
+	t.Helper()
+	m := loadModel(t, tbl, log, opts)
+	m.SetWorkerWeights(w)
+	m.RefreshIncremental(0)
+	return m
+}
+
 // TestWorkerWeightsAllOnesBitwise proves that installing all-ones weights
-// (explicitly or via the options map) leaves the fit bitwise identical to
-// an unweighted run: multiplying by 1.0 is an IEEE identity and the
+// before the fit leaves it bitwise identical to an unweighted run: multiplying by 1.0 is an IEEE identity and the
 // all-ones map collapses back to the nil fast path.
 func TestWorkerWeightsAllOnesBitwise(t *testing.T) {
 	ds, log := equivDataset(3001, 30)
@@ -22,10 +31,7 @@ func TestWorkerWeightsAllOnesBitwise(t *testing.T) {
 	for _, wk := range ds.Workers {
 		w[wk.ID] = 1
 	}
-	weighted, err := Infer(ds.Table, log, Options{MaxIter: 10, WorkerWeights: w})
-	if err != nil {
-		t.Fatal(err)
-	}
+	weighted := inferWeighted(t, ds.Table, log, Options{MaxIter: 10}, w)
 	if weighted.wgt != nil {
 		t.Fatal("all-ones weight map did not collapse to the nil fast path")
 	}
@@ -54,14 +60,8 @@ func TestWeightedFusedMatchesReference(t *testing.T) {
 			w[wk.ID] = 0
 		}
 	}
-	fused, err := Infer(ds.Table, log, Options{MaxIter: 15, WorkerWeights: w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Infer(ds.Table, log, Options{MaxIter: 15, WorkerWeights: w, refMStep: mStepReference})
-	if err != nil {
-		t.Fatal(err)
-	}
+	fused := inferWeighted(t, ds.Table, log, Options{MaxIter: 15}, w)
+	ref := inferWeighted(t, ds.Table, log, Options{MaxIter: 15, refMStep: mStepReference}, w)
 	assertModelsAgree(t, fused, ref, 1e-9)
 }
 
@@ -70,14 +70,8 @@ func TestWeightedFusedMatchesReference(t *testing.T) {
 func TestWeightedParallelMatchesSequential(t *testing.T) {
 	ds, log := equivDataset(3003, 40)
 	w := map[tabular.WorkerID]float64{ds.Workers[0].ID: 0, ds.Workers[1].ID: 0.5}
-	seq, err := Infer(ds.Table, log, Options{MaxIter: 15, WorkerWeights: w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := Infer(ds.Table, log, Options{MaxIter: 15, WorkerWeights: w, Parallelism: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	seq := inferWeighted(t, ds.Table, log, Options{MaxIter: 15}, w)
+	par := inferWeighted(t, ds.Table, log, Options{MaxIter: 15, Parallelism: 4}, w)
 	assertModelsAgree(t, seq, par, 1e-9)
 }
 
@@ -94,12 +88,7 @@ func TestZeroWeightMatchesExclusion(t *testing.T) {
 	ds, log := equivDataset(3004, 40)
 	out := ds.Workers[0].ID
 
-	zeroed, err := Infer(ds.Table, log, Options{
-		WorkerWeights: map[tabular.WorkerID]float64{out: 0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	zeroed := inferWeighted(t, ds.Table, log, Options{}, map[tabular.WorkerID]float64{out: 0})
 
 	filtered := tabular.NewAnswerLog()
 	for _, a := range log.All() {
@@ -171,7 +160,7 @@ func TestSetWorkerWeightsStreaming(t *testing.T) {
 		a.Worker = fresh
 		batch = append(batch, a)
 	}
-	if err := m.Ingest(batch); err != nil {
+	if err := m.Ingest(view(batch)); err != nil {
 		t.Fatal(err)
 	}
 	m.RefreshIncremental(5)

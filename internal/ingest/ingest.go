@@ -27,8 +27,8 @@
 // is shifted, never re-sorted, so the cost is O(|batch| log |batch| +
 // moved groups + cells), not O(|log| log |log|). Cells that received
 // answers are tracked as dirty, so the caller can re-run the E-step on
-// exactly the posteriors that changed. Rebuild is Append into an empty
-// store: both paths run the same code.
+// exactly the posteriors that changed. A cold start is one Append into an
+// empty store, so it runs the same code as every later batch.
 //
 // Determinism: a group's moments are a left fold over its answers in log
 // order (the batch sort is stable, and batches arrive in log order), so any
@@ -96,7 +96,7 @@ type Log struct {
 	// label) order; GroupOff is its CSR index: cell key k owns
 	// Groups[GroupOff[k]:GroupOff[k+1]]. Hot loops index them directly;
 	// everyone else should treat them as read-only and mutate through
-	// Rebuild/Append.
+	// Append.
 	Groups   []Group
 	GroupOff []int32
 
@@ -182,19 +182,6 @@ func fold(g *Group, run []Answer) {
 			g.M2 += d * (x - g.Mean)
 		}
 	}
-}
-
-// Rebuild bulk-loads the store from an answer set in log order: Append
-// into an empty store, then clear the dirty set. It is the cold-start
-// path, and any split of the same log into Append batches yields bitwise
-// the same groups.
-func (l *Log) Rebuild(ans []Answer) {
-	l.Groups = l.Groups[:0]
-	clear(l.GroupOff)
-	l.n = 0
-	l.ClearDirty()
-	l.Append(ans)
-	l.ClearDirty()
 }
 
 // Append folds a batch of decoded answers, in log order, into the store

@@ -98,8 +98,8 @@ func checkInvariants(t *testing.T, l *Log) {
 }
 
 // TestAppendMatchesRebuild is the core streaming property: any batch split
-// of an answer set, appended incrementally, yields BITWISE the groups a
-// bulk Rebuild of the full set produces, and both equal the naive
+// of an answer set, appended incrementally, yields BITWISE the groups one
+// bulk Append of the full set produces, and both equal the naive
 // sort-and-fold grouping. Group moments fold each group's answers in log
 // order however the batches split, which is what lets streamed refreshes
 // match a rebuild bit for bit.
@@ -110,7 +110,7 @@ func TestAppendMatchesRebuild(t *testing.T) {
 		all := randomAnswers(rng, rows, cols, 6, 40+rng.Intn(200))
 
 		bulk := NewLog(rows, cols)
-		bulk.Rebuild(slices.Clone(all))
+		bulk.Append(slices.Clone(all))
 
 		inc := NewLog(rows, cols)
 		lo := 0
@@ -165,12 +165,13 @@ func TestOneAnswerGroupKeepsRawValue(t *testing.T) {
 // batch, cleared by ClearDirty, re-markable after.
 func TestDirtyTracking(t *testing.T) {
 	l := NewLog(4, 3)
-	l.Rebuild([]Answer{
+	l.Append([]Answer{
 		{W: 0, I: 0, J: 0, IsCat: true},
 		{W: 1, I: 2, J: 1, X: 5},
 	})
+	l.ClearDirty()
 	if len(l.DirtyKeys()) != 0 {
-		t.Fatalf("Rebuild left dirty cells: %v", l.DirtyKeys())
+		t.Fatalf("ClearDirty left dirty cells: %v", l.DirtyKeys())
 	}
 
 	l.Append([]Answer{
@@ -206,7 +207,7 @@ func TestDirtyTracking(t *testing.T) {
 func TestAppendSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	l := NewLog(50, 8)
-	l.Rebuild(randomAnswers(rng, 50, 8, 10, 4000))
+	l.Append(randomAnswers(rng, 50, 8, 10, 4000))
 	batch := randomAnswers(rng, 50, 8, 10, 50)
 	// Warm capacity headroom.
 	l.Append(slices.Clone(batch))

@@ -150,10 +150,15 @@ func TestQuarantinedAnswersDoNotSteerAssignment(t *testing.T) {
 	log := tabular.NewAnswerLog()
 	log.AddAll(answers)
 	fit := func(w map[tabular.WorkerID]float64) *core.Model {
-		m, err := core.Infer(proj.Table, log, core.Options{MaxIter: 50, WorkerWeights: w})
+		m, err := core.NewModel(proj.Table, core.Options{MaxIter: 50})
 		if err != nil {
 			t.Fatal(err)
 		}
+		if err := m.Ingest(log.Prefix()); err != nil {
+			t.Fatal(err)
+		}
+		m.SetWorkerWeights(w)
+		m.RefreshIncremental(0)
 		return m
 	}
 	const u, k = tabular.WorkerID("h9"), 4

@@ -117,13 +117,9 @@ type Project struct {
 	// creation and immutable afterwards, so the HTTP layer resolves
 	// labels in O(1) without the platform lock.
 	labelIdx []map[string]int
-	// absorbed is the length of the Log prefix lastModel has fitted.
+	// absorbed is the length of the Log prefix lastModel has ingested.
 	//tcrowd:guardedby inferMu
 	absorbed int
-	// batch is a streaming refresh's reused buffer for the answers past
-	// absorbed.
-	//tcrowd:guardedby inferMu
-	batch []tabular.Answer
 	// inferMu serialises truth inference per project: the cached model is
 	// refreshed incrementally in place, so exactly one RunInference may
 	// touch it at a time (the platform lock stays free meanwhile, so
@@ -1122,8 +1118,8 @@ func (p *Platform) Watch(projectID string) (*Watcher, error) {
 	return proj.hub.subscribe(), nil
 }
 
-// emMaxIter is the EM iteration budget of a cold fit and of every
-// streaming refresh's polish.
+// emMaxIter is the EM iteration budget of every refresh: the first fit's
+// and each streamed polish's.
 const emMaxIter = 50
 
 // refreshProject brings the project's cached model up to date with its
@@ -1147,50 +1143,47 @@ func (p *Platform) refreshProject(proj *Project) error {
 
 	// The log is append-only, with recovery building fresh projects, so
 	// this prefix view stays intact while submissions append past it, and
-	// the cached fit is always for its first absorbed answers.
+	// the cached model always holds its first absorbed answers.
 	p.mu.Lock()
 	answers := proj.Log.Prefix()
 	p.mu.Unlock()
+	n := answers.Len() - proj.absorbed
+	if n == 0 && proj.snapshot.Load() != nil {
+		// Nothing new since the last publish: keep the current snapshot
+		// (skipping the Estimates rebuild keeps idle refreshes O(1)).
+		return nil
+	}
 	m := proj.lastModel
 	if m == nil {
-		opts := core.Options{MaxIter: emMaxIter}
-		if proj.rep != nil {
-			opts.WorkerWeights = proj.rep.Weights()
-		}
-		fit, err := core.InferAnswers(proj.Table, answers.AppendTo(nil), opts)
+		fit, err := core.NewModel(proj.Table, core.Options{MaxIter: emMaxIter})
 		if err != nil {
 			return err
 		}
 		m = fit
 		proj.lastModel = m
-	} else {
-		// Streaming refresh: absorb the new answers in place. A polished
-		// refresh keeps the full iteration budget — seeding at the
-		// previous optimum shortens the path to convergence, it must not
-		// lower the convergence guarantee of requester-facing estimates;
-		// runs that start near the optimum still stop after a couple of
-		// iterations via the tolerance.
-		n := answers.Len() - proj.absorbed
-		if n == 0 && proj.snapshot.Load() != nil {
-			// Nothing new since the last publish: keep the current snapshot
-			// (skipping the Estimates rebuild keeps idle refreshes O(1)).
-			return nil
-		}
-		if n > 0 {
-			proj.batch = answers.Slice(proj.absorbed, answers.Len()).AppendTo(proj.batch[:0])
-			if err := m.Ingest(proj.batch); err != nil {
-				return err
-			}
-			if proj.rep != nil {
-				// Refresh the per-worker trust weights before EM touches
-				// the new answers: quarantined/banned workers' evidence is
-				// scaled down (or out) of the sufficient statistics.
-				m.SetWorkerWeights(proj.rep.Weights())
-			}
-			m.RefreshIncremental(emMaxIter)
-		}
+	}
+	// Absorb the new answers in place; the model's first refresh over
+	// usable answers is its cold fit. Every refresh keeps the full
+	// iteration budget — seeding at the previous optimum shortens the path
+	// to convergence, it must not lower the convergence guarantee of
+	// requester-facing estimates; runs that start near the optimum still
+	// stop after a couple of iterations via the tolerance.
+	if err := m.Ingest(answers.Slice(proj.absorbed, answers.Len())); err != nil {
+		return err
 	}
 	proj.absorbed = answers.Len()
+	if m.NumAnswersUsed() == 0 {
+		return core.ErrNoAnswers
+	}
+	if n > 0 {
+		if proj.rep != nil {
+			// Refresh the per-worker trust weights before EM touches the
+			// new answers: quarantined/banned workers' evidence is scaled
+			// down (or out) of the sufficient statistics.
+			m.SetWorkerWeights(proj.rep.Weights())
+		}
+		m.RefreshIncremental(emMaxIter)
+	}
 
 	res := &InferenceResult{
 		Estimates:     m.Estimates(),

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -152,6 +153,87 @@ func TestRefreshMatchesReplay(t *testing.T) {
 			if got, w := res.WorkerQuality[u], m.WorkerQuality(u); math.Float64bits(got) != math.Float64bits(w) {
 				t.Fatalf("round %d worker %s: served quality %v, replay %v", round, u, got, w)
 			}
+		}
+	}
+}
+
+// TestUnusableLogThenBatchMatchesReplay covers a project whose log holds
+// only an answer the model skips — a number beyond ±core.MaxAnswerMagnitude,
+// which WAL replay of an answer acknowledged before the bound can put
+// there: it has no fit, so RunInference answers core.ErrNoAnswers. Its
+// model is kept, and once a valid batch lands the published estimates are
+// bit-equal to a single-threaded Infer over the whole log.
+func TestUnusableLogThenBatchMatchesReplay(t *testing.T) {
+	ds := simulate.Generate(stats.NewRNG(71), simulate.TableConfig{Rows: 8, Cols: 4, CatRatio: 0.5,
+		Population: simulate.PopulationConfig{N: 5}})
+	crowd := simulate.NewCrowd(ds, 72)
+	p := NewWithOptions(73, Options{Workers: 1})
+	defer p.Close()
+	proj, err := p.CreateProject("huge", ds.Table.Schema, ProjectConfig{
+		Rows: ds.Table.NumRows(), RefreshEvery: 1 << 30,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := -1
+	for j, c := range ds.Table.Schema.Columns {
+		if c.Type == tabular.Continuous {
+			col = j
+			break
+		}
+	}
+	if col < 0 {
+		t.Fatal("dataset has no continuous column")
+	}
+	huge := tabular.Answer{Worker: "w-huge", Cell: tabular.Cell{Row: 0, Col: col}, Value: tabular.NumberValue(2e154)}
+	p.mu.Lock()
+	proj.Log.Add(huge)
+	p.mu.Unlock()
+	if _, err := p.RunInference("huge"); !errors.Is(err, core.ErrNoAnswers) {
+		t.Fatalf("RunInference over an unusable log = %v, want core.ErrNoAnswers", err)
+	}
+
+	var batch []tabular.Answer
+	for wi := range ds.Workers {
+		w := &ds.Workers[wi]
+		for r := 0; r < 3; r++ {
+			row := (wi + r) % ds.Table.NumRows()
+			for j := 0; j < ds.Table.NumCols(); j++ {
+				cell := tabular.Cell{Row: row, Col: j}
+				batch = append(batch, tabular.Answer{Worker: w.ID, Cell: cell, Value: crowd.AnswerValue(w, cell)})
+			}
+		}
+	}
+	if _, err := p.SubmitBatch("huge", batch); err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.RunInference("huge")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := tabular.NewAnswerLog()
+	replay.Add(huge)
+	replay.AddAll(batch)
+	m, err := core.Infer(proj.Table, replay, core.Options{MaxIter: emMaxIter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.AnswersSeen != replay.Len() || res.Iterations != m.Iterations {
+		t.Fatalf("AnswersSeen %d, iterations %d; replay %d answers, %d iterations",
+			res.AnswersSeen, res.Iterations, replay.Len(), m.Iterations)
+	}
+	want := m.Estimates()
+	for i := range want {
+		for j, w := range want[i] {
+			got := res.Estimates[i][j]
+			if got.Kind != w.Kind || got.L != w.L || math.Float64bits(got.X) != math.Float64bits(w.X) {
+				t.Fatalf("cell (%d,%d): served %+v, replay %+v", i, j, got, w)
+			}
+		}
+	}
+	for _, u := range m.WorkerIDs {
+		if got, w := res.WorkerQuality[u], m.WorkerQuality(u); math.Float64bits(got) != math.Float64bits(w) {
+			t.Fatalf("worker %s: served quality %v, replay %v", u, got, w)
 		}
 	}
 }

@@ -107,7 +107,6 @@ const DefaultRingVnodes = 128
 type Ring struct {
 	points []uint64 // sorted virtual-node positions
 	owner  []string // owner[i] is the node owning points[i]
-	nodes  []string // distinct node keys, sorted
 }
 
 // NewRing builds a ring over the given node keys with vnodes virtual
@@ -123,7 +122,6 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	r := &Ring{
 		points: make([]uint64, 0, len(distinct)*vnodes),
 		owner:  make([]string, 0, len(distinct)*vnodes),
-		nodes:  distinct,
 	}
 	type vnode struct {
 		point uint64
@@ -176,6 +174,3 @@ func (r *Ring) Locate(key string) string {
 	}
 	return r.owner[i]
 }
-
-// Nodes returns the distinct node keys, sorted.
-func (r *Ring) Nodes() []string { return append([]string(nil), r.nodes...) }

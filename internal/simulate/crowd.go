@@ -221,28 +221,6 @@ func (cr *Crowd) FixedAssignment(answersPerTask int) *tabular.AnswerLog {
 	return log
 }
 
-// PartialAssignment replays collection up to avg answers-per-task budget:
-// it walks the same per-row HIT structure but stops once the total budget
-// of budget answers is spent. Rows are visited round-robin so coverage
-// stays uniform.
-func (cr *Crowd) PartialAssignment(answersPerTask int, budget int) *tabular.AnswerLog {
-	log := tabular.NewAnswerLog()
-	nw := len(cr.DS.Workers)
-	n, m := cr.DS.Table.NumRows(), cr.DS.Table.NumCols()
-	for k := 0; k < answersPerTask; k++ {
-		for i := 0; i < n; i++ {
-			if log.Len() >= budget {
-				return log
-			}
-			w := &cr.DS.Workers[cr.rng.Intn(nw)]
-			for j := 0; j < m; j++ {
-				log.Add(cr.Answer(w, tabular.Cell{Row: i, Col: j}))
-			}
-		}
-	}
-	return log
-}
-
 // AppendBatch appends n freshly drawn answers on a deterministic
 // worker/cell rotation — the "one more answer batch landed" state that
 // online-refresh benchmarks and warm-start tests replay.

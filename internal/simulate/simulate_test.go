@@ -225,16 +225,6 @@ func TestFixedAssignmentCapsAtPopulation(t *testing.T) {
 	}
 }
 
-func TestPartialAssignmentBudget(t *testing.T) {
-	ds := Generate(stats.NewRNG(15), TableConfig{Rows: 10, Cols: 4})
-	cr := NewCrowd(ds, 16)
-	log := cr.PartialAssignment(5, 57)
-	// Budget is checked per HIT (a row of 4 answers), so overshoot is < M.
-	if log.Len() < 57 || log.Len() >= 57+4 {
-		t.Fatalf("len=%d", log.Len())
-	}
-}
-
 func TestArrivalOrderCoversPopulation(t *testing.T) {
 	ds := Generate(stats.NewRNG(17), TableConfig{Rows: 4, Cols: 2, Population: PopulationConfig{N: 7}})
 	cr := NewCrowd(ds, 18)

@@ -63,9 +63,6 @@ func (n Normal) Entropy() float64 {
 // Mean returns the mean.
 func (n Normal) Mean() float64 { return n.Mu }
 
-// Std returns the standard deviation.
-func (n Normal) Std() float64 { return math.Sqrt(n.Var) }
-
 // FitNormal estimates a Normal by maximum likelihood (mean, population
 // variance) from xs. The variance is floored at minVar to keep downstream
 // densities finite on degenerate data.
@@ -82,14 +79,6 @@ func FitNormal(xs []float64, minVar float64) Normal {
 // wrong).
 type Bernoulli struct {
 	P float64
-}
-
-// PMF returns the probability of x (x != 0 is treated as 1).
-func (b Bernoulli) PMF(x int) float64 {
-	if x != 0 {
-		return b.P
-	}
-	return 1 - b.P
 }
 
 // Sample draws a value in {0,1}.
@@ -161,18 +150,6 @@ func (c Categorical) Sample(rng *rand.Rand) int {
 		}
 	}
 	return len(c.P) - 1
-}
-
-// ArgMax returns the index of the most probable label (lowest index wins
-// ties, keeping results deterministic).
-func (c Categorical) ArgMax() int {
-	best := 0
-	for i := 1; i < len(c.P); i++ {
-		if c.P[i] > c.P[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // Entropy returns the Shannon entropy in nats (H_s in Sec. 5.1).

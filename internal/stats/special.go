@@ -75,23 +75,6 @@ func GammaIncLower(a, x float64) float64 {
 	return 1 - gammaContinuedFraction(a, x)
 }
 
-// GammaIncUpper returns the regularized upper incomplete gamma function
-// Q(a, x) = 1 - P(a, x).
-func GammaIncUpper(a, x float64) float64 {
-	switch {
-	case a <= 0 || x < 0 || math.IsNaN(a) || math.IsNaN(x):
-		return math.NaN()
-	case x == 0:
-		return 1
-	case math.IsInf(x, 1):
-		return 0
-	}
-	if x < a+1 {
-		return 1 - gammaSeries(a, x)
-	}
-	return gammaContinuedFraction(a, x)
-}
-
 // gammaSeries evaluates P(a,x) by its power series, valid for x < a+1.
 func gammaSeries(a, x float64) float64 {
 	lg, _ := math.Lgamma(a)

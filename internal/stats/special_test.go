@@ -83,17 +83,10 @@ func TestGammaIncLowerGolden(t *testing.T) {
 	for _, x := range []float64{0.1, 1, 2, 7} {
 		almostEqual(t, GammaIncLower(0.5, x), math.Erf(math.Sqrt(x)), 1e-10, "P(0.5,x)=erf")
 	}
-	// Complementarity.
-	for _, a := range []float64{0.3, 1, 2.5, 10} {
-		for _, x := range []float64{0.2, 1, 4, 20} {
-			s := GammaIncLower(a, x) + GammaIncUpper(a, x)
-			almostEqual(t, s, 1, 1e-10, "P+Q=1")
-		}
-	}
-	if !math.IsNaN(GammaIncLower(-1, 1)) || !math.IsNaN(GammaIncUpper(0, 1)) {
+	if !math.IsNaN(GammaIncLower(-1, 1)) || !math.IsNaN(GammaIncLower(0, 1)) {
 		t.Fatal("invalid a must give NaN")
 	}
-	if GammaIncLower(2, 0) != 0 || GammaIncUpper(2, 0) != 1 {
+	if GammaIncLower(2, 0) != 0 {
 		t.Fatal("x=0 boundary wrong")
 	}
 }

@@ -87,9 +87,6 @@ func SampleVariance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// SampleStdDev returns the sample standard deviation of xs.
-func SampleStdDev(xs []float64) float64 { return math.Sqrt(SampleVariance(xs)) }
-
 // MeanVariance returns both the mean and the population variance of xs in a
 // single pass (Welford's algorithm, numerically stable).
 func MeanVariance(xs []float64) (mean, variance float64) {
@@ -182,25 +179,6 @@ func Pearson(xs, ys []float64) float64 {
 		return 0
 	}
 	return Covariance(xs, ys) / (sx * sy)
-}
-
-// LinearFit fits y = a + b*x by least squares and returns the intercept a,
-// slope b and the correlation coefficient r. Used by the worker-quality
-// calibration study (Fig. 4).
-func LinearFit(xs, ys []float64) (a, b, r float64) {
-	n := len(xs)
-	if n == 0 || n != len(ys) {
-		return 0, 0, 0
-	}
-	vx := Variance(xs)
-	if vx == 0 {
-		return Mean(ys), 0, 0
-	}
-	cov := Covariance(xs, ys)
-	b = cov / vx
-	a = Mean(ys) - b*Mean(xs)
-	r = Pearson(xs, ys)
-	return a, b, r
 }
 
 // MAD returns the median absolute deviation of xs around its median. It is

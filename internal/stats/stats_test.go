@@ -100,22 +100,6 @@ func TestCovariance(t *testing.T) {
 	}
 }
 
-func TestLinearFit(t *testing.T) {
-	// y = 3 + 2x exactly.
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{3, 5, 7, 9}
-	a, b, r := LinearFit(xs, ys)
-	almostEqual(t, a, 3, 1e-12, "intercept")
-	almostEqual(t, b, 2, 1e-12, "slope")
-	almostEqual(t, r, 1, 1e-12, "r")
-
-	// Degenerate x: fall back to intercept = mean(y).
-	a, b, r = LinearFit([]float64{2, 2}, []float64{1, 3})
-	almostEqual(t, a, 2, 1e-12, "degenerate intercept")
-	almostEqual(t, b, 0, 1e-12, "degenerate slope")
-	almostEqual(t, r, 0, 1e-12, "degenerate r")
-}
-
 func TestStandardizeRoundTrip(t *testing.T) {
 	z := Standardize(17, 10, 2)
 	almostEqual(t, z, 3.5, 1e-12, "Standardize")

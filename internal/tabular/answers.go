@@ -6,7 +6,6 @@ import (
 	"maps"
 	"math"
 	"slices"
-	"sort"
 )
 
 // WorkerID identifies a crowd worker.
@@ -363,16 +362,6 @@ func (l *AnswerLog) RowAnswersByWorker(u WorkerID, row int) []Answer {
 	return out
 }
 
-// AvgAnswersPerCell returns |A| divided by the number of distinct answered
-// cells (the x-axis of the paper's Fig. 2/5 convergence plots uses budget /
-// #tasks; this helper reports the realised average).
-func (l *AnswerLog) AvgAnswersPerCell() float64 {
-	if l.cells == 0 {
-		return 0
-	}
-	return float64(l.Len()) / float64(l.cells)
-}
-
 // Clone returns a deep, independent copy of the log.
 func (l *AnswerLog) Clone() *AnswerLog {
 	v := &l.answers
@@ -416,14 +405,6 @@ func (l *AnswerLog) Validate(t *Table) error {
 		}
 	}
 	return nil
-}
-
-// SortedWorkers returns worker ids sorted lexicographically; used where
-// deterministic iteration over map-backed state matters (reports, tests).
-func (l *AnswerLog) SortedWorkers() []WorkerID {
-	ws := l.Workers()
-	sort.Slice(ws, func(i, j int) bool { return ws[i] < ws[j] })
-	return ws
 }
 
 // CellsAnswered returns the distinct cells with at least one answer, in

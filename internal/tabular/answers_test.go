@@ -59,22 +59,12 @@ func TestAnswerLogIndexing(t *testing.T) {
 	if ra := l.RowAnswersByWorker("u1", 1); len(ra) != 0 {
 		t.Fatal("row filter leaked")
 	}
-	if got := l.AvgAnswersPerCell(); got != 6.0/5.0 {
-		t.Fatalf("AvgAnswersPerCell=%v", got)
-	}
-	if (NewAnswerLog()).AvgAnswersPerCell() != 0 {
-		t.Fatal("empty avg")
-	}
 	if l.At(4).Worker != "u3" {
 		t.Fatal("At")
 	}
 	cells := l.CellsAnswered()
 	if len(cells) != 5 || cells[0] != (Cell{0, 0}) || cells[4] != (Cell{1, 2}) {
 		t.Fatalf("CellsAnswered: %v", cells)
-	}
-	sorted := l.SortedWorkers()
-	if len(sorted) != 3 || sorted[0] != "u1" {
-		t.Fatal("SortedWorkers")
 	}
 }
 

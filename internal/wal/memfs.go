@@ -326,18 +326,6 @@ func (m *MemFS) SyncDir(string) error {
 	return nil
 }
 
-// DurableBytes returns the bytes of name that would survive a crash right
-// now (synced content only) — the assertion surface for flush tests.
-func (m *MemFS) DurableBytes(name string) []byte {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	f, ok := m.files[norm(name)]
-	if !ok {
-		return nil
-	}
-	return append([]byte(nil), f.durable...)
-}
-
 // memHandle is one open file. Reads see the live combined view; writes
 // append to the pending (unsynced) region.
 type memHandle struct {
