@@ -254,13 +254,13 @@ type Estimate struct {
 // generation terms.
 const GenerationFresh = 1<<31 - 1
 
-// EstimatesResponse is the body of GET /v1/projects/{id}/estimates (and
-// its deprecated /snapshot alias). Every response is pinned to one published model
-// generation: Generation identifies it, the ETag response header quotes
-// it, and with ?cursor=&limit= the estimates list is one page of the
-// row-major cell walk over that immutable snapshot — NextCursor re-encodes
-// the generation, so the whole paged walk is generation-coherent however
-// many writes land mid-walk.
+// EstimatesResponse is the body of GET /v1/projects/{id}/estimates.
+// Every response is pinned to one published model generation: Generation
+// identifies it, the ETag response header quotes it, and with
+// ?cursor=&limit= the estimates list is one page of the row-major cell
+// walk over that immutable snapshot — NextCursor re-encodes the
+// generation, so the whole paged walk is generation-coherent however many
+// writes land mid-walk.
 type EstimatesResponse struct {
 	Estimates []Estimate `json:"estimates"`
 	// WorkerQuality maps each worker to its unified quality. It rides only

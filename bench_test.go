@@ -183,7 +183,7 @@ func BenchmarkAblation_StructureAware(b *testing.B) {
 	st.Log, st.RNG = log, stats.NewRNG(21)
 	u := m.WorkerIDs[0]
 	b.Run("inherent", func(b *testing.B) {
-		p := assign.InherentIG{Parallelism: 1}
+		p := assign.InherentIG{}
 		for i := 0; i < b.N; i++ {
 			p.Select(st, u, 8)
 		}

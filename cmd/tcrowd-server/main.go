@@ -20,7 +20,6 @@
 //	GET  /v1/projects/{id}/tasks       dynamic task assignment (external-HIT)
 //	POST /v1/projects/{id}/answers     submit one answer or an atomic batch
 //	GET  /v1/projects/{id}/estimates   generation-pinned truth estimates
-//	GET  /v1/projects/{id}/snapshot    deprecated alias of /estimates
 //	GET  /v1/projects/{id}/watch       generation-bump stream (long-poll / SSE)
 //	GET  /v1/projects/{id}/stats       collection progress
 //	GET  /v1/stats                     shard-scheduler metrics

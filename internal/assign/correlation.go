@@ -451,8 +451,10 @@ func (em *ErrorModel) fitAll() {
 	}
 }
 
-// bernoulliFromSums is stats.FitBernoulli from (n, Σe): errors of a
-// categorical column are exactly 0/1, so the sum is the ones count.
+// bernoulliFromSums fits a categorical column's error rate from (n, Σe);
+// errors are exactly 0/1, so Σe counts the wrong answers. Add-one-half
+// smoothing, P = (Σe + 0.5)/(n + 1), keeps the conditionals off exact 0
+// and 1; with no samples P is 0.5.
 func bernoulliFromSums(n, ones float64) stats.Bernoulli {
 	if n <= 0 {
 		return stats.Bernoulli{P: 0.5}
@@ -460,8 +462,8 @@ func bernoulliFromSums(n, ones float64) stats.Bernoulli {
 	return stats.Bernoulli{P: (ones + 0.5) / (n + 1)}
 }
 
-// normalFromSums is stats.FitNormal from moment sums (population variance,
-// floored at minVar).
+// normalFromSums is the maximum-likelihood Normal from moment sums:
+// mean Σe/n and population variance Σe²/n − mean², floored at minVar.
 func normalFromSums(n, sum, sumsq, minVar float64) stats.Normal {
 	if n <= 0 {
 		return stats.Normal{Mu: 0, Var: minVar}
@@ -474,8 +476,8 @@ func normalFromSums(n, sum, sumsq, minVar float64) stats.Normal {
 	return stats.Normal{Mu: mu, Var: v}
 }
 
-// normalOrDefaultFromSums mirrors the sample-space fitNormalOrDefault:
-// below two samples the N(0, 1) default.
+// normalOrDefaultFromSums is normalFromSums with a 1e-6 variance floor,
+// or the N(0, 1) default below two samples.
 func normalOrDefaultFromSums(n, sum, sumsq float64) stats.Normal {
 	if n < 2 {
 		return stats.Normal{Mu: 0, Var: 1}

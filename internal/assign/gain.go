@@ -2,7 +2,6 @@ package assign
 
 import (
 	"math"
-	"runtime"
 
 	"tcrowd/internal/core"
 	"tcrowd/internal/metrics"
@@ -130,24 +129,11 @@ func structVariance(cond stats.Normal, sInherent float64) float64 {
 	return math.Exp(0.5 * (math.Log(sStruct) + math.Log(sInherent)))
 }
 
-// BatchInfoGain scores a whole batch D as the sum of per-cell gains
-// (Eq. 9 under the independent-cells approximation the greedy top-K of
-// Sec. 5.3 optimises).
-func BatchInfoGain(m *core.Model, u tabular.WorkerID, cells []tabular.Cell) float64 {
-	total := 0.0
-	for _, c := range cells {
-		total += InfoGain(m, u, c)
-	}
-	return total
-}
-
 // scoreAll computes score(c) for every candidate cell, fanning work across
-// the persistent worker pool — the parallel assignment computation
-// discussed at the end of Sec. 5.1 and measured in Fig. 11.
+// parallelism shards of the persistent worker pool — the parallel
+// assignment computation discussed at the end of Sec. 5.1. Below 64 cells,
+// or with parallelism 1, it scores serially.
 func scoreAll(cells []tabular.Cell, parallelism int, score func(tabular.Cell) float64) []float64 {
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
 	out := make([]float64, len(cells))
 	if parallelism == 1 || len(cells) < 64 {
 		for i, c := range cells {

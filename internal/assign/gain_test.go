@@ -158,19 +158,6 @@ func TestContInfoGainProperties(t *testing.T) {
 	}
 }
 
-func TestBatchInfoGainIsSumOfParts(t *testing.T) {
-	_, m := fittedModel(t, 50)
-	u := m.WorkerIDs[0]
-	cells := []tabular.Cell{{Row: 0, Col: 0}, {Row: 1, Col: 1}, {Row: 2, Col: 2}}
-	want := 0.0
-	for _, c := range cells {
-		want += InfoGain(m, u, c)
-	}
-	if got := BatchInfoGain(m, u, cells); math.Abs(got-want) > 1e-12 {
-		t.Fatalf("batch IG %v want %v", got, want)
-	}
-}
-
 func TestStructInfoGainFallsBackWithoutHistory(t *testing.T) {
 	_, m := fittedModel(t, 60)
 	em := BuildErrorModel(m)

@@ -2,6 +2,7 @@ package assign
 
 import (
 	"math"
+	"runtime"
 
 	"tcrowd/internal/tabular"
 )
@@ -61,21 +62,18 @@ func (lp *Looping) Select(st *State, u tabular.WorkerID, k int) []tabular.Cell {
 // — a continuous column spanning hundreds of units carries ln(std) extra
 // nats — so this heuristic floods the continuous tasks first, dropping
 // MNAD quickly while the Error Rate stalls (Fig. 5's Entropy curve).
-type Entropy struct {
-	// Parallelism bounds the scoring goroutines (0 = GOMAXPROCS).
-	Parallelism int
-}
+type Entropy struct{}
 
 // Name implements Policy.
 func (Entropy) Name() string { return "Entropy" }
 
 // Select implements Policy.
-func (e Entropy) Select(st *State, u tabular.WorkerID, k int) []tabular.Cell {
+func (Entropy) Select(st *State, u tabular.WorkerID, k int) []tabular.Cell {
 	cands := candidateCells(st.Model.Table, st.Log, u)
 	if len(cands) == 0 {
 		return nil
 	}
-	scores := scoreAll(cands, e.Parallelism, func(c tabular.Cell) float64 {
+	scores := scoreAll(cands, runtime.GOMAXPROCS(0), func(c tabular.Cell) float64 {
 		h := st.Model.Entropy(c)
 		if st.Model.Table.Schema.Columns[c.Col].Type == tabular.Continuous {
 			// Undo the column standardisation: H_natural = H_z + ln(std).
@@ -91,20 +89,18 @@ func (e Entropy) Select(st *State, u tabular.WorkerID, k int) []tabular.Cell {
 // InherentIG implements Sec. 5.1: greedy top-K by the delta-entropy
 // information gain of Eq. 6, which accounts for the incoming worker's
 // quality and the cell's difficulty and is comparable across datatypes.
-type InherentIG struct {
-	Parallelism int
-}
+type InherentIG struct{}
 
 // Name implements Policy.
 func (InherentIG) Name() string { return "Inherent IG" }
 
 // Select implements Policy.
-func (g InherentIG) Select(st *State, u tabular.WorkerID, k int) []tabular.Cell {
+func (InherentIG) Select(st *State, u tabular.WorkerID, k int) []tabular.Cell {
 	cands := candidateCells(st.Model.Table, st.Log, u)
 	if len(cands) == 0 {
 		return nil
 	}
-	scores := scoreAll(cands, g.Parallelism, func(c tabular.Cell) float64 {
+	scores := scoreAll(cands, runtime.GOMAXPROCS(0), func(c tabular.Cell) float64 {
 		return InfoGain(st.Model, u, c)
 	})
 	return topK(cands, scores, k)

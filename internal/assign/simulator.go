@@ -13,15 +13,9 @@ import (
 // answers them, and effectiveness is recorded at answers-per-task
 // checkpoints.
 type SimConfig struct {
-	// Budget is the total number of answers to collect, including the
-	// seeding phase (default: EvalAt's last checkpoint times #cells).
-	Budget int
 	// Batch is the number of tasks per arriving worker (default: the
 	// table's column count — one row-sized HIT, matching the AMT setup).
 	Batch int
-	// InitPerTask seeds every task with this many answers before the
-	// online phase (Algorithm 2 line 1; default 1).
-	InitPerTask int
 	// RefreshEvery re-runs the system's inference every this many
 	// arrivals (default 8; checkpoints always refresh first).
 	RefreshEvery int
@@ -36,18 +30,11 @@ func (c SimConfig) withDefaults(ds *simulate.Dataset) SimConfig {
 	if c.Batch <= 0 {
 		c.Batch = ds.Table.NumCols()
 	}
-	if c.InitPerTask <= 0 {
-		c.InitPerTask = 1
-	}
 	if c.RefreshEvery <= 0 {
 		c.RefreshEvery = 8
 	}
 	if len(c.EvalAt) == 0 {
 		c.EvalAt = []float64{2, 3, 4, 5}
-	}
-	if c.Budget <= 0 {
-		last := c.EvalAt[len(c.EvalAt)-1]
-		c.Budget = int(last*float64(ds.Table.NumCells()) + 0.5)
 	}
 	return c
 }
@@ -67,10 +54,13 @@ func RunOnline(ds *simulate.Dataset, sys System, cfg SimConfig) (SimResult, erro
 	crowd := simulate.NewCrowd(ds, c.Seed)
 	tbl := ds.Table
 	numCells := float64(tbl.NumCells())
+	// budget is the total number of answers to collect, seeding included:
+	// EvalAt's last checkpoint times #cells.
+	budget := int(c.EvalAt[len(c.EvalAt)-1]*numCells + 0.5)
 
-	// Seeding phase: every task gets InitPerTask answers, via the same
-	// row-HIT structure the AMT collection used.
-	log := crowd.FixedAssignment(c.InitPerTask)
+	// Seeding phase (Algorithm 2 line 1): every task gets one answer, via
+	// the same row-HIT structure the AMT collection used.
+	log := crowd.FixedAssignment(1)
 	if err := sys.Refresh(tbl, log); err != nil {
 		return SimResult{}, fmt.Errorf("assign: initial refresh: %w", err)
 	}
@@ -98,10 +88,10 @@ func RunOnline(ds *simulate.Dataset, sys System, cfg SimConfig) (SimResult, erro
 	}
 
 	// Worst case every arrival answers one cell.
-	arrivals := crowd.ArrivalOrder(c.Budget + 1)
+	arrivals := crowd.ArrivalOrder(budget + 1)
 	sinceRefresh := 0
 	for _, widx := range arrivals {
-		if log.Len() >= c.Budget || evalIdx >= len(c.EvalAt) {
+		if log.Len() >= budget || evalIdx >= len(c.EvalAt) {
 			break
 		}
 		w := &ds.Workers[widx]
@@ -111,7 +101,7 @@ func RunOnline(ds *simulate.Dataset, sys System, cfg SimConfig) (SimResult, erro
 			continue
 		}
 		for _, cell := range cells {
-			if log.Len() >= c.Budget {
+			if log.Len() >= budget {
 				break
 			}
 			log.Add(crowd.Answer(w, cell))

@@ -248,14 +248,6 @@ func buildVoteState(tbl *tabular.Table, log *tabular.AnswerLog) *voteState {
 // at random. Truth inference is simple (vote / median), which is why its
 // final quality trails the model-based systems in Fig. 2.
 type CDAS struct {
-	// Confidence is the vote-share termination threshold (default 0.8).
-	Confidence float64
-	// RelStd is the relative-std termination threshold for continuous
-	// tasks (default 0.35): terminate when std/sqrt(n) of the answers is
-	// below RelStd times the column answer std.
-	RelStd float64
-	// MinAnswers gates termination (default 3).
-	MinAnswers int
 	// Seed drives random assignment.
 	Seed int64
 
@@ -265,20 +257,23 @@ type CDAS struct {
 	rng        *rand.Rand
 }
 
+// CDAS's termination thresholds.
+const (
+	// cdasConfidence is the vote-share termination threshold.
+	cdasConfidence float64 = 0.8
+	// cdasRelStd is the relative-std termination threshold for continuous
+	// tasks: terminate when std/sqrt(n) of the answers is below cdasRelStd
+	// times the column answer std.
+	cdasRelStd float64 = 0.35
+	// cdasMinAnswers gates termination.
+	cdasMinAnswers = 3
+)
+
 // Name implements System.
 func (*CDAS) Name() string { return "CDAS" }
 
 // Refresh implements System.
 func (c *CDAS) Refresh(tbl *tabular.Table, log *tabular.AnswerLog) error {
-	if c.Confidence <= 0 {
-		c.Confidence = 0.8
-	}
-	if c.RelStd <= 0 {
-		c.RelStd = 0.35
-	}
-	if c.MinAnswers <= 0 {
-		c.MinAnswers = 3
-	}
 	if c.rng == nil {
 		c.rng = stats.NewRNG(c.Seed)
 	}
@@ -287,12 +282,12 @@ func (c *CDAS) Refresh(tbl *tabular.Table, log *tabular.AnswerLog) error {
 	c.terminated = map[tabular.Cell]bool{}
 	for i := 0; i < tbl.NumRows(); i++ {
 		for j := 0; j < tbl.NumCols(); j++ {
-			if c.vs.count[i][j] < c.MinAnswers {
+			if c.vs.count[i][j] < cdasMinAnswers {
 				continue
 			}
 			cell := tabular.Cell{Row: i, Col: j}
 			if tbl.Schema.Columns[j].Type == tabular.Categorical {
-				if c.vs.share[i][j] >= c.Confidence {
+				if c.vs.share[i][j] >= cdasConfidence {
 					c.terminated[cell] = true
 				}
 			} else {
@@ -301,7 +296,7 @@ func (c *CDAS) Refresh(tbl *tabular.Table, log *tabular.AnswerLog) error {
 				if ref <= 0 {
 					ref = 1
 				}
-				if sem <= c.RelStd*ref {
+				if sem <= cdasRelStd*ref {
 					c.terminated[cell] = true
 				}
 			}

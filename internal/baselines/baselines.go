@@ -46,16 +46,6 @@ func All() []Method {
 	}
 }
 
-// ByName resolves a method by its display name; ok is false when unknown.
-func ByName(name string) (Method, bool) {
-	for _, m := range All() {
-		if m.Name() == name {
-			return m, true
-		}
-	}
-	return nil, false
-}
-
 // catColumns returns the indices of categorical columns.
 func catColumns(tbl *tabular.Table) []int {
 	var out []int

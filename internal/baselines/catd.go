@@ -12,26 +12,20 @@ import (
 // answers and accumulated loss L_u gets weight
 // chi^2_{alpha/2, n_u} / L_u, so sparsely observed workers are discounted
 // toward their confidence bound rather than trusted at face value.
-type CATD struct {
-	// MaxIter bounds the alternating iterations (default 30).
-	MaxIter int
-	// Alpha is the confidence level (default 0.05).
-	Alpha float64
-}
+type CATD struct{}
+
+const (
+	// catdMaxIter bounds the alternating iterations.
+	catdMaxIter = 30
+	// catdAlpha is the confidence level.
+	catdAlpha float64 = 0.05
+)
 
 // Name implements Method.
 func (CATD) Name() string { return "CATD" }
 
 // Infer implements Method.
-func (c CATD) Infer(tbl *tabular.Table, log *tabular.AnswerLog) (metrics.Estimates, error) {
-	maxIter := c.MaxIter
-	if maxIter <= 0 {
-		maxIter = 30
-	}
-	alpha := c.Alpha
-	if alpha <= 0 || alpha >= 1 {
-		alpha = 0.05
-	}
+func (CATD) Infer(tbl *tabular.Table, log *tabular.AnswerLog) (metrics.Estimates, error) {
 	st := newHeteroState(tbl, log)
 	if len(st.obs) == 0 {
 		return metrics.NewEstimates(tbl), nil
@@ -45,10 +39,10 @@ func (c CATD) Infer(tbl *tabular.Table, log *tabular.AnswerLog) (metrics.Estimat
 	}
 	quantile := make([]float64, len(st.workerIDs))
 	for w := range quantile {
-		quantile[w] = stats.ChiSquareQuantile(alpha/2, counts[w])
+		quantile[w] = stats.ChiSquareQuantile(catdAlpha/2, counts[w])
 	}
 
-	for it := 0; it < maxIter; it++ {
+	for it := 0; it < catdMaxIter; it++ {
 		st.updateTruth()
 		loss := make([]float64, len(st.workerIDs))
 		for _, o := range st.obs {

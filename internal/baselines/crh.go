@@ -13,26 +13,22 @@ import (
 // categorical cells, weighted mean for continuous cells (distances
 // normalised per column by the answers' std) — and (2) worker weight update
 // w_u = ln(sum of all losses / loss_u).
-type CRH struct {
-	// MaxIter bounds the alternating iterations (default 30).
-	MaxIter int
-}
+type CRH struct{}
+
+// crhMaxIter bounds the alternating iterations.
+const crhMaxIter = 30
 
 // Name implements Method.
 func (CRH) Name() string { return "CRH" }
 
 // Infer implements Method.
-func (c CRH) Infer(tbl *tabular.Table, log *tabular.AnswerLog) (metrics.Estimates, error) {
-	maxIter := c.MaxIter
-	if maxIter <= 0 {
-		maxIter = 30
-	}
+func (CRH) Infer(tbl *tabular.Table, log *tabular.AnswerLog) (metrics.Estimates, error) {
 	st := newHeteroState(tbl, log)
 	if len(st.obs) == 0 {
 		return metrics.NewEstimates(tbl), nil
 	}
 
-	for it := 0; it < maxIter; it++ {
+	for it := 0; it < crhMaxIter; it++ {
 		st.updateTruth()
 		// Per-worker loss.
 		loss := make([]float64, len(st.workerIDs))

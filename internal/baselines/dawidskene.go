@@ -13,38 +13,29 @@ import (
 // per column, one independent D&S instance runs per categorical column;
 // this per-column independence is exactly the knowledge-transfer gap
 // T-Crowd closes.
-type DawidSkene struct {
-	// MaxIter bounds EM iterations (default 50).
-	MaxIter int
-	// Smooth is the Laplace smoothing mass for confusion-matrix rows
-	// (default 0.1).
-	Smooth float64
-}
+type DawidSkene struct{}
+
+// emMaxIter bounds the EM iterations of D&S and ZenCrowd.
+const emMaxIter = 50
 
 // Name implements Method.
 func (DawidSkene) Name() string { return "D&S (EM)" }
 
 // Infer implements Method.
-func (d DawidSkene) Infer(tbl *tabular.Table, log *tabular.AnswerLog) (metrics.Estimates, error) {
-	maxIter := d.MaxIter
-	if maxIter <= 0 {
-		maxIter = 50
-	}
+func (DawidSkene) Infer(tbl *tabular.Table, log *tabular.AnswerLog) (metrics.Estimates, error) {
 	est := metrics.NewEstimates(tbl)
 	for _, j := range catColumns(tbl) {
-		smooth := d.Smooth
-		if smooth <= 0 {
-			// One pseudo-count spread over the whole confusion-matrix row:
-			// a fixed per-entry mass would swamp real counts on large
-			// label sets (|L| can reach the hundreds for name columns).
-			smooth = 1 / float64(tbl.Schema.Columns[j].NumLabels())
-		}
-		inferDSColumn(tbl, log, j, maxIter, smooth, est)
+		// Laplace smoothing of the confusion-matrix rows: one pseudo-count
+		// spread over the whole row, since a fixed per-entry mass would
+		// swamp real counts on large label sets (|L| can reach the
+		// hundreds for name columns).
+		smooth := 1 / float64(tbl.Schema.Columns[j].NumLabels())
+		inferDSColumn(tbl, log, j, smooth, est)
 	}
 	return est, nil
 }
 
-func inferDSColumn(tbl *tabular.Table, log *tabular.AnswerLog, j, maxIter int, smooth float64, est metrics.Estimates) {
+func inferDSColumn(tbl *tabular.Table, log *tabular.AnswerLog, j int, smooth float64, est metrics.Estimates) {
 	l := tbl.Schema.Columns[j].NumLabels()
 	type obs struct {
 		w, i, label int
@@ -92,7 +83,7 @@ func inferDSColumn(tbl *tabular.Table, log *tabular.AnswerLog, j, maxIter int, s
 	pi := make([][][]float64, nw)
 	prior := make([]float64, l)
 
-	for it := 0; it < maxIter; it++ {
+	for it := 0; it < emMaxIter; it++ {
 		// M-step.
 		for w := 0; w < nw; w++ {
 			pi[w] = make([][]float64, l)
@@ -162,20 +153,13 @@ func inferDSColumn(tbl *tabular.Table, log *tabular.AnswerLog, j, maxIter int, s
 // worker (Demartini et al., WWW'12). Unlike D&S it shares r_u across all
 // categorical columns, which already transfers some signal between columns
 // — but none from continuous data.
-type ZenCrowd struct {
-	// MaxIter bounds EM iterations (default 50).
-	MaxIter int
-}
+type ZenCrowd struct{}
 
 // Name implements Method.
 func (ZenCrowd) Name() string { return "Zencrowd" }
 
 // Infer implements Method.
-func (zc ZenCrowd) Infer(tbl *tabular.Table, log *tabular.AnswerLog) (metrics.Estimates, error) {
-	maxIter := zc.MaxIter
-	if maxIter <= 0 {
-		maxIter = 50
-	}
+func (ZenCrowd) Infer(tbl *tabular.Table, log *tabular.AnswerLog) (metrics.Estimates, error) {
 	est := metrics.NewEstimates(tbl)
 
 	type obs struct {
@@ -214,7 +198,7 @@ func (zc ZenCrowd) Infer(tbl *tabular.Table, log *tabular.AnswerLog) (metrics.Es
 	}
 
 	rel := make([]float64, len(workerIdx))
-	for it := 0; it < maxIter; it++ {
+	for it := 0; it < emMaxIter; it++ {
 		// M-step: r_u = smoothed expected fraction of correct answers.
 		num := make([]float64, len(rel))
 		den := make([]float64, len(rel))

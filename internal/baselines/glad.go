@@ -14,12 +14,14 @@ import (
 // ability g_u shared across all categorical columns and per-task inverse
 // difficulty d_t > 0; wrong answers spread uniformly over the remaining
 // labels. EM with gradient ascent on (g, ln d).
-type GLAD struct {
-	// MaxIter bounds EM iterations (default 30).
-	MaxIter int
-	// MStepIter bounds gradient steps per M-step (default 20).
-	MStepIter int
-}
+type GLAD struct{}
+
+const (
+	// gladMaxIter bounds the EM iterations.
+	gladMaxIter = 30
+	// gladMStepIter bounds the gradient steps per M-step.
+	gladMStepIter = 20
+)
 
 // Name implements Method.
 func (GLAD) Name() string { return "GLAD" }
@@ -29,15 +31,7 @@ type gladObs struct {
 }
 
 // Infer implements Method.
-func (g GLAD) Infer(tbl *tabular.Table, log *tabular.AnswerLog) (metrics.Estimates, error) {
-	maxIter := g.MaxIter
-	if maxIter <= 0 {
-		maxIter = 30
-	}
-	mStep := g.MStepIter
-	if mStep <= 0 {
-		mStep = 20
-	}
+func (GLAD) Infer(tbl *tabular.Table, log *tabular.AnswerLog) (metrics.Estimates, error) {
 	est := metrics.NewEstimates(tbl)
 
 	// Tasks are categorical cells with answers.
@@ -143,9 +137,9 @@ func (g GLAD) Infer(tbl *tabular.Table, log *tabular.AnswerLog) (metrics.Estimat
 		}
 	}
 
-	for it := 0; it < maxIter; it++ {
+	for it := 0; it < gladMaxIter; it++ {
 		// M-step.
-		res := optimize.Minimize(negQ, negGrad, theta, optimize.Options{MaxIter: mStep, InitStep: 0.1})
+		res := optimize.Minimize(negQ, negGrad, theta, optimize.Options{MaxIter: gladMStepIter, InitStep: 0.1})
 		theta = res.X
 
 		// E-step.

@@ -12,20 +12,16 @@ import (
 // columns (GTM applied to the whole continuous sub-table); a weak
 // inverse-gamma prior keeps sparse workers' variances finite, matching the
 // stabilisation used by the core model.
-type GTM struct {
-	// MaxIter bounds EM iterations (default 50).
-	MaxIter int
-}
+type GTM struct{}
+
+// gtmMaxIter bounds the EM iterations.
+const gtmMaxIter = 50
 
 // Name implements Method.
 func (GTM) Name() string { return "GTM" }
 
 // Infer implements Method.
-func (g GTM) Infer(tbl *tabular.Table, log *tabular.AnswerLog) (metrics.Estimates, error) {
-	maxIter := g.MaxIter
-	if maxIter <= 0 {
-		maxIter = 50
-	}
+func (GTM) Infer(tbl *tabular.Table, log *tabular.AnswerLog) (metrics.Estimates, error) {
 	est := metrics.NewEstimates(tbl)
 
 	cont := contColumns(tbl)
@@ -100,7 +96,7 @@ func (g GTM) Infer(tbl *tabular.Table, log *tabular.AnswerLog) (metrics.Estimate
 		priorA = 1.0 // inverse-gamma shape
 		priorB = 0.4 // inverse-gamma scale (mode 0.2)
 	)
-	for it := 0; it < maxIter; it++ {
+	for it := 0; it < gtmMaxIter; it++ {
 		// E-step: Gaussian posterior per cell with N(0,1) prior.
 		prec := make([]float64, nc)
 		wsum := make([]float64, nc)

@@ -61,7 +61,6 @@ const RouteForward RouteMode = 0
 // live with the home's answer log.
 var replicaReadable = map[string]bool{
 	"estimates": true,
-	"snapshot":  true,
 	"watch":     true,
 	"stats":     true,
 }

@@ -95,7 +95,7 @@ func Parse(selfID, spec string) (*Set, error) {
 	for i, m := range s.members {
 		ids[i] = m.ID
 	}
-	s.ring = shard.NewRing(ids, 0)
+	s.ring = shard.NewRing(ids)
 	return s, nil
 }
 

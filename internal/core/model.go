@@ -195,14 +195,9 @@ func (m *Model) Entropy(c tabular.Cell) float64 {
 	return stats.DifferentialEntropyNormal(v)
 }
 
-// ToZ standardizes a natural-unit value of column j; FromZ inverts it.
+// ToZ standardizes a natural-unit value of column j.
 func (m *Model) ToZ(j int, x float64) float64 {
 	return stats.Standardize(x, m.ColMean[j], m.ColStd[j])
-}
-
-// FromZ maps a standardized value of column j back to natural units.
-func (m *Model) FromZ(j int, z float64) float64 {
-	return stats.Unstandardize(z, m.ColMean[j], m.ColStd[j])
 }
 
 // CatPosteriorWithAnswer returns the posterior after also observing a

@@ -15,7 +15,7 @@ import (
 type Fig11Point struct {
 	AnswersPerTask float64
 	// SecondsPerAssignment is the wall time of one structure-aware
-	// selection over all candidate cells (parallel scoring).
+	// selection over all candidate cells (scored serially).
 	SecondsPerAssignment float64
 }
 

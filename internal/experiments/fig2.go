@@ -35,7 +35,6 @@ func Fig2(dataset string, cfg Config) ([]assign.SimResult, error) {
 		EvalAt:       fig2Checkpoints(dataset, c.Quick),
 		Seed:         c.Seed + 2,
 		RefreshEvery: 12,
-		InitPerTask:  1,
 	}
 	var out []assign.SimResult
 	for _, sys := range assign.Fig2Systems(c.Seed + 3) {

@@ -44,12 +44,6 @@ type Options struct {
 	// InitStep is the first trial step of each backtracking search.
 	// Default 1.0.
 	InitStep float64
-	// Backtrack is the multiplicative step decay in (0,1). Default 0.5.
-	Backtrack float64
-	// Armijo is the sufficient-decrease coefficient in (0,1). Default 1e-4.
-	Armijo float64
-	// MaxBacktracks bounds the inner line search. Default 40.
-	MaxBacktracks int
 	// AdaptiveStep enables line-search step memory: each iteration's
 	// first trial starts at twice the previously accepted step (capped at
 	// InitStep) instead of always at InitStep. When the natural step is
@@ -97,17 +91,18 @@ func (o Options) withDefaults() Options {
 	if o.InitStep <= 0 {
 		o.InitStep = 1.0
 	}
-	if o.Backtrack <= 0 || o.Backtrack >= 1 {
-		o.Backtrack = 0.5
-	}
-	if o.Armijo <= 0 || o.Armijo >= 1 {
-		o.Armijo = 1e-4
-	}
-	if o.MaxBacktracks <= 0 {
-		o.MaxBacktracks = 40
-	}
 	return o
 }
+
+// The backtracking line search's constants.
+const (
+	// backtrack is the multiplicative step decay.
+	backtrack float64 = 0.5
+	// armijo is the sufficient-decrease coefficient.
+	armijo float64 = 1e-4
+	// maxBacktracks bounds the inner line search.
+	maxBacktracks = 40
+)
 
 // Result reports the outcome of a minimisation.
 type Result struct {
@@ -149,12 +144,12 @@ func Minimize(f Func, grad GradFunc, x0 []float64, opts Options) Result {
 			step = math.Min(o.InitStep, 2*lastStep)
 		}
 		improved := false
-		for bt := 0; bt < o.MaxBacktracks; bt++ {
+		for bt := 0; bt < maxBacktracks; bt++ {
 			for i := range x {
 				trial[i] = x[i] - step*g[i]
 			}
 			ft := f(trial)
-			if !math.IsNaN(ft) && !math.IsInf(ft, 0) && ft <= fx-o.Armijo*step*g2 {
+			if !math.IsNaN(ft) && !math.IsInf(ft, 0) && ft <= fx-armijo*step*g2 {
 				copy(x, trial)
 				lastStep = step
 				if relImprovement(fx, ft) < o.FuncTol {
@@ -167,7 +162,7 @@ func Minimize(f Func, grad GradFunc, x0 []float64, opts Options) Result {
 				improved = true
 				break
 			}
-			step *= o.Backtrack
+			step *= backtrack
 		}
 		if !improved || res.Converged {
 			if !improved {
@@ -237,7 +232,7 @@ func MinimizeFused(fg FuncGrad, f Func, x0 []float64, opts Options) Result {
 			step = math.Min(o.InitStep, 2*lastStep)
 		}
 		improved := false
-		for bt := 0; bt < o.MaxBacktracks; bt++ {
+		for bt := 0; bt < maxBacktracks; bt++ {
 			for i := range x {
 				trial[i] = x[i] - step*g[i]
 			}
@@ -248,7 +243,7 @@ func MinimizeFused(fg FuncGrad, f Func, x0 []float64, opts Options) Result {
 			} else {
 				ft = f(trial)
 			}
-			if !math.IsNaN(ft) && !math.IsInf(ft, 0) && ft <= fx-o.Armijo*step*g2 {
+			if !math.IsNaN(ft) && !math.IsInf(ft, 0) && ft <= fx-armijo*step*g2 {
 				x, trial = trial, x
 				lastStep = step
 				if fused {
@@ -266,7 +261,7 @@ func MinimizeFused(fg FuncGrad, f Func, x0 []float64, opts Options) Result {
 				improved = true
 				break
 			}
-			step *= o.Backtrack
+			step *= backtrack
 		}
 		if !improved || res.Converged {
 			if !improved {
@@ -279,21 +274,6 @@ func MinimizeFused(fg FuncGrad, f Func, x0 []float64, opts Options) Result {
 	w.x, w.g, w.trial, w.gTrial = x, g, trial, gTrial
 	res.F = fx
 	res.X = x
-	return res
-}
-
-// Maximize runs Minimize on the negated objective. The gradient callback
-// must still produce the gradient of f (not -f).
-func Maximize(f Func, grad GradFunc, x0 []float64, opts Options) Result {
-	neg := func(x []float64) float64 { return -f(x) }
-	negGrad := func(x, g []float64) {
-		grad(x, g)
-		for i := range g {
-			g[i] = -g[i]
-		}
-	}
-	res := Minimize(neg, negGrad, x0, opts)
-	res.F = -res.F
 	return res
 }
 
@@ -365,18 +345,6 @@ func (pv PositiveVec) FromLog(l, dst []float64) []float64 {
 			v = pv.MaxLog
 		}
 		dst[i] = math.Exp(v)
-	}
-	return dst
-}
-
-// ChainRuleLog converts a gradient w.r.t. a positive parameter p into the
-// gradient w.r.t. its log-space coordinate: d/d(log p) = p * d/dp.
-func ChainRuleLog(p, gradP, dst []float64) []float64 {
-	if dst == nil {
-		dst = make([]float64, len(p))
-	}
-	for i := range p {
-		dst[i] = p[i] * gradP[i]
 	}
 	return dst
 }

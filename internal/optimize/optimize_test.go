@@ -72,16 +72,6 @@ func TestMinimizeRosenbrockDescends(t *testing.T) {
 	}
 }
 
-func TestMaximize(t *testing.T) {
-	// max of -(x-2)^2 + 7 is 7 at x=2.
-	f := func(x []float64) float64 { return -(x[0]-2)*(x[0]-2) + 7 }
-	g := func(x, grad []float64) { grad[0] = -2 * (x[0] - 2) }
-	res := Maximize(f, g, []float64{-3}, Options{})
-	if math.Abs(res.X[0]-2) > 1e-4 || math.Abs(res.F-7) > 1e-8 {
-		t.Fatalf("Maximize got x=%v f=%v", res.X[0], res.F)
-	}
-}
-
 func TestMinimizeNaNObjective(t *testing.T) {
 	f := func(x []float64) float64 { return math.NaN() }
 	g := func(x, grad []float64) { grad[0] = 1 }
@@ -148,15 +138,6 @@ func TestPositiveVecRoundTrip(t *testing.T) {
 	// Out-of-range log clamps on the way back.
 	if pv.FromLog([]float64{1e9}, nil)[0] != math.Exp(pv.MaxLog) {
 		t.Fatal("FromLog must clamp")
-	}
-}
-
-func TestChainRuleLog(t *testing.T) {
-	p := []float64{2, 0.5}
-	gp := []float64{3, -4}
-	got := ChainRuleLog(p, gp, nil)
-	if got[0] != 6 || got[1] != -2 {
-		t.Fatalf("chain rule got %v", got)
 	}
 }
 

@@ -418,7 +418,7 @@ func (p *Platform) createProjectLocked(id string, schema tabular.Schema, cfg Pro
 		proj.refreshEvery = 25
 	}
 	if cfg.Reputation {
-		proj.rep = reputation.NewEngine(reputation.Config{})
+		proj.rep = reputation.NewEngine()
 	}
 	p.projects[id] = proj
 	return proj, nil
@@ -907,10 +907,10 @@ func (p *Platform) SubmitBatchMeta(projectID string, answers []tabular.Answer, m
 //
 // When the shard queue is saturated, the ANSWER IS STILL RECORDED — only
 // the refresh is shed — and Submit returns an error wrapping
-// shard.ErrShardSaturated so callers can apply backpressure (the legacy
-// HTTP route maps it to 429; /v1 reports it in-body instead). The same
+// shard.ErrShardSaturated so callers can apply backpressure. The same
 // applies to shard.ErrClosed during shutdown. SubmitBatch is the
-// batch-oriented equivalent.
+// batch-oriented equivalent; POST /v1/.../answers goes through it and
+// reports a shed refresh in the response body, not as an error status.
 func (p *Platform) Submit(projectID string, u tabular.WorkerID, row int, column string, value tabular.Value) error {
 	p.mu.Lock()
 	proj, ok := p.projects[projectID]

@@ -28,7 +28,6 @@ import (
 //	GET  /v1/projects/{id}/tasks?worker=u&count=k
 //	POST /v1/projects/{id}/answers        one answer or {"answers": [...]} batch
 //	GET  /v1/projects/{id}/estimates      generation-pinned read (see below)
-//	GET  /v1/projects/{id}/snapshot       deprecated alias of /estimates (same body)
 //	GET  /v1/projects/{id}/watch          generation-bump stream (long-poll or SSE)
 //	GET  /v1/projects/{id}/stats          collection progress
 //	GET  /v1/stats                        shard-scheduler metrics
@@ -331,8 +330,8 @@ func resolveBatch(proj *Project, answers []api.Answer) ([]tabular.Answer, []Answ
 // reported, nothing recorded on any failure) and recorded with at most one
 // coalesced refresh enqueue. Recorded answers are always acknowledged 201;
 // shard backpressure surfaces as refresh:"deferred" plus a Retry-After
-// hint, never as a per-answer 429 (that legacy behaviour lives only on the
-// unversioned route).
+// hint, never as a 429 (the only 429 here is the per-worker rate limit,
+// which records nothing).
 func (s *Server) submitV1(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	var req api.SubmitAnswersRequest
@@ -416,18 +415,8 @@ func etagMatches(header string, generation int) bool {
 	return false
 }
 
-// snapshotAlias serves GET .../snapshot, the deprecated alias of
-// .../estimates: the same response, plus a Deprecation header and a Link
-// to the successor route.
-func (s *Server) snapshotAlias(w http.ResponseWriter, r *http.Request) {
-	h := w.Header()
-	h.Set("Deprecation", "true")
-	h.Set("Link", "</v1/projects/"+url.PathEscape(r.PathValue("id"))+`/estimates>; rel="successor-version"`)
-	s.estimates(w, r)
-}
-
-// estimates serves the merged generation-pinned read (GET .../estimates
-// and its deprecated .../snapshot alias). Resolution order:
+// estimates serves the generation-pinned read (GET .../estimates).
+// Resolution order:
 //
 //   - ?cursor=<gen>:<ord> — continue a paged walk over the generation the
 //     cursor pins (the retained ring keeps it addressable; 410

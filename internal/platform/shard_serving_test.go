@@ -303,17 +303,6 @@ func TestServerBackpressureAndSnapshot(t *testing.T) {
 		t.Fatalf("pinned read empty: %+v", snap)
 	}
 
-	// The /snapshot alias serves the same merged endpoint.
-	resp, err = http.Get(srv.URL + "/v1/projects/celebs/snapshot")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var alias estimatesResp
-	decodeBody(t, resp, &alias)
-	if alias.Generation != snap.Generation || len(alias.Estimates) != len(snap.Estimates) {
-		t.Fatalf("/snapshot alias diverged: %+v vs %+v", alias, snap)
-	}
-
 	// GET /v1/stats: shard metrics visible, rejections counted.
 	resp, err = http.Get(srv.URL + "/v1/stats")
 	if err != nil {
@@ -491,13 +480,15 @@ func TestSnapshotBeforeFirstRefresh(t *testing.T) {
 	if _, err := p.Snapshot("empty"); !errors.Is(err, ErrNoSnapshot) {
 		t.Fatalf("want ErrNoSnapshot, got %v", err)
 	}
-	resp, err := http.Get(srv.URL + "/v1/projects/empty/snapshot")
+	resp, err := http.Get(srv.URL + "/v1/projects/empty/estimates")
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("pre-publish snapshot status %d", resp.StatusCode)
+		t.Fatalf("pre-publish estimates status %d", resp.StatusCode)
+	}
+	if e := decodeEnvelope(t, resp); e.Code != api.CodeNoSnapshot {
+		t.Fatalf("pre-publish estimates code %q, want %q", e.Code, api.CodeNoSnapshot)
 	}
 	if _, err := p.Snapshot("ghost"); !errors.Is(err, ErrNoProject) {
 		t.Fatal("phantom snapshot")

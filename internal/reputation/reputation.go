@@ -17,9 +17,9 @@
 //     3-sigma band. Judgements feed an exponentially-weighted disagree
 //     rate, so a sleeper who turns malicious mid-stream decays toward its
 //     recent behaviour instead of hiding behind an honest history.
-//   - Response time. Answers carrying work_time_ms below the configured
-//     floor feed an EWMA fast-answer rate — the classic fast-deceiver
-//     signal. Missing work times are never penalised.
+//   - Response time. Answers carrying work_time_ms below a fixed floor
+//     (minWorkTimeMs) feed an EWMA fast-answer rate — the classic
+//     fast-deceiver signal. Missing work times are never penalised.
 //   - Model quality. The inference layer pushes each worker's posterior
 //     quality (core.Model.WorkerQuality) into the engine after every
 //     refresh. Model quality only modulates the E-step weight; it is
@@ -98,66 +98,32 @@ func (s State) String() string {
 	}
 }
 
-// Config tunes the engine. The zero value gives the defaults; every field
-// only applies when positive.
-type Config struct {
-	// MinPeers is the number of PRIOR answers a cell needs before new
-	// answers are judged against it (default 2).
-	MinPeers int
-	// MinWorkTimeMs flags answers reported faster than this as
-	// suspiciously fast (default 500).
-	MinWorkTimeMs int64
-	// Decay is the EWMA retention of the disagree/fast rates per judged
-	// answer (default 0.93): ~15 recent judgements dominate, so sleepers
-	// surface within a few tasks of turning.
-	Decay float64
-	// FastWeight discounts the fast-rate's contribution to the score
-	// (default 0.55): speed alone can watch-list a worker (0.55 clears
-	// WatchScore) but never quarantines or bans one without disagreement
-	// evidence.
-	FastWeight float64
-	// WatchAfter/QuarantineAfter/BanAfter gate each escalation on a
-	// minimum number of judged answers (defaults 8/16/24).
-	WatchAfter, QuarantineAfter, BanAfter int
-	// WatchScore/QuarantineScore/BanScore are the score thresholds of the
-	// escalations (defaults 0.50/0.65/0.80). De-escalation applies a 0.1
-	// hysteresis margin below the corresponding threshold.
-	WatchScore, QuarantineScore, BanScore float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.MinPeers <= 0 {
-		c.MinPeers = 2
-	}
-	if c.MinWorkTimeMs <= 0 {
-		c.MinWorkTimeMs = 500
-	}
-	if c.Decay <= 0 || c.Decay >= 1 {
-		c.Decay = 0.93
-	}
-	if c.FastWeight <= 0 {
-		c.FastWeight = 0.55
-	}
-	if c.WatchAfter <= 0 {
-		c.WatchAfter = 8
-	}
-	if c.QuarantineAfter <= 0 {
-		c.QuarantineAfter = 16
-	}
-	if c.BanAfter <= 0 {
-		c.BanAfter = 24
-	}
-	if c.WatchScore <= 0 {
-		c.WatchScore = 0.50
-	}
-	if c.QuarantineScore <= 0 {
-		c.QuarantineScore = 0.65
-	}
-	if c.BanScore <= 0 {
-		c.BanScore = 0.80
-	}
-	return c
-}
+// The engine's thresholds. The float ones are typed so that constant
+// expressions such as 1-decay and quarantineScore-hysteresis round each
+// step to float64, exactly as the same arithmetic does at run time.
+const (
+	// minPeers is the number of PRIOR answers a cell needs before new
+	// answers are judged against it.
+	minPeers = 2
+	// minWorkTimeMs flags answers reported faster than this as
+	// suspiciously fast.
+	minWorkTimeMs = 500
+	// decay is the EWMA retention of the disagree/fast rates per judged
+	// answer: ~15 recent judgements dominate, so sleepers surface within
+	// a few tasks of turning.
+	decay float64 = 0.93
+	// fastWeight discounts the fast-rate's contribution to the score:
+	// speed alone can watch-list a worker (0.55 clears watchScore) but
+	// never quarantines or bans one without disagreement evidence.
+	fastWeight float64 = 0.55
+	// watchAfter/quarantineAfter/banAfter gate each escalation on a
+	// minimum number of judged answers.
+	watchAfter, quarantineAfter, banAfter = 8, 16, 24
+	// watchScore/quarantineScore/banScore are the score thresholds of the
+	// escalations. De-escalation applies the hysteresis margin below the
+	// corresponding threshold.
+	watchScore, quarantineScore, banScore float64 = 0.50, 0.65, 0.80
+)
 
 // hysteresis is the score margin below a threshold required before a
 // worker de-escalates out of the state that threshold guards.
@@ -231,26 +197,20 @@ func (c *cellAgg) plurality() int {
 
 // Engine is the streaming reputation fold. Safe for concurrent use.
 type Engine struct {
-	mu  sync.Mutex
-	cfg Config
+	mu sync.Mutex
 	//tcrowd:guardedby mu
 	workers map[tabular.WorkerID]*workerState
 	//tcrowd:guardedby mu
 	cells map[tabular.Cell]*cellAgg
 }
 
-// NewEngine returns an empty engine with cfg's thresholds (zero fields
-// take the documented defaults).
-func NewEngine(cfg Config) *Engine {
+// NewEngine returns an empty engine.
+func NewEngine() *Engine {
 	return &Engine{
-		cfg:     cfg.withDefaults(),
 		workers: make(map[tabular.WorkerID]*workerState),
 		cells:   make(map[tabular.Cell]*cellAgg),
 	}
 }
-
-// Config returns the engine's resolved configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Observe folds one answer into the engine and reports the worker's state
 // transition, if this answer caused one. Call in answer-stream order; the
@@ -275,7 +235,7 @@ func (e *Engine) Observe(o Observation) (Verdict, bool) {
 		cell = &cellAgg{}
 		e.cells[o.Answer.Cell] = cell
 	}
-	if cell.n >= e.cfg.MinPeers {
+	if cell.n >= minPeers {
 		disagree := false
 		switch o.Answer.Value.Kind {
 		case tabular.Label:
@@ -301,7 +261,7 @@ func (e *Engine) Observe(o Observation) (Verdict, bool) {
 			w.disagreed++
 			ind = 1
 		}
-		w.disagreeRate = e.cfg.Decay*w.disagreeRate + (1-e.cfg.Decay)*ind
+		w.disagreeRate = decay*w.disagreeRate + (1-decay)*ind
 	}
 	e.foldCell(cell, o.Answer.Value)
 
@@ -309,11 +269,11 @@ func (e *Engine) Observe(o Observation) (Verdict, bool) {
 	if o.WorkTimeMs > 0 {
 		w.timed++
 		ind := 0.0
-		if o.WorkTimeMs < e.cfg.MinWorkTimeMs {
+		if o.WorkTimeMs < minWorkTimeMs {
 			w.fast++
 			ind = 1
 		}
-		w.fastRate = e.cfg.Decay*w.fastRate + (1-e.cfg.Decay)*ind
+		w.fastRate = decay*w.fastRate + (1-decay)*ind
 	}
 
 	from := w.state
@@ -346,7 +306,7 @@ func (e *Engine) foldCell(c *cellAgg, v tabular.Value) {
 // score combines the EWMA rates: full-strength disagreement plus
 // discounted speed, clamped to 1.
 func (e *Engine) score(w *workerState) float64 {
-	s := w.disagreeRate + e.cfg.FastWeight*w.fastRate
+	s := w.disagreeRate + fastWeight*w.fastRate
 	return math.Min(s, 1)
 }
 
@@ -359,11 +319,11 @@ func (e *Engine) nextState(w *workerState) State {
 	}
 	s := e.score(w)
 	switch {
-	case w.judged >= e.cfg.BanAfter && s >= e.cfg.BanScore:
+	case w.judged >= banAfter && s >= banScore:
 		return Banned
-	case w.judged >= e.cfg.QuarantineAfter && s >= e.cfg.QuarantineScore:
+	case w.judged >= quarantineAfter && s >= quarantineScore:
 		return Quarantined
-	case w.judged >= e.cfg.WatchAfter && s >= e.cfg.WatchScore:
+	case w.judged >= watchAfter && s >= watchScore:
 		if w.state < Watched {
 			return Watched
 		}
@@ -373,11 +333,11 @@ func (e *Engine) nextState(w *workerState) State {
 	// once the score clears the hysteresis margin.
 	switch w.state {
 	case Quarantined:
-		if s < e.cfg.QuarantineScore-hysteresis {
+		if s < quarantineScore-hysteresis {
 			return Watched
 		}
 	case Watched:
-		if s < e.cfg.WatchScore-hysteresis {
+		if s < watchScore-hysteresis {
 			return Active
 		}
 	case Active, Banned:

@@ -36,7 +36,7 @@ func answer(e *Engine, u tabular.WorkerID, row int, agree bool, workMs int64) (V
 }
 
 func TestHonestWorkerStaysActive(t *testing.T) {
-	e := NewEngine(Config{})
+	e := NewEngine()
 	u := tabular.WorkerID("honest")
 	for i := 0; i < 100; i++ {
 		if v, changed := answer(e, u, i, true, 4000); changed {
@@ -55,7 +55,7 @@ func TestHonestWorkerStaysActive(t *testing.T) {
 }
 
 func TestJunkWorkerEscalatesToBan(t *testing.T) {
-	e := NewEngine(Config{})
+	e := NewEngine()
 	u := tabular.WorkerID("junk")
 	var got []State
 	for i := 0; i < 60; i++ {
@@ -98,7 +98,7 @@ func TestJunkWorkerEscalatesToBan(t *testing.T) {
 // but never Quarantined or Banned — speed alone is not disagreement
 // evidence.
 func TestFastAloneOnlyWatches(t *testing.T) {
-	e := NewEngine(Config{})
+	e := NewEngine()
 	u := tabular.WorkerID("speedy")
 	seen := Active
 	for i := 0; i < 200; i++ {
@@ -116,7 +116,7 @@ func TestFastAloneOnlyWatches(t *testing.T) {
 // malicious — the EWMA forgets, so the sleeper converges to a ban within a
 // bounded number of post-turn answers.
 func TestSleeperCaught(t *testing.T) {
-	e := NewEngine(Config{})
+	e := NewEngine()
 	u := tabular.WorkerID("sleeper")
 	for i := 0; i < 80; i++ {
 		answer(e, u, i, true, 4000)
@@ -146,7 +146,7 @@ func TestSleeperCaught(t *testing.T) {
 // on.
 func TestModelQualityDoesNotPerturbVerdicts(t *testing.T) {
 	run := func(pushQuality bool) []Verdict {
-		e := NewEngine(Config{})
+		e := NewEngine()
 		u := tabular.WorkerID("w")
 		var vs []Verdict
 		for i := 0; i < 60; i++ {
@@ -171,7 +171,7 @@ func TestModelQualityDoesNotPerturbVerdicts(t *testing.T) {
 }
 
 func TestWeightModulation(t *testing.T) {
-	e := NewEngine(Config{})
+	e := NewEngine()
 	u := tabular.WorkerID("w")
 	// Drive into Quarantined.
 	for i := 0; e.State(u) != Quarantined && i < 100; i++ {
@@ -205,7 +205,7 @@ func TestWeightModulation(t *testing.T) {
 }
 
 func TestSnapshotRestoreRoundTrip(t *testing.T) {
-	e := NewEngine(Config{})
+	e := NewEngine()
 	workers := []tabular.WorkerID{"a", "b", "c"}
 	for i := 0; i < 40; i++ {
 		u := workers[i%len(workers)]
@@ -214,7 +214,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	e.ObserveModelQuality("b", 0.3)
 
 	snaps := e.Snapshot()
-	e2 := NewEngine(Config{})
+	e2 := NewEngine()
 	e2.Restore(snaps)
 	for _, u := range workers {
 		if e2.State(u) != e.State(u) {

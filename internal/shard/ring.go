@@ -5,7 +5,7 @@ import (
 	"sort"
 )
 
-// ring is a consistent-hash ring: every shard owns Replicas virtual points
+// ring is a consistent-hash ring: every shard owns vnodes virtual points
 // on a uint64 circle, and a key belongs to the shard owning the first point
 // clockwise of the key's hash. Consistent hashing (rather than hash mod N)
 // keeps the key→shard map stable under resizing: growing from N to N+1
@@ -49,19 +49,23 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// buildRing places replicas virtual points per shard.
-func buildRing(shards, replicas int) ring {
+// vnodes is the number of virtual points per shard or node on both rings:
+// more points smooth the key distribution at the cost of a larger ring.
+const vnodes = 128
+
+// buildRing places vnodes virtual points per shard.
+func buildRing(shards int) ring {
 	r := ring{
-		points: make([]uint64, 0, shards*replicas),
-		owner:  make([]int, 0, shards*replicas),
+		points: make([]uint64, 0, shards*vnodes),
+		owner:  make([]int, 0, shards*vnodes),
 	}
 	type vnode struct {
 		point uint64
 		shard int
 	}
-	vs := make([]vnode, 0, shards*replicas)
+	vs := make([]vnode, 0, shards*vnodes)
 	for s := 0; s < shards; s++ {
-		for v := 0; v < replicas; v++ {
+		for v := 0; v < vnodes; v++ {
 			vs = append(vs, vnode{hashKey(fmt.Sprintf("shard-%d-vnode-%d", s, v)), s})
 		}
 	}
@@ -90,11 +94,6 @@ func (r ring) locate(key string) int {
 	return r.owner[i]
 }
 
-// DefaultRingVnodes is the virtual-node count NewRing uses when vnodes
-// is zero — the same density the in-process shard ring runs with, so
-// cluster-level placement inherits the measured ownership uniformity.
-const DefaultRingVnodes = 128
-
 // Ring is the exported, string-keyed consistent-hash ring: the same
 // FNV-1a+fmix64 circle the in-process shard scheduler places projects
 // with, promoted to arbitrary node keys so a cluster layer can make
@@ -110,12 +109,11 @@ type Ring struct {
 }
 
 // NewRing builds a ring over the given node keys with vnodes virtual
-// points per node (0 = DefaultRingVnodes). Duplicate node keys collapse
-// to one; an empty node set yields a ring whose Locate returns "".
-func NewRing(nodes []string, vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = DefaultRingVnodes
-	}
+// points per node — the density the in-process shard ring runs with, so
+// cluster-level placement inherits the measured ownership uniformity.
+// Duplicate node keys collapse to one; an empty node set yields a ring
+// whose Locate returns "".
+func NewRing(nodes []string) *Ring {
 	distinct := append([]string(nil), nodes...)
 	sort.Strings(distinct)
 	distinct = slicesCompact(distinct)

@@ -9,8 +9,8 @@ import (
 // node set and key — two independently built rings agree on every key,
 // whatever order the nodes were listed in.
 func TestRingDeterministic(t *testing.T) {
-	a := NewRing([]string{"n1", "n2", "n3"}, 0)
-	b := NewRing([]string{"n3", "n1", "n2", "n2"}, 0)
+	a := NewRing([]string{"n1", "n2", "n3"})
+	b := NewRing([]string{"n3", "n1", "n2", "n2"})
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("project-%d", i)
 		if got, want := b.Locate(key), a.Locate(key); got != want {
@@ -24,7 +24,7 @@ func TestRingDeterministic(t *testing.T) {
 // FNV without the finalizer mix skews far worse than this).
 func TestRingBalance(t *testing.T) {
 	nodes := []string{"node-a", "node-b", "node-c"}
-	r := NewRing(nodes, 0)
+	r := NewRing(nodes)
 	counts := map[string]int{}
 	for i := 0; i < 3000; i++ {
 		counts[r.Locate(fmt.Sprintf("project-%d", i))]++
@@ -45,8 +45,8 @@ func TestRingBalance(t *testing.T) {
 // nodes, so restarting with a changed peer list transfers only the
 // moved projects.
 func TestRingStability(t *testing.T) {
-	before := NewRing([]string{"n1", "n2", "n3"}, 0)
-	after := NewRing([]string{"n1", "n2", "n3", "n4"}, 0)
+	before := NewRing([]string{"n1", "n2", "n3"})
+	after := NewRing([]string{"n1", "n2", "n3", "n4"})
 	moved := 0
 	for i := 0; i < 2000; i++ {
 		key := fmt.Sprintf("project-%d", i)
@@ -69,10 +69,10 @@ func TestRingStability(t *testing.T) {
 
 // TestRingEmpty pins the degenerate cases.
 func TestRingEmpty(t *testing.T) {
-	if got := NewRing(nil, 0).Locate("x"); got != "" {
+	if got := NewRing(nil).Locate("x"); got != "" {
 		t.Fatalf("empty ring located %q", got)
 	}
-	one := NewRing([]string{"solo"}, 4)
+	one := NewRing([]string{"solo"})
 	for i := 0; i < 10; i++ {
 		if got := one.Locate(fmt.Sprintf("k%d", i)); got != "solo" {
 			t.Fatalf("single-node ring located %q", got)

@@ -75,10 +75,6 @@ type Options struct {
 	// rejects Submit with ErrShardSaturated. Coalescing means depth is
 	// consumed per distinct key, not per call. Default 64.
 	QueueDepth int
-	// Replicas is the number of virtual nodes per shard on the consistent-
-	// hash ring. More replicas smooth the key distribution at the cost of
-	// a larger ring. Default 128.
-	Replicas int
 }
 
 // withDefaults resolves zero fields.
@@ -88,9 +84,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
-	}
-	if o.Replicas <= 0 {
-		o.Replicas = 128
 	}
 	return o
 }
@@ -139,7 +132,7 @@ type Scheduler struct {
 func New(opts Options) *Scheduler {
 	opts = opts.withDefaults()
 	s := &Scheduler{
-		ring:   buildRing(opts.Workers, opts.Replicas),
+		ring:   buildRing(opts.Workers),
 		shards: make([]*shardQueue, opts.Workers),
 	}
 	for i := range s.shards {

@@ -107,11 +107,19 @@ func TestGenerateExtremeRatios(t *testing.T) {
 	rng := stats.NewRNG(4)
 	all := Generate(rng, TableConfig{Rows: 10, Cols: 6, CatRatio: 1})
 	none := Generate(rng, TableConfig{Rows: 10, Cols: 6, CatRatio: -1})
-	if all.Table.Schema.CategoricalRatio() != 1 {
-		t.Fatal("ratio 1")
-	}
-	if none.Table.Schema.CategoricalRatio() != 0 {
-		t.Fatal("ratio 0")
+	for _, tc := range []struct {
+		ds   *Dataset
+		want int
+	}{{all, 6}, {none, 0}} {
+		n := 0
+		for _, c := range tc.ds.Table.Schema.Columns {
+			if c.Type == tabular.Categorical {
+				n++
+			}
+		}
+		if n != tc.want {
+			t.Fatalf("%d categorical columns of 6, want %d", n, tc.want)
+		}
 	}
 }
 

@@ -30,22 +30,6 @@ func (n Normal) LogPDF(x float64) float64 {
 	return -0.5*math.Log(2*math.Pi*n.Var) - d*d/(2*n.Var)
 }
 
-// CDF returns P(X <= x).
-func (n Normal) CDF(x float64) float64 {
-	if n.Var <= 0 {
-		if x < n.Mu {
-			return 0
-		}
-		return 1
-	}
-	return 0.5 * math.Erfc(-(x-n.Mu)/math.Sqrt(2*n.Var))
-}
-
-// Quantile returns the p-quantile.
-func (n Normal) Quantile(p float64) float64 {
-	return n.Mu + math.Sqrt(n.Var)*NormalQuantile(p)
-}
-
 // Sample draws one value using rng.
 func (n Normal) Sample(rng *rand.Rand) float64 {
 	return n.Mu + math.Sqrt(n.Var)*rng.NormFloat64()
@@ -62,17 +46,6 @@ func (n Normal) Entropy() float64 {
 
 // Mean returns the mean.
 func (n Normal) Mean() float64 { return n.Mu }
-
-// FitNormal estimates a Normal by maximum likelihood (mean, population
-// variance) from xs. The variance is floored at minVar to keep downstream
-// densities finite on degenerate data.
-func FitNormal(xs []float64, minVar float64) Normal {
-	m, v := MeanVariance(xs)
-	if v < minVar {
-		v = minVar
-	}
-	return Normal{Mu: m, Var: v}
-}
 
 // Bernoulli is a {0,1} distribution with success probability P. The paper
 // uses it for categorical error indicators (e = 1 means the answer was
@@ -96,21 +69,6 @@ func (b Bernoulli) Entropy() float64 {
 
 // Mean returns P.
 func (b Bernoulli) Mean() float64 { return b.P }
-
-// FitBernoulli estimates P as the fraction of non-zero entries, with
-// add-one-half smoothing so downstream conditionals never hit exact 0 or 1.
-func FitBernoulli(xs []float64) Bernoulli {
-	if len(xs) == 0 {
-		return Bernoulli{P: 0.5}
-	}
-	ones := 0.0
-	for _, x := range xs {
-		if x != 0 {
-			ones++
-		}
-	}
-	return Bernoulli{P: (ones + 0.5) / (float64(len(xs)) + 1)}
-}
 
 // Categorical is a distribution over {0, .., len(P)-1}.
 type Categorical struct {

@@ -6,6 +6,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -114,7 +115,7 @@ func TestQuickVarianceNonNegative(t *testing.T) {
 		for i, r := range raw {
 			xs[i] = boundedFloat(r, -1e6, 1e6)
 		}
-		return Variance(xs) >= 0 && SampleVariance(xs) >= 0
+		return Variance(xs) >= 0
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Fatal(err)
@@ -130,7 +131,7 @@ func TestQuickMedianBetweenMinMax(t *testing.T) {
 		for i, r := range raw {
 			xs[i] = boundedFloat(r, -1e3, 1e3)
 		}
-		lo, hi := MinMax(xs)
+		lo, hi := slices.Min(xs), slices.Max(xs)
 		m := Median(xs)
 		return m >= lo-1e-12 && m <= hi+1e-12
 	}
@@ -170,24 +171,6 @@ func TestQuickChiSquareQuantileMonotone(t *testing.T) {
 		return ChiSquareQuantile(p1, k) <= ChiSquareQuantile(p2, k)+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60, Rand: rand.New(rand.NewSource(2))}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickNormalCDFMonotone(t *testing.T) {
-	f := func(rawMu, rawVar, rawX1, rawX2 float64) bool {
-		n := Normal{
-			Mu:  boundedFloat(rawMu, -10, 10),
-			Var: boundedFloat(rawVar, 0.01, 100),
-		}
-		x1 := boundedFloat(rawX1, -50, 50)
-		x2 := boundedFloat(rawX2, -50, 50)
-		if x1 > x2 {
-			x1, x2 = x2, x1
-		}
-		return n.CDF(x1) <= n.CDF(x2)+1e-12
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -36,12 +36,3 @@ func SampleTruncatedNormal(rng *rand.Rand, mu, sd, lo, hi float64) float64 {
 	}
 	return Clamp(mu, lo, hi)
 }
-
-// Shuffle permutes n indexed items in place via swap, a seeded wrapper
-// around Fisher-Yates that keeps call sites terse.
-func Shuffle(rng *rand.Rand, n int, swap func(i, j int)) {
-	rng.Shuffle(n, swap)
-}
-
-// Perm returns a random permutation of [0, n).
-func Perm(rng *rand.Rand, n int) []int { return rng.Perm(n) }

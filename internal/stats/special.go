@@ -41,11 +41,6 @@ func LogErfc(x float64) float64 {
 	return -x*x - math.Log(x*math.Sqrt(math.Pi)) + math.Log(series)
 }
 
-// DErfDx returns d/dx erf(x) = 2/sqrt(pi) * exp(-x^2).
-func DErfDx(x float64) float64 {
-	return 2 / math.SqrtPi * math.Exp(-x*x)
-}
-
 // NormalQuantile returns the p-quantile of the standard normal distribution
 // using the inverse error function. It panics for p outside (0, 1).
 func NormalQuantile(p float64) float64 {

@@ -52,15 +52,6 @@ func TestLogErfcAsymptotic(t *testing.T) {
 	almostEqual(t, naive, asym, 1e-5, "branch agreement at x=20")
 }
 
-func TestDErfDx(t *testing.T) {
-	// Central difference check.
-	for _, x := range []float64{0, 0.3, 1, 2} {
-		h := 1e-6
-		num := (math.Erf(x+h) - math.Erf(x-h)) / (2 * h)
-		almostEqual(t, DErfDx(x), num, 1e-8, "DErfDx")
-	}
-}
-
 func TestNormalQuantile(t *testing.T) {
 	// Golden values from standard normal tables.
 	almostEqual(t, NormalQuantile(0.5), 0, 1e-12, "median")

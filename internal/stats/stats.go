@@ -15,18 +15,7 @@
 //tcrowd:deterministic
 package stats
 
-import (
-	"errors"
-	"math"
-)
-
-// Common errors returned by estimation helpers.
-var (
-	// ErrEmpty is returned when a statistic is requested over no data.
-	ErrEmpty = errors.New("stats: empty sample")
-	// ErrDomain is returned when an argument is outside a function's domain.
-	ErrDomain = errors.New("stats: argument outside domain")
-)
+import "math"
 
 // Eps is a tolerance used by iterative routines in this package.
 const Eps = 1e-12
@@ -66,22 +55,6 @@ func Variance(xs []float64) float64 {
 		s += d * d
 	}
 	return s / float64(n)
-}
-
-// SampleVariance returns the unbiased sample variance of xs (dividing by
-// n-1). It returns 0 when len(xs) < 2.
-func SampleVariance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(n-1)
 }
 
 // StdDev returns the population standard deviation of xs.
@@ -133,24 +106,6 @@ func insertionSort(xs []float64) {
 		}
 		xs[j+1] = v
 	}
-}
-
-// MinMax returns the minimum and maximum of xs. It returns (0, 0) for an
-// empty slice.
-func MinMax(xs []float64) (min, max float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	min, max = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < min {
-			min = x
-		}
-		if x > max {
-			max = x
-		}
-	}
-	return min, max
 }
 
 // Covariance returns the population covariance of the paired samples xs, ys.

@@ -1,7 +1,6 @@
 package tabular
 
 import (
-	"cmp"
 	"fmt"
 	"maps"
 	"math"
@@ -57,7 +56,6 @@ type AnswerLog struct {
 	// in answers.farCells and farHeads.
 	far      map[Cell]int32
 	farHeads []cellHead
-	cells    int // distinct answered cells
 
 	// workerIdx maps a worker to its index in answers.workers and
 	// byWorker.
@@ -115,7 +113,6 @@ func (l *AnswerLog) Add(a Answer) {
 	h, slot := l.headOf(a.Cell)
 	if h.n == 0 {
 		h.first = idx
-		l.cells++
 	} else {
 		l.next[h.last] = idx
 	}
@@ -380,7 +377,6 @@ func (l *AnswerLog) Clone() *AnswerLog {
 		gridCols:  l.gridCols,
 		far:       maps.Clone(l.far),
 		farHeads:  slices.Clone(l.farHeads),
-		cells:     l.cells,
 		workerIdx: maps.Clone(l.workerIdx),
 		byWorker:  make([][]int32, len(l.byWorker)),
 	}
@@ -405,27 +401,6 @@ func (l *AnswerLog) Validate(t *Table) error {
 		}
 	}
 	return nil
-}
-
-// CellsAnswered returns the distinct cells with at least one answer, in
-// row-major order.
-func (l *AnswerLog) CellsAnswered() []Cell {
-	out := make([]Cell, 0, l.cells)
-	for k, h := range l.grid {
-		if h.n > 0 {
-			out = append(out, Cell{Row: k / l.gridCols, Col: k % l.gridCols})
-		}
-	}
-	if len(l.far) == 0 {
-		return out
-	}
-	for c := range l.far {
-		out = append(out, c)
-	}
-	slices.SortFunc(out, func(a, b Cell) int {
-		return cmp.Or(cmp.Compare(a.Row, b.Row), cmp.Compare(a.Col, b.Col))
-	})
-	return out
 }
 
 // Len returns the number of answers in the view.

@@ -173,36 +173,9 @@ func DecodeAnswers(r io.Reader, s Schema) (*AnswerLog, error) {
 	return l, nil
 }
 
-// WriteAnswersCSV exports the log as CSV with header
-// worker,row,column,value. Labels are written by name.
-func WriteAnswersCSV(w io.Writer, s Schema, l *AnswerLog) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"worker", "row", "column", "value"}); err != nil {
-		return err
-	}
-	for _, a := range l.All() {
-		col := s.Columns[a.Cell.Col]
-		var val string
-		switch a.Value.Kind {
-		case Label:
-			val = col.Labels[a.Value.L]
-		case Number:
-			val = strconv.FormatFloat(a.Value.X, 'g', -1, 64)
-		case None:
-			// A kind-less value exports as an empty field; ReadAnswersCSV
-			// rejects it on the way back in, keeping the round trip honest.
-			val = ""
-		}
-		rec := []string{string(a.Worker), strconv.Itoa(a.Cell.Row), col.Name, val}
-		if err := cw.Write(rec); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ReadAnswersCSV parses the CSV format written by WriteAnswersCSV.
+// ReadAnswersCSV parses answers from CSV records worker,row,column,value,
+// with an optional worker,row,column,value header. Labels are given by
+// name.
 func ReadAnswersCSV(r io.Reader, s Schema) (*AnswerLog, error) {
 	cr := csv.NewReader(r)
 	recs, err := cr.ReadAll()

@@ -126,21 +126,6 @@ func (s Schema) ColumnIndex(name string) int {
 	return -1
 }
 
-// CategoricalRatio returns the fraction of categorical columns (the
-// parameter R of the synthetic experiments, Sec. 6.5).
-func (s Schema) CategoricalRatio() float64 {
-	if len(s.Columns) == 0 {
-		return 0
-	}
-	n := 0
-	for _, c := range s.Columns {
-		if c.Type == Categorical {
-			n++
-		}
-	}
-	return float64(n) / float64(len(s.Columns))
-}
-
 // Cell addresses one task c_ij: the value of entity (row) i on attribute
 // (column) j.
 type Cell struct {

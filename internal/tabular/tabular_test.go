@@ -48,12 +48,6 @@ func TestSchemaHelpers(t *testing.T) {
 	if s.ColumnIndex("Age") != 2 || s.ColumnIndex("zzz") != -1 {
 		t.Fatal("ColumnIndex")
 	}
-	if got := s.CategoricalRatio(); got != 0.5 {
-		t.Fatalf("CategoricalRatio=%v", got)
-	}
-	if (Schema{}).CategoricalRatio() != 0 {
-		t.Fatal("empty ratio")
-	}
 	if s.Columns[0].NumLabels() != 4 || s.Columns[2].NumLabels() != 0 {
 		t.Fatal("NumLabels")
 	}
