@@ -30,7 +30,6 @@ func writeBench(t *testing.T, name string, ns float64, allocs int64) string {
 // series that regresses in two of three fails, in ns/op and in allocs/op
 // alike; one file per side gates that file.
 func TestCompareGatesOnMedians(t *testing.T) {
-	cfg := compareConfig{gates: []string{"refresh/"}, maxNsRegress: 0.08, maxAllocRegress: 0.001}
 	bases := strings.Join([]string{
 		writeBench(t, "b1.json", 100, 10),
 		writeBench(t, "b2.json", 104, 10),
@@ -53,12 +52,12 @@ func TestCompareGatesOnMedians(t *testing.T) {
 		for i, r := range tc.runs {
 			cands = append(cands, writeBench(t, tc.name+string(rune('0'+i))+".json", r[0], int64(r[1])))
 		}
-		err := runCompare(bases, strings.Join(cands, ","), cfg)
+		err := runCompare(bases, strings.Join(cands, ","), 0.08)
 		if (err != nil) != tc.regress {
 			t.Errorf("%s: compare error = %v, want regression %v", tc.name, err, tc.regress)
 		}
 	}
-	if err := runCompare(writeBench(t, "one.json", 100, 10), writeBench(t, "slow.json", 109, 10), cfg); err == nil {
+	if err := runCompare(writeBench(t, "one.json", 100, 10), writeBench(t, "slow.json", 109, 10), 0.08); err == nil {
 		t.Error("one file per side: a 9 % slower series passed the 8 % gate")
 	}
 }

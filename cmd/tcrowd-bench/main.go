@@ -41,10 +41,7 @@ func main() {
 		benchOut  = flag.String("bench-out", "", "run hot-path micro-benches and write the results to this path")
 		benchOnly = flag.String("bench-only", "", "comma-separated series-name prefixes to run (empty = all); e.g. 'shard/' for the multi-core scheduler series")
 		compare   = flag.Bool("compare", false, "compare two -bench-json files (args: baseline candidate, each optionally a comma-separated list of repeated runs compared on per-series medians); exit non-zero on gated regressions")
-		gates     = flag.String("gate", "infer/,refresh/,ingest/,assign/,shard/,server/,wal/", "comma-separated series-name prefixes under the -compare regression gate")
 		maxNs     = flag.Float64("max-ns-regress", 0.25, "allowed fractional ns/op growth for gated kernel series in -compare (concurrency/disk-bearing server/, shard/ and wal/ series never tighten below 25%; OS-paced wal/*-never series are ns-exempt)")
-		maxAlloc  = flag.Float64("max-alloc-regress", 0.001, "allowed fractional allocs/op growth for gated kernel series in -compare, on top of a 1-alloc absolute slack (absorbs EM-iteration and benchmark-harness wobble; server/ series use a fixed 5%+4 slack because their timed windows race async shard refreshes)")
-		waivers   = flag.String("waivers", "", "optional intended-regression declarations for -compare (perf-waivers.json): series prefixes whose gated failures report as WAIVED while the file's baseline_index matches the newest committed BENCH_N.json; stale files are ignored")
 	)
 	flag.Parse()
 
@@ -53,19 +50,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "tcrowd-bench: -compare needs exactly two args: baseline.json candidate.json")
 			os.Exit(2)
 		}
-		cfg := compareConfig{maxNsRegress: *maxNs, maxAllocRegress: *maxAlloc}
-		w, err := loadWaivers(*waivers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "tcrowd-bench: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.waivers = w
-		for _, g := range strings.Split(*gates, ",") {
-			if g = strings.TrimSpace(g); g != "" {
-				cfg.gates = append(cfg.gates, g)
-			}
-		}
-		if err := runCompare(flag.Arg(0), flag.Arg(1), cfg); err != nil {
+		if err := runCompare(flag.Arg(0), flag.Arg(1), *maxNs); err != nil {
 			fmt.Fprintf(os.Stderr, "tcrowd-bench: %v\n", err)
 			os.Exit(1)
 		}

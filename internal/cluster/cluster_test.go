@@ -436,8 +436,8 @@ func TestShipperRemoveDropsQueuedGeneration(t *testing.T) {
 	}))
 	defer peer.Close()
 	s := newPeerShipper("http://self", peer.URL, peer.Client(), nil)
-	s.enqueue(&platform.ReplicatedGeneration{Project: "p", Generation: 3})
-	s.enqueue(&platform.ReplicatedGeneration{Project: "q", Generation: 1})
+	s.enqueue(&platform.ReplicatedGeneration{Project: "p", InferenceResult: platform.InferenceResult{Generation: 3}})
+	s.enqueue(&platform.ReplicatedGeneration{Project: "q", InferenceResult: platform.InferenceResult{Generation: 1}})
 
 	s.sendMu.Lock() // a send in flight
 	removed := make(chan struct{})

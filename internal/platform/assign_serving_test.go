@@ -78,7 +78,7 @@ func TestServedSelectionMatchesPublishedModel(t *testing.T) {
 	proj.inferMu.Lock()
 	m := proj.lastModel
 	proj.inferMu.Unlock()
-	if ts := proj.tasks.Load(); ts == nil || ts.answersSeen != proj.Log.Len() {
+	if g := proj.gens.Load(); g == nil || g.tasks == nil || g.latest().AnswersSeen != proj.Log.Len() {
 		t.Fatal("no published assignment state covering the log")
 	}
 
@@ -209,7 +209,7 @@ func TestConcurrentTasksAgainstPublishes(t *testing.T) {
 					if task.Type == "categorical" {
 						v = tabular.LabelValue((task.Row + w) % 3)
 					}
-					if err := p.Submit("race", id, task.Row, task.Column, v); err != nil {
+					if err := submitOne(p, "race", id, task.Row, task.Column, v); err != nil {
 						errs <- err
 						return
 					}
@@ -252,7 +252,7 @@ func TestConcurrentTasksAgainstPublishes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ts := proj.tasks.Load(); ts == nil || ts.answersSeen != proj.Log.Len() {
+	if g := proj.gens.Load(); g == nil || g.tasks == nil || g.latest().AnswersSeen != proj.Log.Len() {
 		t.Fatal("final assignment state does not cover the log")
 	}
 }

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -52,7 +53,7 @@ func testConcurrentWorkers(t *testing.T, cfg ProjectConfig) {
 					} else {
 						v = tabular.NumberValue(float64(10*w + round))
 					}
-					if err := p.Submit("conc", id, task.Row, task.Column, v); err != nil && err != ErrAlreadyAnswered {
+					if err := submitOne(p, "conc", id, task.Row, task.Column, v); err != nil && !errors.Is(err, ErrAlreadyAnswered) {
 						errs <- err
 						return
 					}

@@ -39,7 +39,7 @@ func startWriter(t *testing.T, p *Platform, id string) (stop func()) {
 			}
 			w := tabular.WorkerID(fmt.Sprintf("writer-%06d", i))
 			// Saturation only sheds the refresh; the answer still lands.
-			_ = p.Submit(id, w, i%3, "price", tabular.NumberValue(float64(5+i%9)))
+			_ = submitOne(p, id, w, i%3, "price", tabular.NumberValue(float64(5+i%9)))
 		}
 	}()
 	return func() { once.Do(func() { close(done) }); <-finished }
@@ -95,7 +95,7 @@ func TestPagedWalkGenerationCoherentUnderWrites(t *testing.T) {
 	for i := 0; walked.NextCursor != ""; i++ {
 		// Force the model past the pinned generation before every page.
 		w := tabular.WorkerID(fmt.Sprintf("interleaved-%02d", i))
-		if err := p.Submit("hot", w, i%3, "price", tabular.NumberValue(9)); err != nil {
+		if err := submitOne(p, "hot", w, i%3, "price", tabular.NumberValue(9)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := p.RunInference("hot"); err != nil {
@@ -189,7 +189,7 @@ func TestConditionalGet(t *testing.T) {
 
 	// New answers + refresh publish a new generation: same conditional
 	// read now returns a fresh 200 with a new ETag.
-	if err := p.Submit("a", "w9", 1, "price", tabular.NumberValue(42)); err != nil {
+	if err := submitOne(p, "a", "w9", 1, "price", tabular.NumberValue(42)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.RunInference("a"); err != nil {
@@ -218,7 +218,7 @@ func TestGenerationRetainedRing(t *testing.T) {
 	seedProject(t, p, "a") // publishes generation 1
 	for gen := 2; gen <= 4; gen++ {
 		w := tabular.WorkerID(fmt.Sprintf("g%d", gen))
-		if err := p.Submit("a", w, 2, "price", tabular.NumberValue(float64(gen))); err != nil {
+		if err := submitOne(p, "a", w, 2, "price", tabular.NumberValue(float64(gen))); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := p.RunInference("a"); err != nil {
@@ -328,7 +328,7 @@ func TestWatchLongPoll(t *testing.T) {
 		got <- r
 	}()
 	time.Sleep(50 * time.Millisecond) // let the poll park
-	if err := p.Submit("a", "w9", 1, "price", tabular.NumberValue(7)); err != nil {
+	if err := submitOne(p, "a", "w9", 1, "price", tabular.NumberValue(7)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.RunInference("a"); err != nil {
@@ -431,7 +431,7 @@ func TestWatchSSE(t *testing.T) {
 	}
 	for gen := 2; gen <= 4; gen++ {
 		w := tabular.WorkerID(fmt.Sprintf("sse%d", gen))
-		if err := p.Submit("a", w, 1, "price", tabular.NumberValue(float64(gen))); err != nil {
+		if err := submitOne(p, "a", w, 1, "price", tabular.NumberValue(float64(gen))); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := p.RunInference("a"); err != nil {
@@ -462,7 +462,7 @@ func TestWatchCoalescesSlowConsumer(t *testing.T) {
 	const publishes = watchBuffer + 8
 	for i := 0; i < publishes; i++ {
 		wid := tabular.WorkerID(fmt.Sprintf("slow%03d", i))
-		if err := p.Submit("a", wid, i%3, "price", tabular.NumberValue(float64(i))); err != nil {
+		if err := submitOne(p, "a", wid, i%3, "price", tabular.NumberValue(float64(i))); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := p.RunInference("a"); err != nil {
@@ -537,7 +537,7 @@ func TestLoadWarmupServesSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
-		if err := p.Submit("a", w, 0, "category", tabular.LabelValue(1)); err != nil {
+		if err := submitOne(p, "a", w, 0, "category", tabular.LabelValue(1)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -115,11 +115,11 @@ func publishedDemo(t *testing.T, rows int) (*Project, *InferenceResult) {
 	for w := 0; w < 4; w++ {
 		u := tabular.WorkerID(fmt.Sprintf("w%d", w))
 		for row := 0; row < rows-2; row++ {
-			if err := p.Submit("a", u, row, "category", tabular.LabelValue((row+w/3)%3)); err != nil {
+			if err := submitOne(p, "a", u, row, "category", tabular.LabelValue((row+w/3)%3)); err != nil {
 				t.Fatal(err)
 			}
 			x := 0.37*float64(row*row) + 1e-7*float64(w) + float64(w%2)
-			if err := p.Submit("a", u, row, "price", tabular.NumberValue(x)); err != nil {
+			if err := submitOne(p, "a", u, row, "price", tabular.NumberValue(x)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -304,7 +304,7 @@ func TestNonFiniteNumbersNeverBreakReads(t *testing.T) {
 		e.Items[0].Index != 1 || e.Items[0].Code != api.CodeBadRequest {
 		t.Fatalf("batch with a huge answer: %+v", e)
 	}
-	if err := p.Submit("a", "w5", 1, "price", tabular.NumberValue(math.NaN())); err == nil {
+	if err := submitOne(p, "a", "w5", 1, "price", tabular.NumberValue(math.NaN())); err == nil {
 		t.Fatal("NaN answer accepted")
 	}
 
@@ -343,7 +343,9 @@ func TestNonFiniteNumbersNeverBreakReads(t *testing.T) {
 		bad.Estimates[i] = append([]tabular.Value(nil), row...)
 	}
 	bad.Estimates[0][1] = tabular.NumberValue(math.NaN())
-	p.installResult(proj, bad, api.WatchEvent{Project: "a", Generation: bad.Generation})
+	proj.inferMu.Lock()
+	p.installResult(proj, bad, api.WatchEvent{Project: "a", Generation: bad.Generation}, nil)
+	proj.inferMu.Unlock()
 	for _, q := range []string{"", "?limit=1", fmt.Sprintf("?cursor=%d:1", bad.Generation)} {
 		resp, err := http.Get(srv.URL + "/v1/projects/a/estimates" + q)
 		if err != nil {

@@ -23,12 +23,13 @@
 //     InferenceResult snapshot behind an atomic pointer (copy-on-publish);
 //     Snapshot serves the latest one without ever waiting on EM.
 //
-// Submit enqueues an asynchronous refresh on the project's refresh cadence
-// (immediately until a first snapshot exists, then every RefreshEvery-th
-// answer), so published snapshots track the log with bounded lag without
-// running EM per answer. RunInference is the strongly consistent read: it
-// routes through the same per-shard queue and waits, returning estimates
-// that reflect every answer recorded before the call.
+// SubmitBatch enqueues at most one asynchronous refresh per batch on the
+// project's refresh cadence (immediately until a first snapshot exists,
+// then whenever a batch crosses a RefreshEvery boundary), so published
+// snapshots track the log with bounded lag without running EM per answer.
+// RunInference is the strongly consistent read: it routes through the same
+// per-shard queue and waits, returning estimates that reflect every answer
+// recorded before the call.
 //
 // # Lock order
 //
@@ -130,31 +131,14 @@ type Project struct {
 	// (Ingest + RefreshIncremental) instead of re-decoding the log.
 	//tcrowd:guardedby inferMu
 	lastModel *core.Model
-	// snapshot is the copy-on-publish estimate snapshot: every completed
-	// refresh builds a fresh immutable InferenceResult and swaps the
-	// pointer, so readers (Snapshot, the merged /estimates endpoint)
-	// never block on EM and never observe a half-updated result.
-	snapshot atomic.Pointer[InferenceResult]
-	// tasks is a T-Crowd project's assignment state, rebuilt from the
-	// estimate model at every publish and swapped in whole like snapshot
-	// (only the latest: each holds an error model). Nil until the first
-	// publish and for fewest-answers-first projects.
-	tasks atomic.Pointer[taskState]
-	// genMu guards the retained-generation ring and the last publish
-	// event. Publishes are already serialised (shard worker + inferMu);
-	// the mutex exists for the concurrent readers (SnapshotAt,
-	// LatestEvent).
-	genMu sync.RWMutex
-	// retained holds the most recent published results, oldest first
-	// (including the latest), so generation-pinned paged walks and
-	// ?generation= re-reads survive a bounded number of publishes.
-	//tcrowd:guardedby genMu
-	retained []*InferenceResult
-	// lastEvent is the watch event of the latest publish, replayed to
-	// watchers that connect (or long-poll) with a stale ?after=.
-	//tcrowd:guardedby genMu
-	lastEvent api.WatchEvent
-	// hub fans published generation bumps out to watchers.
+	// gens is the project's published state, nil until the first publish.
+	// installResult swaps in a whole new value at every publish, so
+	// readers (Snapshot, SnapshotAt, LatestEvent, GET /tasks) take one
+	// load, never block on EM and never see two generations mixed.
+	gens atomic.Pointer[generations]
+	// hub fans published generation bumps out to watchers. Set under the
+	// p.mu hold that registers the project (AdoptWAL hands a promoted
+	// replica's hub to the rebuilt project) and never changed afterwards.
 	hub *watchHub
 	// wal is the project's durable write-ahead log (nil when the platform
 	// runs without durability). Appends are serialised under the platform
@@ -306,9 +290,9 @@ type ProjectConfig struct {
 	// over the project's estimate model; otherwise tasks are served
 	// fewest-answers-first.
 	UseTCrowdAssignment bool
-	// RefreshEvery bounds submissions between the asynchronous inference
-	// refreshes Submit enqueues, which also rebuild the assignment state
-	// (default 25; use 1 for a refresh per answer).
+	// RefreshEvery bounds answers between the asynchronous inference
+	// refreshes SubmitBatch enqueues, which also rebuild the assignment
+	// state (default 25; use 1 for a refresh per answer).
 	RefreshEvery int
 	// FsyncPolicy overrides the platform-wide WAL fsync policy for this
 	// project: "always", "interval" or "never" (empty = platform
@@ -409,10 +393,6 @@ func (p *Platform) createProjectLocked(id string, schema tabular.Schema, cfg Pro
 		rng:          stats.NewRNG(p.seed + int64(len(p.projects))),
 		labelIdx:     buildLabelIndex(schema),
 		hub:          newWatchHub(),
-		// Full-capacity ring up front: publishes never grow it, so the
-		// copy-on-publish path stays allocation-free after the result
-		// itself.
-		retained: make([]*InferenceResult, 0, p.retain),
 	}
 	if proj.refreshEvery <= 0 {
 		proj.refreshEvery = 25
@@ -493,12 +473,6 @@ type Task struct {
 // backpressure, tripping only on a FULL queue, never sheds.
 const assignRefreshWait = 2 * time.Second
 
-// taskState is a published assignment state and the log length it covers.
-type taskState struct {
-	st          *assign.State
-	answersSeen int
-}
-
 // RequestTasks assigns up to k cells to worker u (the external-HIT hook):
 // by structure-aware information gain over the assignment state the last
 // estimate refresh published when T-Crowd assignment is enabled,
@@ -537,10 +511,11 @@ func (p *Platform) RequestTasks(projectID string, u tabular.WorkerID, k int) ([]
 
 	// A state that covers the log skips the shard round trip (idle projects
 	// polled for tasks would otherwise queue a no-op per poll). Otherwise
-	// coalesce into the project's estimate refresh — the job key Submit's
-	// refreshes use — and wait for it; a shed job or an expired wait serves
-	// the previous state, and a queued job still freshens later requests.
-	if ts := proj.tasks.Load(); needRefresh && (ts == nil || ts.answersSeen < logLen) {
+	// coalesce into the project's estimate refresh — the job key
+	// SubmitBatch's refreshes use — and wait for it; a shed job or an
+	// expired wait serves the previous state, and a queued job still
+	// freshens later requests.
+	if g := proj.gens.Load(); needRefresh && (g == nil || g.tasks == nil || g.latest().AnswersSeen < logLen) {
 		done, err := p.sched.SubmitNotifyKeyed(projectID, projectID, func() error { return p.refreshProject(proj) })
 		switch {
 		case errors.Is(err, shard.ErrShardSaturated), errors.Is(err, shard.ErrClosed):
@@ -563,13 +538,13 @@ func (p *Platform) RequestTasks(projectID string, u tabular.WorkerID, k int) ([]
 		k = proj.Table.NumCols()
 	}
 	var cells []tabular.Cell
-	if ts := proj.tasks.Load(); ts != nil {
+	if g := proj.gens.Load(); g != nil && g.tasks != nil {
 		// The state is shared and read-only: score it against a copy of
 		// this worker's own answers, the only thing taken under the lock.
 		p.mu.Lock()
 		mine := proj.Log.ByWorker(u)
 		p.mu.Unlock()
-		cells = assign.StructureIG{}.SelectAnswers(ts.st, u, mine, k)
+		cells = assign.StructureIG{}.SelectAnswers(g.tasks, u, mine, k)
 	}
 	if len(cells) == 0 {
 		p.mu.Lock()
@@ -874,7 +849,7 @@ func (p *Platform) SubmitBatchMeta(projectID string, answers []tabular.Answer, m
 	if crossed {
 		proj.sinceRefresh = 0
 	}
-	if crossed || proj.snapshot.Load() == nil {
+	if crossed || proj.gens.Load() == nil {
 		if err := p.sched.Submit(projectID, func() error { return p.refreshProject(proj) }); err != nil {
 			// The cadence slot was consumed but no refresh landed: rewind
 			// the counter so the very next submission retries, keeping the
@@ -893,74 +868,51 @@ func (p *Platform) SubmitBatchMeta(projectID string, answers []tabular.Answer, m
 	return res, nil
 }
 
-// Submit records worker u's answer for (row, column). Values are validated
-// against the schema, and double answers by the same worker are rejected.
-//
-// Accepted answers also keep the published estimate snapshot warm: an
-// asynchronous refresh is enqueued on the project's shard on the project's
-// refresh cadence — immediately while no snapshot exists yet, then every
-// RefreshEvery-th submission (coalesced: a burst of submissions costs one
-// queued refresh). Cadence gating keeps write-only projects from running
-// EM per answer; published snapshots lag the log by at most RefreshEvery
-// answers plus the in-flight refresh, and strongly consistent reads
-// (RunInference) always see everything.
-//
-// When the shard queue is saturated, the ANSWER IS STILL RECORDED — only
-// the refresh is shed — and Submit returns an error wrapping
-// shard.ErrShardSaturated so callers can apply backpressure. The same
-// applies to shard.ErrClosed during shutdown. SubmitBatch is the
-// batch-oriented equivalent; POST /v1/.../answers goes through it and
-// reports a shed refresh in the response body, not as an error status.
-func (p *Platform) Submit(projectID string, u tabular.WorkerID, row int, column string, value tabular.Value) error {
-	p.mu.Lock()
-	proj, ok := p.projects[projectID]
-	p.mu.Unlock()
-	if !ok {
-		return ErrNoProject
-	}
-	j := proj.Table.Schema.ColumnIndex(column)
-	if j < 0 {
-		return fmt.Errorf("platform: unknown column %q", column)
-	}
-	a := tabular.Answer{Worker: u, Cell: tabular.Cell{Row: row, Col: j}, Value: value}
-	res, err := p.SubmitBatch(projectID, []tabular.Answer{a})
-	if err != nil {
-		var be *BatchError
-		if errors.As(err, &be) {
-			return be.Items[0].Err
-		}
-		return err
-	}
-	if res.RefreshErr != nil {
-		return fmt.Errorf("platform: answer recorded, refresh shed: %w", res.RefreshErr)
-	}
-	return nil
-}
-
 // InferenceResult is the requester-facing output: estimates plus worker
 // qualities. Results are immutable once published — refreshes build a new
-// one and swap the project's snapshot pointer (copy-on-publish). Every
+// one and swap the project's published state (copy-on-publish). Every
 // publish gets the next Generation and enters the project's retained ring,
 // so generation-pinned reads (SnapshotAt, paged cursor walks) address a
-// bounded window of past states.
+// bounded window of past states. The JSON names are the replication wire
+// format (ReplicatedGeneration embeds the struct).
 type InferenceResult struct {
-	Estimates metrics.Estimates
-	// WorkerQuality maps workers to their unified quality q_u.
-	WorkerQuality map[tabular.WorkerID]float64
-	// Iterations and Converged report EM behaviour.
-	Iterations int
-	Converged  bool
 	// Generation numbers this publish (1 is the project's first; strictly
 	// increasing — a refresh that absorbs nothing republishes nothing).
-	Generation int
+	Generation int `json:"generation"`
 	// AnswersSeen is the number of log answers these estimates reflect
 	// (compare with Stats.Answers for staleness).
-	AnswersSeen int
+	AnswersSeen int `json:"answers_seen"`
+	// Iterations and Converged report EM behaviour.
+	Iterations int               `json:"iterations"`
+	Converged  bool              `json:"converged"`
+	Estimates  metrics.Estimates `json:"estimates"`
+	// WorkerQuality maps workers to their unified quality q_u.
+	WorkerQuality map[tabular.WorkerID]float64 `json:"worker_quality,omitempty"`
 	// memSize is the result's estimated in-memory footprint, computed once
 	// at install time and consulted by the retained ring's byte-cap
 	// eviction (Options.RetainBytes). Immutable after install.
 	memSize int64
 }
+
+// generations is one project's published state, immutable once installed:
+// installResult builds a new value for every publish and swaps it in
+// whole, so everything a reader takes from one load belongs to one
+// generation.
+type generations struct {
+	// retained holds the addressable results, oldest first; the last is
+	// the latest, which every install keeps.
+	retained []*InferenceResult
+	// event is the latest publish's watch event, replayed to watchers that
+	// connect (or long-poll) with a stale ?after=.
+	event api.WatchEvent
+	// tasks is the assignment state a home T-Crowd project built from the
+	// latest result's fit (nil otherwise). Only the latest result has one:
+	// each state holds an error model, too large to keep per ring entry.
+	tasks *assign.State
+}
+
+// latest returns the newest published result.
+func (g *generations) latest() *InferenceResult { return g.retained[len(g.retained)-1] }
 
 // estimateMemSize approximates the result's resident footprint: 24 bytes
 // per estimate cell (tabular.Value: kind + int + float64) and the map
@@ -1010,12 +962,12 @@ func (p *Platform) RunInference(projectID string) (*InferenceResult, error) {
 	if err := p.sched.SubmitWait(projectID, func() error { return p.refreshProject(proj) }); err != nil {
 		return nil, err
 	}
-	res := proj.snapshot.Load()
-	if res == nil {
+	g := proj.gens.Load()
+	if g == nil {
 		// Unreachable: a successful refresh always publishes.
 		return nil, ErrNoSnapshot
 	}
-	return res, nil
+	return g.latest(), nil
 }
 
 // Snapshot returns the project's last published estimates without ever
@@ -1030,11 +982,11 @@ func (p *Platform) Snapshot(projectID string) (*InferenceResult, error) {
 	if !ok {
 		return nil, ErrNoProject
 	}
-	res := proj.snapshot.Load()
-	if res == nil {
+	g := proj.gens.Load()
+	if g == nil {
 		return nil, ErrNoSnapshot
 	}
-	return res, nil
+	return g.latest(), nil
 }
 
 // SnapshotAt returns the published result for one specific generation from
@@ -1051,13 +1003,14 @@ func (p *Platform) SnapshotAt(projectID string, generation int) (*InferenceResul
 	if !ok {
 		return nil, ErrNoProject
 	}
-	latest := proj.snapshot.Load()
-	if latest == nil {
+	g := proj.gens.Load()
+	if g == nil {
 		if follower {
 			return nil, fmt.Errorf("%w (no generation replicated yet)", ErrReplicaStale)
 		}
 		return nil, ErrNoSnapshot
 	}
+	latest := g.latest()
 	if generation == latest.Generation {
 		return latest, nil
 	}
@@ -1073,15 +1026,13 @@ func (p *Platform) SnapshotAt(projectID string, generation int) (*InferenceResul
 		return nil, fmt.Errorf("%w (generation %d not yet published, latest is %d)",
 			ErrNoSnapshot, generation, latest.Generation)
 	}
-	proj.genMu.RLock()
-	defer proj.genMu.RUnlock()
-	for _, r := range proj.retained {
+	for _, r := range g.retained {
 		if r.Generation == generation {
 			return r, nil
 		}
 	}
 	return nil, fmt.Errorf("%w (generation %d, retained window starts at %d)",
-		ErrGenerationGone, generation, proj.retained[0].Generation)
+		ErrGenerationGone, generation, g.retained[0].Generation)
 }
 
 // LatestEvent returns the watch event of the project's most recent publish
@@ -1094,9 +1045,11 @@ func (p *Platform) LatestEvent(projectID string) (api.WatchEvent, bool, error) {
 	if !ok {
 		return api.WatchEvent{}, false, ErrNoProject
 	}
-	proj.genMu.RLock()
-	defer proj.genMu.RUnlock()
-	return proj.lastEvent, proj.lastEvent.Generation > 0, nil
+	g := proj.gens.Load()
+	if g == nil {
+		return api.WatchEvent{}, false, nil
+	}
+	return g.event, true, nil
 }
 
 // Watch subscribes to the project's generation bumps: every snapshot
@@ -1148,7 +1101,7 @@ func (p *Platform) refreshProject(proj *Project) error {
 	answers := proj.Log.Prefix()
 	p.mu.Unlock()
 	n := answers.Len() - proj.absorbed
-	if n == 0 && proj.snapshot.Load() != nil {
+	if n == 0 && proj.gens.Load() != nil {
 		// Nothing new since the last publish: keep the current snapshot
 		// (skipping the Estimates rebuild keeps idle refreshes O(1)).
 		return nil
@@ -1204,15 +1157,14 @@ func (p *Platform) refreshProject(proj *Project) error {
 			proj.rep.ObserveModelQuality(u, m.WorkerQuality(u))
 		}
 	}
-	p.publishSnapshot(proj, res)
+	var tasks *assign.State
 	if proj.tcrowd {
-		// Task selection scores this same fit, reputation weights and all.
-		// The state keeps no reference to m or to answers.
-		proj.tasks.Store(&taskState{
-			st:          assign.NewState(m.Freeze(), answers, res.Estimates, true),
-			answersSeen: res.AnswersSeen,
-		})
+		// Task selection scores this same fit, reputation weights and all,
+		// and publishes with it, so GET /tasks and GET /estimates read one
+		// generation. The state keeps no reference to m or to answers.
+		tasks = assign.NewState(m.Freeze(), answers, res.Estimates, true)
 	}
+	p.publishSnapshot(proj, res, tasks)
 	return nil
 }
 
@@ -1249,16 +1201,18 @@ func (p *Platform) WorkerReputations(projectID string) (infos []WorkerReputation
 	return infos, true, nil
 }
 
-// publishSnapshot is the copy-on-publish commit point, running on the
-// project's shard worker at the end of a refresh: it assigns the next
-// generation, installs the result (retained ring, snapshot pointer, watch
-// fan-out — shared with replication apply via installResult), and hands
-// the publish to the cluster replication hook when one is registered.
-func (p *Platform) publishSnapshot(proj *Project, res *InferenceResult) {
-	prev := proj.snapshot.Load()
+// publishSnapshot is the copy-on-publish commit point at the end of a home
+// refresh: it assigns the next generation, installs the result with the
+// assignment state built from the same fit (installResult), and hands the
+// publish to the cluster replication hook when one is registered.
+//
+//tcrowd:locked Project.inferMu
+func (p *Platform) publishSnapshot(proj *Project, res *InferenceResult, tasks *assign.State) {
+	var prev *InferenceResult
 	res.Generation = 1
 	delta := res.AnswersSeen
-	if prev != nil {
+	if g := proj.gens.Load(); g != nil {
+		prev = g.latest()
 		res.Generation = prev.Generation + 1
 		delta = res.AnswersSeen - prev.AnswersSeen
 	}
@@ -1274,51 +1228,48 @@ func (p *Platform) publishSnapshot(proj *Project, res *InferenceResult) {
 		Workers:       len(res.WorkerQuality),
 		Converged:     res.Converged,
 	}
-	p.installResult(proj, res, ev)
+	p.installResult(proj, res, ev, tasks)
 	if hook := p.pubHook.Load(); hook != nil {
 		(*hook)(ProjectMeta{ID: proj.ID, Schema: proj.Table.Schema, Entities: proj.Table.Entities}, res, ev)
 	}
 }
 
-// installResult enters a numbered result into the project's serving state:
-// the retained ring (count cap, then the optional byte cap), the
-// latest-event slot, the atomic snapshot pointer, and the watch fan-out.
-// It is the half of a publish shared by home refreshes (publishSnapshot)
-// and follower replication (ApplyReplicatedGeneration). Callers guarantee
-// res.Generation exceeds the currently installed generation.
-func (p *Platform) installResult(proj *Project, res *InferenceResult, ev api.WatchEvent) {
+// installResult is the one writer of a project's published state, shared
+// by home refreshes (publishSnapshot), follower replication
+// (ApplyReplicatedGeneration) and handoff seeding (AdoptWAL). It refuses a
+// result whose generation does not exceed the installed latest, so the
+// latest generation never goes backwards. Otherwise it builds the new
+// retained ring — the newest generations under the count cap and the
+// optional byte cap, the latest whatever its size — swaps in the new
+// value with ev and tasks, and fans ev out to watchers. inferMu
+// serialises every install, so no two interleave. It reports whether res
+// was installed.
+//
+//tcrowd:locked Project.inferMu
+func (p *Platform) installResult(proj *Project, res *InferenceResult, ev api.WatchEvent, tasks *assign.State) bool {
+	var old []*InferenceResult
+	if cur := proj.gens.Load(); cur != nil {
+		if res.Generation <= cur.latest().Generation {
+			return false
+		}
+		old = cur.retained
+	}
 	res.memSize = res.estimateMemSize()
-	proj.genMu.Lock()
-	if len(proj.retained) < p.retain {
-		proj.retained = append(proj.retained, res)
-	} else {
-		// Shift-in-place eviction: the backing array is at capacity for
-		// the life of the project, so steady-state publishes allocate
-		// nothing here (an append/reslice ring re-allocates every few
-		// publishes as the trimmed capacity runs out).
-		copy(proj.retained, proj.retained[1:])
-		proj.retained[len(proj.retained)-1] = res
-	}
-	if p.retainBytes > 0 {
-		var total int64
-		for _, r := range proj.retained {
-			total += r.memSize
+	// Keep the longest run of newest older generations that fits both
+	// caps: the count cap leaves room for res, the byte cap counts it.
+	keep, total := 0, res.memSize
+	for i := len(old) - 1; i >= 0 && keep < p.retain-1; i-- {
+		total += old[i].memSize
+		if p.retainBytes > 0 && total > p.retainBytes {
+			break
 		}
-		// Evict oldest-first past the byte cap; the latest generation is
-		// always retained, however large. The backing array keeps its
-		// capacity (nil-out then reslice), so the count-cap fast path
-		// above stays allocation-free.
-		for total > p.retainBytes && len(proj.retained) > 1 {
-			total -= proj.retained[0].memSize
-			copy(proj.retained, proj.retained[1:])
-			proj.retained[len(proj.retained)-1] = nil
-			proj.retained = proj.retained[:len(proj.retained)-1]
-		}
+		keep++
 	}
-	proj.lastEvent = ev
-	proj.genMu.Unlock()
-	proj.snapshot.Store(res)
+	ring := make([]*InferenceResult, 0, keep+1)
+	ring = append(append(ring, old[len(old)-keep:]...), res)
+	proj.gens.Store(&generations{retained: ring, event: ev, tasks: tasks})
 	proj.hub.publish(ev)
+	return true
 }
 
 // changedCells diffs two published results: the count of estimate cells

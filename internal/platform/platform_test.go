@@ -19,6 +19,22 @@ func demoSchema() tabular.Schema {
 	}
 }
 
+// submitOne records one answer, addressed by column name, through
+// SubmitBatch. It returns the batch's error, or the shard error behind a
+// shed refresh.
+func submitOne(p *Platform, project string, u tabular.WorkerID, row int, column string, v tabular.Value) error {
+	proj, err := p.Project(project)
+	if err != nil {
+		return err
+	}
+	a := tabular.Answer{Worker: u, Cell: tabular.Cell{Row: row, Col: proj.Table.Schema.ColumnIndex(column)}, Value: v}
+	res, err := p.SubmitBatch(project, []tabular.Answer{a})
+	if err != nil {
+		return err
+	}
+	return res.RefreshErr
+}
+
 func TestCreateProjectValidation(t *testing.T) {
 	p := New(1)
 	if _, err := p.CreateProject("a", demoSchema(), ProjectConfig{Rows: 3}); err != nil {
@@ -84,7 +100,7 @@ func TestFewestAnswersFirstBalances(t *testing.T) {
 	}
 	// w1 answers cell (0, category); the next worker should be steered to
 	// less-covered cells first.
-	if err := p.Submit("a", "w1", 0, "category", tabular.LabelValue(0)); err != nil {
+	if err := submitOne(p, "a", "w1", 0, "category", tabular.LabelValue(0)); err != nil {
 		t.Fatal(err)
 	}
 	tasks, err := p.RequestTasks("a", "w2", 5)
@@ -103,26 +119,26 @@ func TestSubmitValidation(t *testing.T) {
 	if _, err := p.CreateProject("a", demoSchema(), ProjectConfig{Rows: 2}); err != nil {
 		t.Fatal(err)
 	}
-	ok := p.Submit("a", "w1", 0, "price", tabular.NumberValue(42))
+	ok := submitOne(p, "a", "w1", 0, "price", tabular.NumberValue(42))
 	if ok != nil {
 		t.Fatal(ok)
 	}
-	if err := p.Submit("a", "w1", 0, "price", tabular.NumberValue(43)); !errors.Is(err, ErrAlreadyAnswered) {
+	if err := submitOne(p, "a", "w1", 0, "price", tabular.NumberValue(43)); !errors.Is(err, ErrAlreadyAnswered) {
 		t.Fatal("double answer accepted")
 	}
-	if err := p.Submit("a", "w1", 0, "zzz", tabular.NumberValue(1)); err == nil {
+	if err := submitOne(p, "a", "w1", 0, "zzz", tabular.NumberValue(1)); err == nil {
 		t.Fatal("unknown column accepted")
 	}
-	if err := p.Submit("a", "w1", 99, "price", tabular.NumberValue(1)); err == nil {
+	if err := submitOne(p, "a", "w1", 99, "price", tabular.NumberValue(1)); err == nil {
 		t.Fatal("bad row accepted")
 	}
-	if err := p.Submit("a", "w1", 0, "category", tabular.NumberValue(1)); err == nil {
+	if err := submitOne(p, "a", "w1", 0, "category", tabular.NumberValue(1)); err == nil {
 		t.Fatal("mistyped value accepted")
 	}
-	if err := p.Submit("a", "", 1, "price", tabular.NumberValue(1)); err == nil {
+	if err := submitOne(p, "a", "", 1, "price", tabular.NumberValue(1)); err == nil {
 		t.Fatal("empty worker accepted")
 	}
-	if err := p.Submit("zzz", "w", 0, "price", tabular.NumberValue(1)); !errors.Is(err, ErrNoProject) {
+	if err := submitOne(p, "zzz", "w", 0, "price", tabular.NumberValue(1)); !errors.Is(err, ErrNoProject) {
 		t.Fatal("phantom project accepted")
 	}
 	st, err := p.Stats("a")
@@ -138,13 +154,13 @@ func TestEndToEndInference(t *testing.T) {
 	}
 	// Three workers agree that row 0 is a movie priced ~100.
 	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
-		if err := p.Submit("a", w, 0, "category", tabular.LabelValue(1)); err != nil {
+		if err := submitOne(p, "a", w, 0, "category", tabular.LabelValue(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for i, x := range []float64{99, 100, 101} {
 		w := tabular.WorkerID([]string{"w1", "w2", "w3"}[i])
-		if err := p.Submit("a", w, 0, "price", tabular.NumberValue(x)); err != nil {
+		if err := submitOne(p, "a", w, 0, "price", tabular.NumberValue(x)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -190,7 +206,7 @@ func TestTCrowdAssignmentEngine(t *testing.T) {
 		} else {
 			v = tabular.NumberValue(50)
 		}
-		if err := p.Submit("a", "w1", task.Row, task.Column, v); err != nil {
+		if err := submitOne(p, "a", "w1", task.Row, task.Column, v); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,7 +239,7 @@ func TestPlatformWithSimulatedCrowd(t *testing.T) {
 			for _, task := range tasks {
 				j := ds.Table.Schema.ColumnIndex(task.Column)
 				v := crowd.AnswerValue(w, tabular.Cell{Row: task.Row, Col: j})
-				if err := p.Submit("sim", w.ID, task.Row, task.Column, v); err != nil {
+				if err := submitOne(p, "sim", w.ID, task.Row, task.Column, v); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"tcrowd/api"
-	"tcrowd/internal/metrics"
 	"tcrowd/internal/tabular"
 	"tcrowd/internal/wal"
 )
@@ -86,7 +85,7 @@ func (p *Platform) SetPublishHook(h PublishHook) {
 // node to its followers: the project's registration facts (so a follower
 // can create the project on first contact) plus the full immutable result
 // and the watch event the home fanned out. Applying the same payload on
-// any node yields byte-identical estimate pages — the result fields are
+// any node yields byte-identical estimate pages — the embedded result is
 // exactly what the page writer (pageWriter.write) consumes. WAL carries
 // the home's live WAL segments as read when the generation was sent; the
 // follower keeps them as its durable mirror of the project.
@@ -95,12 +94,7 @@ type ReplicatedGeneration struct {
 	Schema   tabular.Schema `json:"schema"`
 	Entities []string       `json:"entities"`
 
-	Generation    int                          `json:"generation"`
-	AnswersSeen   int                          `json:"answers_seen"`
-	Iterations    int                          `json:"iterations"`
-	Converged     bool                         `json:"converged"`
-	Estimates     metrics.Estimates            `json:"estimates"`
-	WorkerQuality map[tabular.WorkerID]float64 `json:"worker_quality,omitempty"`
+	InferenceResult
 
 	// Event is the watch event the home node published for this
 	// generation; followers fan it out to their own watchers verbatim.
@@ -113,31 +107,32 @@ type ReplicatedGeneration struct {
 // cluster layer calls this from its publish hook.
 func BuildReplicatedGeneration(meta ProjectMeta, res *InferenceResult, ev api.WatchEvent) ReplicatedGeneration {
 	return ReplicatedGeneration{
-		Project:       meta.ID,
-		Schema:        meta.Schema,
-		Entities:      meta.Entities,
-		Generation:    res.Generation,
-		AnswersSeen:   res.AnswersSeen,
-		Iterations:    res.Iterations,
-		Converged:     res.Converged,
-		Estimates:     res.Estimates,
-		WorkerQuality: res.WorkerQuality,
-		Event:         ev,
+		Project:         meta.ID,
+		Schema:          meta.Schema,
+		Entities:        meta.Entities,
+		InferenceResult: *res,
+		Event:           ev,
 	}
 }
 
 // result rehydrates the payload into the immutable form the serving path
-// consumes. The payload is decoded fresh per request, so sharing its
-// slices/maps with the result is safe.
+// consumes: a copy of the embedded result, so a retained generation does
+// not keep the payload's WAL segments alive. The payload is decoded fresh
+// per request, so sharing its slices/maps with the result is safe.
 func (g *ReplicatedGeneration) result() *InferenceResult {
-	return &InferenceResult{
-		Estimates:     g.Estimates,
-		WorkerQuality: g.WorkerQuality,
-		Iterations:    g.Iterations,
-		Converged:     g.Converged,
-		Generation:    g.Generation,
-		AnswersSeen:   g.AnswersSeen,
+	res := g.InferenceResult
+	return &res
+}
+
+// watchEvent returns the event to fan out for the payload installed under
+// project: the shipped Event, or — defensively, when that disagrees with
+// the result it announces — one rebuilt from the result.
+func (g *ReplicatedGeneration) watchEvent(project string) api.WatchEvent {
+	if g.Event.Generation == g.Generation && g.Event.Project == project {
+		return g.Event
 	}
+	return api.WatchEvent{Project: project, Generation: g.Generation, AnswersSeen: g.AnswersSeen,
+		Workers: len(g.WorkerQuality), Converged: g.Converged}
 }
 
 // validate checks the payload is internally consistent before any state
@@ -201,38 +196,36 @@ func (p *Platform) ApplyReplicatedGeneration(g *ReplicatedGeneration, home strin
 	proj.homeAddr = home
 	p.mu.Unlock()
 
-	// Serialise applies per project, and against RemoveReplica: the
-	// stale-check, install and mirror write must be atomic. inferMu is
-	// otherwise unused on followers (they never run inference), so it
-	// doubles as the apply mutex.
+	// Serialise applies per project, and against RemoveReplica and
+	// AdoptWAL: the liveness and stale checks, install and mirror write
+	// must be atomic. inferMu is otherwise unused on followers (they never
+	// run inference), so it doubles as the apply mutex. A replica removed
+	// or promoted since the lookup above takes nothing: its watchers and
+	// generations have moved on, or gone.
 	proj.inferMu.Lock()
 	defer proj.inferMu.Unlock()
-	cur := proj.snapshot.Load()
-	if cur != nil && g.Generation < cur.Generation {
+	p.mu.Lock()
+	live := p.projects[g.Project] == proj
+	p.mu.Unlock()
+	if !live {
 		return nil
 	}
-	if cur == nil || g.Generation > cur.Generation {
-		ev := g.Event
-		if ev.Generation != g.Generation || ev.Project != g.Project {
-			// Defensive: never fan out an event that disagrees with the
-			// result it announces.
-			ev = api.WatchEvent{Project: g.Project, Generation: g.Generation, AnswersSeen: g.AnswersSeen,
-				Workers: len(g.WorkerQuality), Converged: g.Converged}
-		}
+	cur := proj.gens.Load()
+	if cur != nil && g.Generation < cur.latest().Generation {
+		return nil
+	}
+	if cur == nil || g.Generation > cur.latest().Generation {
 		p.mu.Lock()
 		proj.replicaAnswers = g.AnswersSeen
 		proj.replicaWorkers = len(g.WorkerQuality)
 		p.mu.Unlock()
-		p.installResult(proj, g.result(), ev)
+		p.installResult(proj, g.result(), g.watchEvent(g.Project), nil)
 	}
 	// The mirror is written after the install, so readers never wait on
 	// its fsyncs. A failed write does not fail the apply, or the shipper
 	// would resend and stall the peer's stream behind one disk fault: the
-	// next ship rewrites the whole mirror. A removed replica writes nothing.
-	p.mu.Lock()
-	live := p.projects[g.Project] == proj
-	p.mu.Unlock()
-	if live && p.walOpts != nil && len(g.WAL) > 0 {
+	// next ship rewrites the whole mirror.
+	if p.walOpts != nil && len(g.WAL) > 0 {
 		_ = wal.WriteSegments(p.walOpts.fs(), p.walOpts.projDir(g.Project), g.WAL)
 	}
 	return nil
@@ -250,14 +243,11 @@ func (p *Platform) LatestReplicated(projectID string) (ReplicatedGeneration, boo
 	}
 	meta := ProjectMeta{ID: proj.ID, Schema: proj.Table.Schema, Entities: proj.Table.Entities}
 	p.mu.Unlock()
-	res := proj.snapshot.Load()
-	if res == nil {
+	g := proj.gens.Load()
+	if g == nil {
 		return ReplicatedGeneration{}, false, nil
 	}
-	proj.genMu.RLock()
-	ev := proj.lastEvent
-	proj.genMu.RUnlock()
-	return BuildReplicatedGeneration(meta, res, ev), true, nil
+	return BuildReplicatedGeneration(meta, g.latest(), g.event), true, nil
 }
 
 // IsFollower reports whether the project lives on this node in follower
@@ -294,9 +284,11 @@ func (p *Platform) ShipWAL(projectID string) ([]wal.ShippedSegment, error) {
 // AdoptWAL promotes this node to the project's home from a handoff push:
 // the previous home ships its full segment set plus its latest published
 // generation, and the receiver rebuilds the project from the shipped WAL
-// through the ordinary recovery path. The seed generation is installed
-// first so generation numbering continues where the old home left off
-// (pinned readers and watchers never see the counter restart).
+// through the ordinary recovery path. A promoted replica's published
+// generations and watchers carry over into the rebuilt project, and the
+// seed generation installs on top when it is newer, so generation
+// numbering continues where the old home left off (pinned readers and
+// watchers never see the counter restart or step back).
 //
 // Returns adopted=false (and no error) when the project is already homed
 // here — the idempotent answer to a duplicate push.
@@ -315,58 +307,41 @@ func (p *Platform) AdoptWAL(projectID string, segs []wal.ShippedSegment, seed *R
 	}
 	if exists {
 		// Promoting an in-memory follower: drop it and rebuild from the
-		// authoritative shipped WAL; its hub and retained generations are
-		// carried over below so watchers and pinned readers survive.
+		// authoritative shipped WAL.
 		delete(p.projects, projectID)
 	}
 	p.mu.Unlock()
+	if exists {
+		// Wait out an apply still installing on the replica; later ones
+		// find it unregistered and install nothing, so its generations are
+		// final once this returns.
+		old.inferMu.Lock()
+		old.inferMu.Unlock()
+	}
 
 	dir := p.walOpts.projDir(projectID)
 	if err := wal.WriteSegments(p.walOpts.fs(), dir, segs); err != nil {
 		return false, err
 	}
-	proj, _, err := p.recoverProject(dir)
+	proj, _, err := p.recoverProject(dir, old)
 	if err != nil {
 		return false, err
 	}
 	if proj == nil {
 		return false, fmt.Errorf("platform: pushed WAL for %q held no records", projectID)
 	}
-	if exists {
-		// Continuity for clients already attached to the replica: existing
-		// watchers keep their subscription (the old hub replaces the fresh
-		// one) and pinned reads against replicated generations keep
-		// resolving (the old retained ring seeds the new one).
-		p.mu.Lock()
-		proj.hub = old.hub
-		p.mu.Unlock()
-		old.genMu.RLock()
-		retained := append([]*InferenceResult(nil), old.retained...)
-		lastEv := old.lastEvent
-		old.genMu.RUnlock()
-		proj.genMu.Lock()
-		n := len(retained)
-		if n > cap(proj.retained) {
-			retained = retained[n-cap(proj.retained):]
-		}
-		proj.retained = append(proj.retained[:0], retained...)
-		proj.lastEvent = lastEv
-		proj.genMu.Unlock()
-		if latest := old.snapshot.Load(); latest != nil {
-			proj.snapshot.Store(latest)
-		}
-	}
 	if seed != nil && seed.Generation > 0 {
-		if cur := proj.snapshot.Load(); cur == nil || seed.Generation > cur.Generation {
-			ev := seed.Event
-			if ev.Generation != seed.Generation || ev.Project != projectID {
-				ev = api.WatchEvent{Project: projectID, Generation: seed.Generation,
-					AnswersSeen: seed.AnswersSeen, Workers: len(seed.WorkerQuality), Converged: seed.Converged}
-			}
-			p.installResult(proj, seed.result(), ev)
-		}
+		// A refresh on the new home may already have published past the
+		// seed; installResult then keeps the newer generation.
+		proj.inferMu.Lock()
+		p.installResult(proj, seed.result(), seed.watchEvent(projectID), nil)
+		proj.inferMu.Unlock()
 	}
-	if proj.Log.Len() > 0 {
+	// The project is registered: submissions may be appending already.
+	p.mu.Lock()
+	warm := proj.Log.Len() > 0
+	p.mu.Unlock()
+	if warm {
 		// Warm the model like boot recovery does: the first post-handoff
 		// read should not pay the cold fit.
 		_ = p.sched.Submit(proj.ID, func() error { return p.refreshProject(proj) })

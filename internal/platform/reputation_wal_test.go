@@ -171,6 +171,12 @@ func TestWALCheckpointCarriesReputation(t *testing.T) {
 	fs := wal.NewMemFS()
 	const rows = 40
 	p, _ := banPlatform(t, fs, rows)
+	// A refresh pushes model quality into the reputation engine: run the
+	// one the first submission enqueued, and a last one over the whole
+	// log, before the checkpoint, so none lands between it and the read.
+	if _, err := p.RunInference("guard"); err != nil {
+		t.Fatal(err)
+	}
 	proj, err := p.Project("guard")
 	if err != nil {
 		t.Fatal(err)
@@ -183,11 +189,14 @@ func TestWALCheckpointCarriesReputation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p2, _, err := Recover(7, walTestOpts(fs, wal.SyncAlways))
-	if err != nil {
+	// Replay through recoverProject, the per-project half of Recover: it
+	// schedules no warmup refresh, whose model-quality push would rewrite
+	// ModelQ under the read.
+	p2 := NewWithOptions(7, walTestOpts(fs, wal.SyncAlways))
+	defer p2.Close()
+	if _, _, err := p2.recoverProject(p2.walOpts.projDir("guard"), nil); err != nil {
 		t.Fatalf("recover from checkpoint: %v", err)
 	}
-	defer p2.Close()
 	after, _, err := p2.WorkerReputations("guard")
 	if err != nil {
 		t.Fatal(err)

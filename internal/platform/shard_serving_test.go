@@ -74,7 +74,7 @@ func waitFor(t *testing.T, cond func() bool) {
 // seedProject creates a project with a few answers and exactly one
 // published snapshot, generation 1. RefreshEvery is 1 so every later
 // submission exercises the refresh enqueue (the backpressure tests need
-// each Submit to touch the queue). The answers go in as one batch: one
+// each submission to touch the queue). The answers go in as one batch: one
 // refresh then covers all of them, where separate submits could let an
 // async refresh publish a partial log before RunInference publishes again.
 func seedProject(t *testing.T, p *Platform, id string) {
@@ -106,7 +106,7 @@ func TestSubmitPublishesSnapshotAsync(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
-		if err := p.Submit("a", w, 0, "category", tabular.LabelValue(2)); err != nil {
+		if err := submitOne(p, "a", w, 0, "category", tabular.LabelValue(2)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -127,8 +127,8 @@ func TestSubmitPublishesSnapshotAsync(t *testing.T) {
 // TestSnapshotNeverBlocksOnSaturatedShard is the acceptance-criterion test
 // for non-blocking reads: with the project's shard wedged (stuck worker,
 // full queue), Snapshot still serves the last published estimates
-// immediately, RunInference and Submit surface typed backpressure, and the
-// recorded answer is not lost.
+// immediately, RunInference and a submission surface typed backpressure,
+// and the recorded answer is not lost.
 func TestSnapshotNeverBlocksOnSaturatedShard(t *testing.T) {
 	p := NewWithOptions(42, Options{Workers: 1, QueueDepth: 1})
 	defer p.Close()
@@ -165,9 +165,9 @@ func TestSnapshotNeverBlocksOnSaturatedShard(t *testing.T) {
 	}
 
 	// Submission: answer recorded, refresh shed, typed error returned.
-	err = p.Submit("a", "w9", 1, "price", tabular.NumberValue(7))
+	err = submitOne(p, "a", "w9", 1, "price", tabular.NumberValue(7))
 	if !errors.Is(err, shard.ErrShardSaturated) {
-		t.Fatalf("Submit on saturated shard: %v", err)
+		t.Fatalf("submission on saturated shard: %v", err)
 	}
 	proj, _ := p.Project("a")
 	if !proj.Log.HasAnswered("w9", tabular.Cell{Row: 1, Col: 1}) {
@@ -222,7 +222,7 @@ func TestShardIsolationAcrossProjects(t *testing.T) {
 	}
 	// ...while the cold project's refreshes proceed, promptly and with
 	// fresh data.
-	if err := p.Submit(coldID, "w8", 1, "price", tabular.NumberValue(55)); err != nil {
+	if err := submitOne(p, coldID, "w8", 1, "price", tabular.NumberValue(55)); err != nil {
 		t.Fatal(err)
 	}
 	done := make(chan error, 1)
@@ -356,7 +356,7 @@ func TestRefreshCadenceGatesEnqueue(t *testing.T) {
 	}
 	submit := func(w string, row int) {
 		t.Helper()
-		if err := p.Submit("a", tabular.WorkerID(w), row, "price", tabular.NumberValue(9)); err != nil {
+		if err := submitOne(p, "a", tabular.WorkerID(w), row, "price", tabular.NumberValue(9)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -402,7 +402,7 @@ func TestShedRefreshRetriesNextSubmission(t *testing.T) {
 		t.Fatal(err)
 	}
 	submit := func(w string, row int) error {
-		return p.Submit("a", tabular.WorkerID(w), row, "price", tabular.NumberValue(9))
+		return submitOne(p, "a", tabular.WorkerID(w), row, "price", tabular.NumberValue(9))
 	}
 	drained := func() bool {
 		m := p.ShardMetrics()[0]
@@ -504,7 +504,7 @@ func TestCloseDrainsPlatform(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
-		if err := p.Submit("a", w, 0, "category", tabular.LabelValue(0)); err != nil {
+		if err := submitOne(p, "a", w, 0, "category", tabular.LabelValue(0)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -520,7 +520,7 @@ func TestCloseDrainsPlatform(t *testing.T) {
 	if _, err := p.RunInference("a"); !errors.Is(err, shard.ErrClosed) {
 		t.Fatalf("RunInference after Close: %v", err)
 	}
-	if err := p.Submit("a", "w4", 1, "price", tabular.NumberValue(3)); !errors.Is(err, shard.ErrClosed) {
-		t.Fatalf("Submit after Close: %v", err)
+	if err := submitOne(p, "a", "w4", 1, "price", tabular.NumberValue(3)); !errors.Is(err, shard.ErrClosed) {
+		t.Fatalf("submission after Close: %v", err)
 	}
 }

@@ -32,7 +32,7 @@ func TestRunInferenceStreamsDelta(t *testing.T) {
 	}
 	submit := func(worker string, row int, col string, v tabular.Value) {
 		t.Helper()
-		if err := p.Submit("r", tabular.WorkerID(worker), row, col, v); err != nil {
+		if err := submitOne(p, "r", tabular.WorkerID(worker), row, col, v); err != nil {
 			t.Fatal(err)
 		}
 	}

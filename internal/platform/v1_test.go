@@ -289,10 +289,10 @@ func TestV1EstimatesPagination(t *testing.T) {
 	}
 	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
 		for row := 0; row < 4; row++ {
-			if err := p.Submit("a", w, row, "category", tabular.LabelValue(row%3)); err != nil {
+			if err := submitOne(p, "a", w, row, "category", tabular.LabelValue(row%3)); err != nil {
 				t.Fatal(err)
 			}
-			if err := p.Submit("a", w, row, "price", tabular.NumberValue(float64(10*row+1))); err != nil {
+			if err := submitOne(p, "a", w, row, "price", tabular.NumberValue(float64(10*row+1))); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -422,7 +422,7 @@ func TestTasksNotBlockedByWedgedShard(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
-			if err := p.Submit(id, w, 0, "category", tabular.LabelValue(1)); err != nil {
+			if err := submitOne(p, id, w, 0, "category", tabular.LabelValue(1)); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -503,7 +503,7 @@ func TestAssignRefreshRunsOnShardWorker(t *testing.T) {
 	}
 	waitFor(t, func() bool { return p.ShardMetrics()[0].Depth == 0 })
 	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
-		if err := p.Submit("a", w, 0, "category", tabular.LabelValue(1)); err != nil {
+		if err := submitOne(p, "a", w, 0, "category", tabular.LabelValue(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -537,8 +537,8 @@ func TestAssignRefreshRunsOnShardWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ts := proj.tasks.Load(); ts == nil || ts.answersSeen != 3 {
-		t.Fatalf("assignment state after the wait: %+v, want one covering 3 answers", ts)
+	if g := proj.gens.Load(); g == nil || g.tasks == nil || g.latest().AnswersSeen != 3 {
+		t.Fatalf("assignment state after the wait: %+v, want one covering 3 answers", g)
 	}
 	// The blocker and the one estimate refresh: no job ran for assignment.
 	if after := p.ShardMetrics()[0]; after.Completed != before.Completed+2 || after.Enqueued != before.Enqueued {
@@ -592,7 +592,7 @@ func TestTasksBoundedWaitBehindBusyShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, w := range []tabular.WorkerID{"w1", "w2", "w3"} {
-		if err := p.Submit("a", w, 0, "category", tabular.LabelValue(1)); err != nil {
+		if err := submitOne(p, "a", w, 0, "category", tabular.LabelValue(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -609,7 +609,7 @@ func TestTasksBoundedWaitBehindBusyShard(t *testing.T) {
 	waitFor(t, func() bool { return p.ShardMetrics()[0].Depth == 0 }) // blocker occupies the worker
 	// Make the engine stale so the task request actually enqueues a
 	// refresh (an up-to-date engine skips the shard round trip entirely).
-	if err := p.Submit("a", "w4", 1, "price", tabular.NumberValue(8)); err != nil {
+	if err := submitOne(p, "a", "w4", 1, "price", tabular.NumberValue(8)); err != nil {
 		t.Fatal(err)
 	}
 

@@ -210,8 +210,8 @@ func (p *Platform) compactProject(proj *Project) error {
 		return err
 	}
 	gen := 0
-	if snap := proj.snapshot.Load(); snap != nil {
-		gen = snap.Generation
+	if g := proj.gens.Load(); g != nil {
+		gen = g.latest().Generation
 	}
 	var repSnaps []reputation.WorkerSnapshot
 	if proj.rep != nil {
@@ -283,7 +283,7 @@ func Recover(seed int64, opts Options) (*Platform, RecoveryReport, error) {
 			_ = fs.RemoveAll(dir) // crashed delete: finish it
 			continue
 		}
-		proj, projRep, err := p.recoverProject(dir)
+		proj, projRep, err := p.recoverProject(dir, nil)
 		if err != nil {
 			p.Close()
 			return nil, rep, fmt.Errorf("platform: recover %s: %w", e.Name(), err)
@@ -307,8 +307,12 @@ func Recover(seed int64, opts Options) (*Platform, RecoveryReport, error) {
 }
 
 // recoverProject replays one project directory. A nil project with nil
-// error means the directory held no durable records and was removed.
-func (p *Platform) recoverProject(dir string) (*Project, wal.Replay, error) {
+// error means the directory held no durable records and was removed. A
+// non-nil from is a replica being promoted (AdoptWAL): the rebuilt project
+// takes over its watch hub and published generations under the p.mu hold
+// that registers it, so no request and no refresh ever sees it without
+// them.
+func (p *Platform) recoverProject(dir string, from *Project) (*Project, wal.Replay, error) {
 	l, replay, err := wal.Open(dir, p.walOpts.walOptions(""))
 	if err != nil {
 		return nil, wal.Replay{}, err
@@ -410,6 +414,10 @@ func (p *Platform) recoverProject(dir string) (*Project, wal.Replay, error) {
 	}
 	if err == nil {
 		proj.wal = l
+		if from != nil {
+			proj.hub = from.hub
+			proj.gens.Store(from.gens.Load())
+		}
 	} else if proj != nil {
 		delete(p.projects, proj.ID)
 	}

@@ -54,7 +54,7 @@ func TestWALRecoverRoundTrip(t *testing.T) {
 	if _, err := p.SubmitBatch("alpha", want); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Submit("alpha", "w2", 1, "price", tabular.NumberValue(99)); err != nil {
+	if err := submitOne(p, "alpha", "w2", 1, "price", tabular.NumberValue(99)); err != nil {
 		t.Fatal(err)
 	}
 	want = append(want, tabular.Answer{Worker: "w2", Cell: tabular.Cell{Row: 1, Col: 1}, Value: tabular.NumberValue(99)})

@@ -1,16 +1,13 @@
 package stats
 
-import (
-	"math"
-	"math/rand"
-)
+import "math"
 
 // Normal is a univariate normal distribution parameterised by mean and
 // variance (the paper works in variances throughout, e.g. phi_u is the
 // variance of worker u's answers).
 type Normal struct {
 	Mu  float64 // mean
-	Var float64 // variance, must be > 0 for PDF/Sample
+	Var float64 // variance, must be > 0 for PDF
 }
 
 // PDF returns the density at x.
@@ -30,11 +27,6 @@ func (n Normal) LogPDF(x float64) float64 {
 	return -0.5*math.Log(2*math.Pi*n.Var) - d*d/(2*n.Var)
 }
 
-// Sample draws one value using rng.
-func (n Normal) Sample(rng *rand.Rand) float64 {
-	return n.Mu + math.Sqrt(n.Var)*rng.NormFloat64()
-}
-
 // Entropy returns the differential entropy 0.5*ln(2*pi*e*Var) (Sec. 5.1 of
 // the paper, H_d). It is -Inf for degenerate distributions.
 func (n Normal) Entropy() float64 {
@@ -44,31 +36,12 @@ func (n Normal) Entropy() float64 {
 	return 0.5 * math.Log(2*math.Pi*math.E*n.Var)
 }
 
-// Mean returns the mean.
-func (n Normal) Mean() float64 { return n.Mu }
-
 // Bernoulli is a {0,1} distribution with success probability P. The paper
 // uses it for categorical error indicators (e = 1 means the answer was
 // wrong).
 type Bernoulli struct {
 	P float64
 }
-
-// Sample draws a value in {0,1}.
-func (b Bernoulli) Sample(rng *rand.Rand) int {
-	if rng.Float64() < b.P {
-		return 1
-	}
-	return 0
-}
-
-// Entropy returns the Shannon entropy in nats.
-func (b Bernoulli) Entropy() float64 {
-	return ShannonEntropy([]float64{1 - b.P, b.P})
-}
-
-// Mean returns P.
-func (b Bernoulli) Mean() float64 { return b.P }
 
 // Categorical is a distribution over {0, .., len(P)-1}.
 type Categorical struct {
@@ -96,22 +69,6 @@ func (c Categorical) Normalize() Categorical {
 	}
 	return Categorical{P: q}
 }
-
-// Sample draws a label index.
-func (c Categorical) Sample(rng *rand.Rand) int {
-	u := rng.Float64()
-	acc := 0.0
-	for i, p := range c.P {
-		acc += p
-		if u < acc {
-			return i
-		}
-	}
-	return len(c.P) - 1
-}
-
-// Entropy returns the Shannon entropy in nats (H_s in Sec. 5.1).
-func (c Categorical) Entropy() float64 { return ShannonEntropy(c.P) }
 
 // ShannonEntropy returns -sum p*ln(p) over the probability vector ps,
 // treating 0*ln(0) as 0. Values are not re-normalised.
@@ -177,10 +134,4 @@ func (b BivariateNormal) ConditionalY(x float64) Normal {
 		v = 1e-12
 	}
 	return Normal{Mu: mu, Var: v}
-}
-
-// Sample draws a correlated pair.
-func (b BivariateNormal) Sample(rng *rand.Rand) (x, y float64) {
-	x = Normal{Mu: b.MuX, Var: b.VarX}.Sample(rng)
-	return x, b.ConditionalY(x).Sample(rng)
 }
