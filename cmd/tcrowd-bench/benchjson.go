@@ -814,8 +814,8 @@ func runBenchJSON(n int, only []string) error {
 
 // benchSelected reports whether a series name passes the -bench-only
 // filter (empty filter = run everything). Prefix match, same convention
-// as the -gate list, so "-bench-only shard/" runs exactly the multi-core
-// scheduler series.
+// as compare.go's gatePrefixes, so "-bench-only shard/" runs exactly the
+// multi-core scheduler series.
 func benchSelected(name string, only []string) bool {
 	if len(only) == 0 {
 		return true

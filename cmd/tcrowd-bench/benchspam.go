@@ -18,7 +18,7 @@ import (
 // final-estimate accuracy of both runs lands in the BENCH file as custom
 // metrics (acc_off_pct / acc_on_pct / gap_pct, plus the flagged-worker
 // precision and recall of the defended run). The series is NOT under the
-// ns/op regression gate (`sim/` is absent from the -gate default): its
+// ns/op regression gate (`sim/` is not among compare.go's gatePrefixes): its
 // contract is the accuracy gap, asserted by the committed BENCH numbers
 // and by client.TestAdversarialSpamDefenseEndToEnd at the wire.
 

@@ -157,92 +157,47 @@ func raceReaders(t *testing.T, p *Platform, id string, publish func()) {
 	}
 }
 
-// TestAdoptWALGenerationsStayMonotone promotes a follower that holds
-// generations through AdoptWAL, handing it a seed newer than anything it
-// holds, while submissions on the new home trigger refreshes. The
-// watcher the replica carried over sees strictly increasing generations,
-// and a pinned reader never sees the generation go backwards: not while
-// the rebuilt project registers, not when the seed installs, and not when
-// the new home's refreshes publish.
+// TestAdoptWALGenerationsStayMonotone promotes a node through AdoptWAL,
+// handing it a seed newer than anything it holds, while submissions on the
+// new home trigger refreshes: once a follower holding generations, once a
+// node that holds no replica. A pinned reader never sees the generation go
+// backwards or fall below the seed's once the project is rebuilt, and the
+// seed's generation number serves the seed's result, not a refresh the new
+// home numbered itself; the follower's carried-over watcher sees strictly
+// increasing generations past the seed, the seed's own event included.
 func TestAdoptWALGenerationsStayMonotone(t *testing.T) {
+	t.Run("replica", func(t *testing.T) { adoptWhileSubmitting(t, true) })
+	t.Run("no-replica", func(t *testing.T) { adoptWhileSubmitting(t, false) })
+}
+
+func adoptWhileSubmitting(t *testing.T, withReplica bool) {
 	home, _, err := Recover(1, walTestOpts(wal.NewMemFS(), wal.SyncNever))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer home.Close()
-	follower, _, err := Recover(2, walTestOpts(wal.NewMemFS(), wal.SyncNever))
+	// A ring wide enough that the seed's generation is still retained when
+	// the test reads it back.
+	opts := walTestOpts(wal.NewMemFS(), wal.SyncNever)
+	opts.RetainGenerations = 1000
+	node, _, err := Recover(2, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer follower.Close()
+	defer node.Close()
 	if _, err := home.CreateProject("p", demoSchema(), ProjectConfig{Rows: 3, RefreshEvery: 1}); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		publishOnce(t, home, "p", i)
-		g := shipLatest(t, home, "p")
-		if err := follower.ApplyReplicatedGeneration(&g, homeURL); err != nil {
-			t.Fatal(err)
+		if i < 3 && withReplica {
+			// The replica lags the seed by one.
+			g := shipLatest(t, home, "p")
+			if err := node.ApplyReplicatedGeneration(&g, homeURL); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
-	publishOnce(t, home, "p", 3) // the replica lags the seed by one
-	w, err := follower.Watch("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	errs := make(chan error, 3)
-	wg.Add(3)
-	go func() {
-		// Rejected (not home, then no project) until the promotion; each
-		// accepted answer enqueues a refresh.
-		defer wg.Done()
-		for i := 0; !stop.Load() && i < 5000; i++ {
-			a := tabular.Answer{Worker: tabular.WorkerID(fmt.Sprintf("new-%d", i)),
-				Cell: tabular.Cell{Row: i % 3, Col: 1}, Value: tabular.NumberValue(float64(i % 9))}
-			_, _ = follower.SubmitBatch("p", []tabular.Answer{a})
-			time.Sleep(50 * time.Microsecond)
-		}
-	}()
-	go func() {
-		defer wg.Done()
-		last := 0
-		for !stop.Load() {
-			res, err := follower.Snapshot("p")
-			if errors.Is(err, ErrNoProject) {
-				continue // the promotion window: the replica is unregistered
-			}
-			if err == nil && res.Generation < last {
-				err = fmt.Errorf("generation %d after %d", res.Generation, last)
-			}
-			if err == nil {
-				last = res.Generation
-				_, err = follower.SnapshotAt("p", last)
-				if errors.Is(err, ErrGenerationGone) || errors.Is(err, ErrNoProject) {
-					err = nil
-				}
-			}
-			if err != nil {
-				errs <- fmt.Errorf("pinned reader: %w", err)
-				return
-			}
-		}
-	}()
-	var events []int
-	go func() {
-		defer wg.Done()
-		for !stop.Load() {
-			select {
-			case ev := <-w.Events():
-				events = append(events, ev.Generation)
-			case <-time.After(time.Millisecond):
-			}
-		}
-	}()
-
 	segs, err := home.ShipWAL("p")
 	if err != nil {
 		t.Fatal(err)
@@ -251,11 +206,76 @@ func TestAdoptWALGenerationsStayMonotone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if adopted, err := follower.AdoptWAL("p", segs, &seed); err != nil || !adopted {
+	var events <-chan api.WatchEvent
+	if withReplica {
+		w, err := node.Watch("p")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		events = w.Events()
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	errs := make(chan error, 2)
+	wg.Add(3)
+	go func() {
+		// Rejected (not home, or no project) until the promotion; each
+		// accepted answer enqueues a refresh.
+		defer wg.Done()
+		for i := 0; !stop.Load() && i < 5000; i++ {
+			a := tabular.Answer{Worker: tabular.WorkerID(fmt.Sprintf("new-%d", i)),
+				Cell: tabular.Cell{Row: i % 3, Col: 1}, Value: tabular.NumberValue(float64(i % 9))}
+			_, _ = node.SubmitBatch("p", []tabular.Answer{a})
+			time.Sleep(50 * time.Microsecond)
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		last := 0
+		for !stop.Load() {
+			res, err := node.Snapshot("p")
+			if errors.Is(err, ErrNoProject) {
+				continue // before the promotion, or in its window
+			}
+			switch {
+			case !withReplica && err == nil && res.Generation < seed.Generation:
+				err = fmt.Errorf("generation %d below the seed's %d", res.Generation, seed.Generation)
+			case err == nil && res.Generation < last:
+				err = fmt.Errorf("generation %d after %d", res.Generation, last)
+			case err == nil && res.Generation == seed.Generation && !reflect.DeepEqual(*res, seed.InferenceResult):
+				err = fmt.Errorf("generation %d serves a result other than the seed's", res.Generation)
+			}
+			if err == nil {
+				last = res.Generation
+				if _, err = node.SnapshotAt("p", last); errors.Is(err, ErrNoProject) {
+					err = nil // the replica was unregistered since the read
+				}
+			}
+			if err != nil {
+				errs <- fmt.Errorf("pinned reader: %w", err)
+				return
+			}
+		}
+	}()
+	var seen []api.WatchEvent
+	go func() {
+		defer wg.Done()
+		for !stop.Load() && events != nil {
+			select {
+			case ev := <-events:
+				seen = append(seen, ev)
+			case <-time.After(time.Millisecond):
+			}
+		}
+	}()
+
+	if adopted, err := node.AdoptWAL("p", segs, &seed); err != nil || !adopted {
 		t.Fatalf("AdoptWAL: adopted=%v err=%v", adopted, err)
 	}
 	waitFor(t, func() bool {
-		res, err := follower.Snapshot("p")
+		res, err := node.Snapshot("p")
 		return err == nil && res.Generation >= seed.Generation+3
 	})
 	stop.Store(true)
@@ -264,21 +284,32 @@ func TestAdoptWALGenerationsStayMonotone(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	if res, err := node.SnapshotAt("p", seed.Generation); err != nil || !reflect.DeepEqual(*res, seed.InferenceResult) {
+		t.Fatalf("generation %d on the new home: err=%v, the seed's result=%v", seed.Generation, err, err == nil && reflect.DeepEqual(*res, seed.InferenceResult))
+	}
+	if !withReplica {
+		return
+	}
 	for drained := false; !drained; {
 		select {
-		case ev := <-w.Events():
-			events = append(events, ev.Generation)
+		case ev := <-events:
+			seen = append(seen, ev)
 		default:
 			drained = true
 		}
 	}
-	for i := 1; i < len(events); i++ {
-		if events[i] <= events[i-1] {
-			t.Fatalf("carried-over watcher saw generation %d after %d (events %v)", events[i], events[i-1], events)
+	for i := 1; i < len(seen); i++ {
+		if seen[i].Generation <= seen[i-1].Generation {
+			t.Fatalf("carried-over watcher saw generation %d after %d (events %v)", seen[i].Generation, seen[i-1].Generation, seen)
 		}
 	}
-	if len(events) == 0 || events[len(events)-1] <= seed.Generation {
-		t.Fatalf("carried-over watcher saw %v, want generations past the seed's %d", events, seed.Generation)
+	var seedEv, past bool
+	for _, ev := range seen {
+		seedEv = seedEv || ev.Generation == seed.Generation && reflect.DeepEqual(ev, seed.Event)
+		past = past || ev.Generation > seed.Generation
+	}
+	if !seedEv || !past {
+		t.Fatalf("carried-over watcher saw %v, want the seed's event %v and generations past it", seen, seed.Event)
 	}
 }
 

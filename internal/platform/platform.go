@@ -132,9 +132,11 @@ type Project struct {
 	//tcrowd:guardedby inferMu
 	lastModel *core.Model
 	// gens is the project's published state, nil until the first publish.
-	// installResult swaps in a whole new value at every publish, so
-	// readers (Snapshot, SnapshotAt, LatestEvent, GET /tasks) take one
-	// load, never block on EM and never see two generations mixed.
+	// installResult swaps in a whole new value at every publish (and
+	// recoverProject sets a promoted replica's first value before the
+	// project is visible), so readers (Snapshot, SnapshotAt, LatestEvent,
+	// GET /tasks) take one load, never block on EM and never see two
+	// generations mixed.
 	gens atomic.Pointer[generations]
 	// hub fans published generation bumps out to watchers. Set under the
 	// p.mu hold that registers the project (AdoptWAL hands a promoted
@@ -895,9 +897,9 @@ type InferenceResult struct {
 }
 
 // generations is one project's published state, immutable once installed:
-// installResult builds a new value for every publish and swaps it in
-// whole, so everything a reader takes from one load belongs to one
-// generation.
+// nextGenerations builds a new value for every publish and installResult
+// swaps it in whole, so everything a reader takes from one load belongs
+// to one generation.
 type generations struct {
 	// retained holds the addressable results, oldest first; the last is
 	// the latest, which every install keeps.
@@ -1234,23 +1236,34 @@ func (p *Platform) publishSnapshot(proj *Project, res *InferenceResult, tasks *a
 	}
 }
 
-// installResult is the one writer of a project's published state, shared
-// by home refreshes (publishSnapshot), follower replication
-// (ApplyReplicatedGeneration) and handoff seeding (AdoptWAL). It refuses a
-// result whose generation does not exceed the installed latest, so the
-// latest generation never goes backwards. Otherwise it builds the new
-// retained ring — the newest generations under the count cap and the
-// optional byte cap, the latest whatever its size — swaps in the new
-// value with ev and tasks, and fans ev out to watchers. inferMu
-// serialises every install, so no two interleave. It reports whether res
-// was installed.
+// installResult is the one writer of a registered project's published
+// state, shared by home refreshes (publishSnapshot) and follower
+// replication (ApplyReplicatedGeneration); inferMu serialises every
+// install, so no two interleave. It swaps in nextGenerations' value and
+// fans ev out to watchers, or changes nothing when res is not newer than
+// the installed latest.
 //
 //tcrowd:locked Project.inferMu
-func (p *Platform) installResult(proj *Project, res *InferenceResult, ev api.WatchEvent, tasks *assign.State) bool {
+func (p *Platform) installResult(proj *Project, res *InferenceResult, ev api.WatchEvent, tasks *assign.State) {
+	if g := p.nextGenerations(proj.gens.Load(), res, ev, tasks); g != nil {
+		proj.gens.Store(g)
+		proj.hub.publish(ev)
+	}
+}
+
+// nextGenerations builds the published state that installing res over
+// cur (nil before the first publish) yields: the retained ring holds the
+// newest generations under the count cap and the optional byte cap, the
+// latest whatever its size, with ev and tasks beside it. It returns nil
+// when res's generation does not exceed cur's latest — the check that
+// keeps the latest generation from going backwards. It changes nothing
+// but res's memSize, so recoverProject can build a rebuilt project's
+// first value before the project is visible.
+func (p *Platform) nextGenerations(cur *generations, res *InferenceResult, ev api.WatchEvent, tasks *assign.State) *generations {
 	var old []*InferenceResult
-	if cur := proj.gens.Load(); cur != nil {
+	if cur != nil {
 		if res.Generation <= cur.latest().Generation {
-			return false
+			return nil
 		}
 		old = cur.retained
 	}
@@ -1267,9 +1280,7 @@ func (p *Platform) installResult(proj *Project, res *InferenceResult, ev api.Wat
 	}
 	ring := make([]*InferenceResult, 0, keep+1)
 	ring = append(append(ring, old[len(old)-keep:]...), res)
-	proj.gens.Store(&generations{retained: ring, event: ev, tasks: tasks})
-	proj.hub.publish(ev)
-	return true
+	return &generations{retained: ring, event: ev, tasks: tasks}
 }
 
 // changedCells diffs two published results: the count of estimate cells

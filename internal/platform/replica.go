@@ -286,9 +286,11 @@ func (p *Platform) ShipWAL(projectID string) ([]wal.ShippedSegment, error) {
 // generation, and the receiver rebuilds the project from the shipped WAL
 // through the ordinary recovery path. A promoted replica's published
 // generations and watchers carry over into the rebuilt project, and the
-// seed generation installs on top when it is newer, so generation
-// numbering continues where the old home left off (pinned readers and
-// watchers never see the counter restart or step back).
+// seed generation installs on top when it is newer, before the project is
+// visible (recoverProject), so generation numbering continues where the
+// old home left off: pinned readers and watchers never see the counter
+// restart or step back, and the seed's generation number means the seed's
+// estimates on every node.
 //
 // Returns adopted=false (and no error) when the project is already homed
 // here — the idempotent answer to a duplicate push.
@@ -323,19 +325,12 @@ func (p *Platform) AdoptWAL(projectID string, segs []wal.ShippedSegment, seed *R
 	if err := wal.WriteSegments(p.walOpts.fs(), dir, segs); err != nil {
 		return false, err
 	}
-	proj, _, err := p.recoverProject(dir, old)
+	proj, _, err := p.recoverProject(dir, old, seed)
 	if err != nil {
 		return false, err
 	}
 	if proj == nil {
 		return false, fmt.Errorf("platform: pushed WAL for %q held no records", projectID)
-	}
-	if seed != nil && seed.Generation > 0 {
-		// A refresh on the new home may already have published past the
-		// seed; installResult then keeps the newer generation.
-		proj.inferMu.Lock()
-		p.installResult(proj, seed.result(), seed.watchEvent(projectID), nil)
-		proj.inferMu.Unlock()
 	}
 	// The project is registered: submissions may be appending already.
 	p.mu.Lock()

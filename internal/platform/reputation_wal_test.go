@@ -194,7 +194,7 @@ func TestWALCheckpointCarriesReputation(t *testing.T) {
 	// ModelQ under the read.
 	p2 := NewWithOptions(7, walTestOpts(fs, wal.SyncAlways))
 	defer p2.Close()
-	if _, _, err := p2.recoverProject(p2.walOpts.projDir("guard"), nil); err != nil {
+	if _, _, err := p2.recoverProject(p2.walOpts.projDir("guard"), nil, nil); err != nil {
 		t.Fatalf("recover from checkpoint: %v", err)
 	}
 	after, _, err := p2.WorkerReputations("guard")

@@ -283,7 +283,7 @@ func Recover(seed int64, opts Options) (*Platform, RecoveryReport, error) {
 			_ = fs.RemoveAll(dir) // crashed delete: finish it
 			continue
 		}
-		proj, projRep, err := p.recoverProject(dir, nil)
+		proj, projRep, err := p.recoverProject(dir, nil, nil)
 		if err != nil {
 			p.Close()
 			return nil, rep, fmt.Errorf("platform: recover %s: %w", e.Name(), err)
@@ -308,11 +308,14 @@ func Recover(seed int64, opts Options) (*Platform, RecoveryReport, error) {
 
 // recoverProject replays one project directory. A nil project with nil
 // error means the directory held no durable records and was removed. A
-// non-nil from is a replica being promoted (AdoptWAL): the rebuilt project
-// takes over its watch hub and published generations under the p.mu hold
-// that registers it, so no request and no refresh ever sees it without
-// them.
-func (p *Platform) recoverProject(dir string, from *Project) (*Project, wal.Replay, error) {
+// non-nil from is a replica being promoted and seed the previous home's
+// latest generation (AdoptWAL; boot recovery passes neither): the rebuilt
+// project takes over the replica's watch hub, and its first published
+// state is the replica's with the seed installed on top when newer, set
+// under the p.mu hold that registers the project. No request or refresh
+// can see the project before that, so its first own refresh numbers on
+// from the seed and no install can interleave.
+func (p *Platform) recoverProject(dir string, from *Project, seed *ReplicatedGeneration) (*Project, wal.Replay, error) {
 	l, replay, err := wal.Open(dir, p.walOpts.walOptions(""))
 	if err != nil {
 		return nil, wal.Replay{}, err
@@ -417,6 +420,15 @@ func (p *Platform) recoverProject(dir string, from *Project) (*Project, wal.Repl
 		if from != nil {
 			proj.hub = from.hub
 			proj.gens.Store(from.gens.Load())
+		}
+		if seed != nil && seed.Generation > 0 {
+			ev := seed.watchEvent(proj.ID)
+			if g := p.nextGenerations(proj.gens.Load(), seed.result(), ev, nil); g != nil {
+				// Fanned out before p.mu is released, so it precedes every
+				// event a refresh on the new home publishes.
+				proj.gens.Store(g)
+				proj.hub.publish(ev)
+			}
 		}
 	} else if proj != nil {
 		delete(p.projects, proj.ID)
