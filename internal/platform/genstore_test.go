@@ -218,7 +218,7 @@ func adoptWhileSubmitting(t *testing.T, withReplica bool) {
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	errs := make(chan error, 2)
+	errs := make(chan error, 1) // the pinned reader sends at most once
 	wg.Add(3)
 	go func() {
 		// Rejected (not home, or no project) until the promotion; each
@@ -332,8 +332,8 @@ func TestReplicatedGenerationWireFormat(t *testing.T) {
 		Estimates:     metrics.Estimates{{tabular.LabelValue(1), tabular.NumberValue(9.5)}, {{}, tabular.NumberValue(42)}},
 		WorkerQuality: map[tabular.WorkerID]float64{"w1": 0.75, "w2": 0.5},
 	}
-	if !reflect.DeepEqual(*g.result(), want) {
-		t.Fatalf("decoded result %+v, want %+v", *g.result(), want)
+	if !reflect.DeepEqual(g.InferenceResult, want) {
+		t.Fatalf("decoded result %+v, want %+v", g.InferenceResult, want)
 	}
 	if g.Project != "books" || !reflect.DeepEqual(g.Schema, demoSchema()) || len(g.Entities) != 2 ||
 		g.Event.Generation != 7 || len(g.Event.Cells) != 1 || len(g.WAL) != 1 || string(g.WAL[0].Data) != "x" {

@@ -227,7 +227,7 @@ func New(seed int64) *Platform { return NewWithOptions(seed, Options{}) }
 // scheduler.
 func NewWithOptions(seed int64, opts Options) *Platform {
 	if opts.RetainGenerations <= 0 {
-		opts.RetainGenerations = 8
+		opts.RetainGenerations = defaultRetain
 	}
 	return &Platform{
 		projects:    make(map[string]*Project),
@@ -896,25 +896,34 @@ type InferenceResult struct {
 	memSize int64
 }
 
+// defaultRetain is Options.RetainGenerations' default and the number of
+// results a published value holds inline (generations.inline).
+const defaultRetain = 8
+
 // generations is one project's published state, immutable once installed:
 // nextGenerations builds a new value for every publish and installResult
 // swaps it in whole, so everything a reader takes from one load belongs
-// to one generation.
+// to one generation. A result the platform hands out points into the value
+// it was read from.
 type generations struct {
 	// retained holds the addressable results, oldest first; the last is
-	// the latest, which every install keeps.
-	retained []*InferenceResult
+	// the latest, which every install keeps. The entries are copies, so a
+	// value references no older value (holding one keeps only its own
+	// ring's estimates alive), and they live in inline whenever the ring
+	// fits there: a publish then allocates this value and nothing else.
+	retained []InferenceResult
 	// event is the latest publish's watch event, replayed to watchers that
 	// connect (or long-poll) with a stale ?after=.
 	event api.WatchEvent
 	// tasks is the assignment state a home T-Crowd project built from the
 	// latest result's fit (nil otherwise). Only the latest result has one:
 	// each state holds an error model, too large to keep per ring entry.
-	tasks *assign.State
+	tasks  *assign.State
+	inline [defaultRetain]InferenceResult
 }
 
 // latest returns the newest published result.
-func (g *generations) latest() *InferenceResult { return g.retained[len(g.retained)-1] }
+func (g *generations) latest() *InferenceResult { return &g.retained[len(g.retained)-1] }
 
 // estimateMemSize approximates the result's resident footprint: 24 bytes
 // per estimate cell (tabular.Value: kind + int + float64) and the map
@@ -1028,9 +1037,9 @@ func (p *Platform) SnapshotAt(projectID string, generation int) (*InferenceResul
 		return nil, fmt.Errorf("%w (generation %d not yet published, latest is %d)",
 			ErrNoSnapshot, generation, latest.Generation)
 	}
-	for _, r := range g.retained {
-		if r.Generation == generation {
-			return r, nil
+	for i := range g.retained {
+		if g.retained[i].Generation == generation {
+			return &g.retained[i], nil
 		}
 	}
 	return nil, fmt.Errorf("%w (generation %d, retained window starts at %d)",
@@ -1140,7 +1149,7 @@ func (p *Platform) refreshProject(proj *Project) error {
 		m.RefreshIncremental(emMaxIter)
 	}
 
-	res := &InferenceResult{
+	res := InferenceResult{
 		Estimates:     m.Estimates(),
 		WorkerQuality: make(map[tabular.WorkerID]float64, len(m.WorkerIDs)),
 		Iterations:    m.Iterations,
@@ -1166,7 +1175,7 @@ func (p *Platform) refreshProject(proj *Project) error {
 		// generation. The state keeps no reference to m or to answers.
 		tasks = assign.NewState(m.Freeze(), answers, res.Estimates, true)
 	}
-	p.publishSnapshot(proj, res, tasks)
+	p.publishSnapshot(proj, &res, tasks)
 	return nil
 }
 
@@ -1204,9 +1213,9 @@ func (p *Platform) WorkerReputations(projectID string) (infos []WorkerReputation
 }
 
 // publishSnapshot is the copy-on-publish commit point at the end of a home
-// refresh: it assigns the next generation, installs the result with the
+// refresh: it assigns res the next generation, installs it with the
 // assignment state built from the same fit (installResult), and hands the
-// publish to the cluster replication hook when one is registered.
+// installed result to the cluster replication hook when one is registered.
 //
 //tcrowd:locked Project.inferMu
 func (p *Platform) publishSnapshot(proj *Project, res *InferenceResult, tasks *assign.State) {
@@ -1232,7 +1241,7 @@ func (p *Platform) publishSnapshot(proj *Project, res *InferenceResult, tasks *a
 	}
 	p.installResult(proj, res, ev, tasks)
 	if hook := p.pubHook.Load(); hook != nil {
-		(*hook)(ProjectMeta{ID: proj.ID, Schema: proj.Table.Schema, Entities: proj.Table.Entities}, res, ev)
+		(*hook)(ProjectMeta{ID: proj.ID, Schema: proj.Table.Schema, Entities: proj.Table.Entities}, proj.gens.Load().latest(), ev)
 	}
 }
 
@@ -1251,26 +1260,26 @@ func (p *Platform) installResult(proj *Project, res *InferenceResult, ev api.Wat
 	}
 }
 
-// nextGenerations builds the published state that installing res over
-// cur (nil before the first publish) yields: the retained ring holds the
-// newest generations under the count cap and the optional byte cap, the
-// latest whatever its size, with ev and tasks beside it. It returns nil
-// when res's generation does not exceed cur's latest — the check that
-// keeps the latest generation from going backwards. It changes nothing
-// but res's memSize, so recoverProject can build a rebuilt project's
+// nextGenerations builds the published state that installing a copy of
+// res over cur (nil before the first publish) yields: the retained ring
+// holds the newest generations under the count cap and the optional byte
+// cap, the latest whatever its size, with ev and tasks beside it. It
+// returns nil when res's generation does not exceed cur's latest — the
+// check that keeps the latest generation from going backwards. It changes
+// neither cur nor res, so recoverProject can build a rebuilt project's
 // first value before the project is visible.
 func (p *Platform) nextGenerations(cur *generations, res *InferenceResult, ev api.WatchEvent, tasks *assign.State) *generations {
-	var old []*InferenceResult
+	var old []InferenceResult
 	if cur != nil {
 		if res.Generation <= cur.latest().Generation {
 			return nil
 		}
 		old = cur.retained
 	}
-	res.memSize = res.estimateMemSize()
+	size := res.estimateMemSize()
 	// Keep the longest run of newest older generations that fits both
 	// caps: the count cap leaves room for res, the byte cap counts it.
-	keep, total := 0, res.memSize
+	keep, total := 0, size
 	for i := len(old) - 1; i >= 0 && keep < p.retain-1; i-- {
 		total += old[i].memSize
 		if p.retainBytes > 0 && total > p.retainBytes {
@@ -1278,9 +1287,14 @@ func (p *Platform) nextGenerations(cur *generations, res *InferenceResult, ev ap
 		}
 		keep++
 	}
-	ring := make([]*InferenceResult, 0, keep+1)
-	ring = append(append(ring, old[len(old)-keep:]...), res)
-	return &generations{retained: ring, event: ev, tasks: tasks}
+	g := &generations{event: ev, tasks: tasks}
+	g.retained = g.inline[:0]
+	if keep >= len(g.inline) {
+		g.retained = make([]InferenceResult, 0, keep+1)
+	}
+	g.retained = append(append(g.retained, old[len(old)-keep:]...), *res)
+	g.retained[keep].memSize = size
+	return g
 }
 
 // changedCells diffs two published results: the count of estimate cells

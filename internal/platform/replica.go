@@ -115,15 +115,6 @@ func BuildReplicatedGeneration(meta ProjectMeta, res *InferenceResult, ev api.Wa
 	}
 }
 
-// result rehydrates the payload into the immutable form the serving path
-// consumes: a copy of the embedded result, so a retained generation does
-// not keep the payload's WAL segments alive. The payload is decoded fresh
-// per request, so sharing its slices/maps with the result is safe.
-func (g *ReplicatedGeneration) result() *InferenceResult {
-	res := g.InferenceResult
-	return &res
-}
-
 // watchEvent returns the event to fan out for the payload installed under
 // project: the shipped Event, or — defensively, when that disagrees with
 // the result it announces — one rebuilt from the result.
@@ -219,7 +210,10 @@ func (p *Platform) ApplyReplicatedGeneration(g *ReplicatedGeneration, home strin
 		proj.replicaAnswers = g.AnswersSeen
 		proj.replicaWorkers = len(g.WorkerQuality)
 		p.mu.Unlock()
-		p.installResult(proj, g.result(), g.watchEvent(g.Project), nil)
+		// The install copies the embedded result, so a retained generation
+		// does not keep the payload's WAL segments alive; the payload is
+		// decoded fresh per request, so sharing its slices and maps is safe.
+		p.installResult(proj, &g.InferenceResult, g.watchEvent(g.Project), nil)
 	}
 	// The mirror is written after the install, so readers never wait on
 	// its fsyncs. A failed write does not fail the apply, or the shipper

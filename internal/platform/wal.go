@@ -423,7 +423,7 @@ func (p *Platform) recoverProject(dir string, from *Project, seed *ReplicatedGen
 		}
 		if seed != nil && seed.Generation > 0 {
 			ev := seed.watchEvent(proj.ID)
-			if g := p.nextGenerations(proj.gens.Load(), seed.result(), ev, nil); g != nil {
+			if g := p.nextGenerations(proj.gens.Load(), &seed.InferenceResult, ev, nil); g != nil {
 				// Fanned out before p.mu is released, so it precedes every
 				// event a refresh on the new home publishes.
 				proj.gens.Store(g)
